@@ -26,7 +26,6 @@ from .core import (
     Intrinsics,
     Pose,
     distort,
-    intrinsic_matrix,
     project,
     project_points,
     rodrigues_from_rotation,

@@ -10,8 +10,9 @@ and distortion, which removes the coupling channel that lets focal-length
 errors hide in the translations.
 
 The refinement residual pairs each observation, corrected by the closed-form
-radial model, with the pin-hole projection of its template point; Jacobians
-are analytic throughout.
+radial model, with the pin-hole projection of its template point. That model
+and its analytic Jacobian live in ``core.reprojection_residuals``; this module
+only stacks the views, packs the parameters and calls it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .core import (
     Distortion,
     Intrinsics,
     Pose,
+    reprojection_residuals,
     rodrigues_from_rotation,
-    rotation_derivatives,
-    rotation_from_rodrigues,
 )
 from .errors import (
     BehindCamera,
@@ -58,9 +58,6 @@ __all__ = [
     "reprojection_stats",
     "solution_residuals",
 ]
-
-_MIN_DEPTH = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class CalibrationView:
@@ -112,13 +109,6 @@ class IntrinsicSet:
     def from_single(cls, intr: Intrinsics) -> "IntrinsicSet":
         return cls(intr.u0, intr.v0, intr.gamma, ((intr.alpha, intr.beta),), True)
 
-    def view(self, index: int) -> Intrinsics:
-        alpha, beta = self.scales[0] if self.shared else self.scales[index]
-        return Intrinsics(alpha, beta, self.gamma, self.u0, self.v0)
-
-    def matrix(self, index: int) -> np.ndarray:
-        return self.view(index).matrix
-
 
 @dataclass(frozen=True)
 class PerViewStats:
@@ -159,7 +149,6 @@ class CalibrationResult:
     converged: bool
     iterations: int
     termination: str
-    bias: "object | None" = None
 
 
 # extrinsics from a homography
@@ -265,6 +254,15 @@ def intrinsics_from_homographies(homographies) -> Intrinsics:
 # refinement problem
 
 
+def _stack(views) -> tuple:
+    """Stacked world and image points, per-point view index, view offsets."""
+    counts = [len(v) for v in views]
+    world = np.vstack([v.world for v in views])
+    image = np.vstack([v.image for v in views])
+    view = np.repeat(np.arange(len(views)), counts)
+    return world, image, view, np.cumsum(counts)[:-1]
+
+
 class _Problem:
     """Residuals and analytic Jacobian for the joint refinement.
 
@@ -274,142 +272,59 @@ class _Problem:
     """
 
     def __init__(self, views, frozen_scales, estimate_distortion: bool):
-        self.world = [v.world for v in views]
-        self.image = [v.image for v in views]
-        self.counts = [len(v) for v in views]
+        self.world, self.image, self.view, _ = _stack(views)
         self.frozen = frozen_scales  # None for baseline
-        self.est_dist = estimate_distortion
         self.n_views = len(views)
-        base = 5 if frozen_scales is None else 3
-        self.n_intr = base + (2 if estimate_distortion else 0)
+        if frozen_scales is None:
+            names = ("alpha", "beta", "gamma", "u0", "v0")
+        else:
+            names = ("u0", "v0", "gamma")
+        names += ("k1", "k2") if estimate_distortion else ()
+        self.columns = {name: j for j, name in enumerate(names)}
+        self.n_intr = len(names)
         self.n_params = self.n_intr + 6 * self.n_views
-        self.offsets = np.concatenate([[0], np.cumsum([2 * c for c in self.counts])])
 
     def pack(self, intr_set: IntrinsicSet, dist: Distortion, poses) -> np.ndarray:
+        alpha, beta = intr_set.scales[0]
+        values = dict(alpha=alpha, beta=beta, gamma=intr_set.gamma, u0=intr_set.u0,
+                      v0=intr_set.v0, k1=dist.k1, k2=dist.k2)
         x = np.zeros(self.n_params)
-        if self.frozen is None:
-            alpha, beta = intr_set.scales[0]
-            x[0:5] = [alpha, beta, intr_set.gamma, intr_set.u0, intr_set.v0]
-            k_at = 5
-        else:
-            x[0:3] = [intr_set.u0, intr_set.v0, intr_set.gamma]
-            k_at = 3
-        if self.est_dist:
-            x[k_at : k_at + 2] = [dist.k1, dist.k2]
-        for i, pose in enumerate(poses):
-            j = self.n_intr + 6 * i
-            x[j : j + 3] = pose.rodrigues
-            x[j + 3 : j + 6] = pose.translation
+        x[: self.n_intr] = [values[name] for name in self.columns]
+        x[self.n_intr :] = np.ravel([np.r_[p.rodrigues, p.translation] for p in poses])
         return x
 
-    def unpack(self, x) -> tuple[IntrinsicSet, Distortion, tuple[Pose, ...]]:
+    def _model_args(self, x) -> dict:
+        """Keyword arguments of ``reprojection_residuals`` at parameters ``x``."""
         x = np.asarray(x, dtype=float)
-        if self.frozen is None:
-            intr = IntrinsicSet(
-                float(x[3]), float(x[4]), float(x[2]),
-                ((float(x[0]), float(x[1])),), True,
-            )
-            k_at = 5
-        else:
-            intr = IntrinsicSet(
-                float(x[0]), float(x[1]), float(x[2]), tuple(self.frozen), False
-            )
-            k_at = 3
-        if self.est_dist:
-            dist = Distortion(float(x[k_at]), float(x[k_at + 1]))
-        else:
-            dist = Distortion()
-        poses = tuple(
-            Pose(x[self.n_intr + 6 * i : self.n_intr + 6 * i + 3],
-                 x[self.n_intr + 6 * i + 3 : self.n_intr + 6 * i + 6])
-            for i in range(self.n_views)
-        )
-        return intr, dist, poses
+        args = {"k1": 0.0, "k2": 0.0}
+        args.update((name, x[j]) for name, j in self.columns.items())
+        if self.frozen is not None:
+            args["alpha"], args["beta"] = np.array(self.frozen, dtype=float).T
+        poses = x[self.n_intr :].reshape(self.n_views, 6)
+        return dict(args, rvecs=poses[:, :3], tvecs=poses[:, 3:])
 
-    def _view_params(self, x, i):
+    def unpack(self, x) -> tuple[IntrinsicSet, Distortion, tuple[Pose, ...]]:
+        m = self._model_args(x)
         if self.frozen is None:
-            alpha, beta, gamma, u0, v0 = x[0:5]
-            k_at = 5
+            scales = ((float(m["alpha"]), float(m["beta"])),)
         else:
-            u0, v0, gamma = x[0:3]
-            alpha, beta = self.frozen[i]
-            k_at = 3
-        k1, k2 = (x[k_at], x[k_at + 1]) if self.est_dist else (0.0, 0.0)
-        j = self.n_intr + 6 * i
-        return alpha, beta, gamma, u0, v0, k1, k2, x[j : j + 3], x[j + 3 : j + 6]
+            scales = tuple(self.frozen)
+        intr = IntrinsicSet(float(m["u0"]), float(m["v0"]), float(m["gamma"]), scales,
+                            self.frozen is None)
+        dist = Distortion(float(m["k1"]), float(m["k2"]))
+        return intr, dist, tuple(Pose(r, t) for r, t in zip(m["rvecs"], m["tvecs"]))
 
     def residual(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(self.offsets[-1])
-        for i in range(self.n_views):
-            block = out[self.offsets[i] : self.offsets[i + 1]]
-            alpha, beta, gamma, u0, v0, k1, k2, rvec, tvec = self._view_params(x, i)
-            if alpha <= 0 or beta <= 0:
-                block[:] = np.inf
-                continue
-            cam = self.world[i] @ rotation_from_rodrigues(rvec).T + tvec
-            z = cam[:, 2]
-            if np.any(z <= _MIN_DEPTH):
-                block[:] = np.inf
-                continue
-            u_hat = (alpha * cam[:, 0] + gamma * cam[:, 1]) / z + u0
-            v_hat = beta * cam[:, 1] / z + v0
-            du = self.image[i][:, 0] - u0
-            dv = self.image[i][:, 1] - v0
-            r2 = (du / alpha) ** 2 + (dv / beta) ** 2
-            g = k1 * r2 + k2 * r2 * r2
-            block[0::2] = self.image[i][:, 0] + du * g - u_hat
-            block[1::2] = self.image[i][:, 1] + dv * g - v_hat
-        return out
+        return reprojection_residuals(
+            self.world, self.image, self.view, **self._model_args(x)
+        ).ravel()
 
     def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        jac = np.zeros((self.offsets[-1], self.n_params))
-        for i in range(self.n_views):
-            alpha, beta, gamma, u0, v0, k1, k2, rvec, tvec = self._view_params(x, i)
-            rot = rotation_from_rodrigues(rvec)
-            cam = self.world[i] @ rot.T + tvec
-            px, py, z = cam[:, 0], cam[:, 1], cam[:, 2]
-            du = self.image[i][:, 0] - u0
-            dv = self.image[i][:, 1] - v0
-            xb = du / alpha
-            yb = dv / beta
-            r2 = xb * xb + yb * yb
-            g = k1 * r2 + k2 * r2 * r2
-            gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
-            rows_u = slice(self.offsets[i], self.offsets[i + 1], 2)
-            rows_v = slice(self.offsets[i] + 1, self.offsets[i + 1], 2)
-            if self.frozen is None:
-                jac[rows_u, 0] = -2.0 * du * gain * xb * xb / alpha - px / z
-                jac[rows_v, 0] = -2.0 * dv * gain * xb * xb / alpha
-                jac[rows_u, 1] = -2.0 * du * gain * yb * yb / beta
-                jac[rows_v, 1] = -2.0 * dv * gain * yb * yb / beta - py / z
-                i_gamma, i_u0, i_v0, k_at = 2, 3, 4, 5
-            else:
-                i_u0, i_v0, i_gamma, k_at = 0, 1, 2, 3
-            jac[rows_u, i_gamma] = -py / z
-            jac[rows_u, i_u0] = -g - 2.0 * du * gain * xb / alpha - 1.0
-            jac[rows_v, i_u0] = -2.0 * dv * gain * xb / alpha
-            jac[rows_u, i_v0] = -2.0 * du * gain * yb / beta
-            jac[rows_v, i_v0] = -g - 2.0 * dv * gain * yb / beta - 1.0
-            if self.est_dist:
-                jac[rows_u, k_at] = du * r2
-                jac[rows_v, k_at] = dv * r2
-                jac[rows_u, k_at + 1] = du * r2 * r2
-                jac[rows_v, k_at + 1] = dv * r2 * r2
-            # pose block: residual = corrected - projected, so -d(projection)
-            grad_u = np.column_stack(
-                [alpha / z, gamma / z, -(alpha * px + gamma * py) / (z * z)]
-            )
-            grad_v = np.column_stack(
-                [np.zeros_like(z), beta / z, -beta * py / (z * z)]
-            )
-            dcam = np.einsum("lab,nb->nla", rotation_derivatives(rvec), self.world[i])
-            j0 = self.n_intr + 6 * i
-            jac[rows_u, j0 : j0 + 3] = -np.einsum("na,nla->nl", grad_u, dcam)
-            jac[rows_v, j0 : j0 + 3] = -np.einsum("na,nla->nl", grad_v, dcam)
-            jac[rows_u, j0 + 3 : j0 + 6] = -grad_u
-            jac[rows_v, j0 + 3 : j0 + 6] = -grad_v
+        jac = np.zeros((2 * len(self.view), self.n_params))
+        reprojection_residuals(
+            self.world, self.image, self.view, **self._model_args(x),
+            jacobian=jac, columns=self.columns, pose_column=self.n_intr,
+        )
         return jac
 
 
@@ -477,23 +392,15 @@ def _coerce_scale_source(source) -> ScaleSource:
 
 def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
     """Signed (du, dv) residuals per view for a stored solution."""
-    out = []
-    for i, view in enumerate(views):
-        intr = solution.intrinsics.view(i)
-        cam = solution.poses[i].transform(view.world)
-        z = cam[:, 2]
-        u_hat = (intr.alpha * cam[:, 0] + intr.gamma * cam[:, 1]) / z + intr.u0
-        v_hat = intr.beta * cam[:, 1] / z + intr.v0
-        du = view.image[:, 0] - intr.u0
-        dv = view.image[:, 1] - intr.v0
-        r2 = (du / intr.alpha) ** 2 + (dv / intr.beta) ** 2
-        g = solution.distortion.k1 * r2 + solution.distortion.k2 * r2 * r2
-        out.append(
-            np.column_stack(
-                [view.image[:, 0] + du * g - u_hat, view.image[:, 1] + dv * g - v_hat]
-            )
-        )
-    return out
+    world, image, view, offsets = _stack(views)
+    intr, dist = solution.intrinsics, solution.distortion
+    alpha, beta = np.array(intr.scales[0] if intr.shared else intr.scales, float).T
+    res = reprojection_residuals(
+        world, image, view, [p.rodrigues for p in solution.poses],
+        [p.translation for p in solution.poses], alpha, beta,
+        intr.gamma, intr.u0, intr.v0, dist.k1, dist.k2,
+    )
+    return np.split(res, offsets)
 
 
 def _stats_from_residuals(residuals, view_ids) -> ReprojectionStats:
@@ -542,11 +449,10 @@ def _solution(problem: _Problem, x, views) -> Solution:
     return Solution(intr, poses, dist, stats)
 
 
-def _refine(problem, x0, views, method, algebraic, opts, analytic_jacobian):
-    jac = problem.jacobian if analytic_jacobian else None
+def _refine(problem, x0, views, method, algebraic, opts):
     view_ids = tuple(v.view_id for v in views)
     try:
-        lm = levenberg_marquardt(problem.residual, x0, opts, jacobian=jac)
+        lm = levenberg_marquardt(problem.residual, x0, opts, jacobian=problem.jacobian)
     except NonConvergence as exc:
         partial: LMResult = exc.result
         result = CalibrationResult(
@@ -575,7 +481,6 @@ def calibrate_baseline(
     opts: SolverOptions | None = None,
     *,
     estimate_distortion: bool = True,
-    analytic_jacobian: bool = True,
 ) -> CalibrationResult:
     """Single-focal-length calibration: closed form plus joint refinement.
 
@@ -591,12 +496,9 @@ def calibrate_baseline(
     a0 = intr0.matrix
     poses0 = [extrinsics_from_homography(h, a0) for h in homs]
     problem = _Problem(views, None, estimate_distortion)
-    algebraic = _solution(
-        problem, problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0),
-        views,
-    )
-    x0 = problem.pack(algebraic.intrinsics, Distortion(), poses0)
-    return _refine(problem, x0, views, "baseline", algebraic, opts, analytic_jacobian)
+    x0 = problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0)
+    algebraic = _solution(problem, x0, views)
+    return _refine(problem, x0, views, "baseline", algebraic, opts)
 
 
 def calibrate_proposed(
@@ -606,7 +508,6 @@ def calibrate_proposed(
     *,
     image_size: tuple[int, int] | None = None,
     estimate_distortion: bool = True,
-    analytic_jacobian: bool = True,
 ) -> CalibrationResult:
     """Constrained calibration with frozen per-view scale factors.
 
@@ -640,6 +541,6 @@ def calibrate_proposed(
     poses0 = map_ordered(init_pose, zip(views, frozen))
     problem = _Problem(views, [tuple(p) for p in frozen], estimate_distortion)
     intr0 = IntrinsicSet(centre[0], centre[1], 0.0, tuple(map(tuple, frozen)), False)
-    algebraic = _solution(problem, problem.pack(intr0, Distortion(), poses0), views)
     x0 = problem.pack(intr0, Distortion(), poses0)
-    return _refine(problem, x0, views, "proposed", algebraic, opts, analytic_jacobian)
+    algebraic = _solution(problem, x0, views)
+    return _refine(problem, x0, views, "proposed", algebraic, opts)

@@ -120,6 +120,8 @@ def cmd_simulate(args) -> int:
         lo, hi = _parse_range(args.distance_range, "--distance-range", 2)
         if not 0 < lo <= hi:
             raise UsageError("--distance-range needs 0 < low <= high")
+        if args.views < 1:
+            raise UsageError("--views must be at least 1")
         distances = list(np.linspace(lo, hi, args.views))
         tilt_lo, tilt_hi = _parse_range(args.tilt, "--tilt", 2)
         views = generate_dataset(
@@ -172,7 +174,10 @@ def cmd_calibrate(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"dataset: not valid JSON ({exc})") from exc
     template, views, meta = dataset_from_dict(doc)
-    opts = SolverOptions(max_iterations=args.max_iterations)
+    try:
+        opts = SolverOptions(max_iterations=args.max_iterations)
+    except ValueError as exc:
+        raise UsageError(f"--max-iterations: {exc}") from exc
     provenance = {
         "dataset_sha256": sha256_hex(raw),
         "tool_version": __version__,

@@ -1,9 +1,15 @@
-"""Pin-hole camera primitives: intrinsics, poses, projection, radial distortion.
+"""Pin-hole camera primitives and the one camera model of the package.
 
 Conventions used throughout the package: world coordinates in millimetres,
 image coordinates in pixels, angles in radians. A pose maps world points into
 the camera frame via ``x_cam = R @ x_world + t`` with the optical axis along
 +z. All types are immutable values and every function is pure.
+
+The camera model (Zhang, "A flexible new technique for camera calibration",
+PAMI 2000) is written once, here: batched Rodrigues rotations and derivatives
+(``_rodrigues``), the pin-hole projection (``_pinhole``) and the radial
+correction (``_radial``). ``reprojection_residuals`` evaluates it over the
+stacked points of every view, with the analytic Jacobian on request.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ __all__ = [
     "Intrinsics",
     "Pose",
     "Distortion",
-    "intrinsic_matrix",
     "rotation_from_rodrigues",
     "rodrigues_from_rotation",
     "rotation_derivatives",
@@ -29,10 +34,13 @@ __all__ = [
     "distort_points",
     "undistort",
     "undistort_points",
+    "reprojection_residuals",
 ]
 
 # Angle below which sin/cos ratios switch to their Taylor expansions.
 _SMALL_ANGLE = 1e-7
+# Depth at or below which a view's residuals are infinite.
+_MIN_DEPTH = 1e-9
 
 
 def _as_vec(x, n: int) -> np.ndarray:
@@ -69,11 +77,6 @@ class Intrinsics:
         )
 
 
-def intrinsic_matrix(intr: Intrinsics) -> np.ndarray:
-    """Arrange intrinsic parameters as the 3x3 projection matrix."""
-    return intr.matrix
-
-
 @dataclass(frozen=True)
 class Distortion:
     """Second-order radial distortion coefficients, zero by default."""
@@ -94,28 +97,57 @@ class Distortion:
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
+    """Cross-product matrices of vectors (..., 3), shape (..., 3, 3)."""
+    k = np.zeros(v.shape[:-1] + (3, 3))
+    k[..., 0, 1], k[..., 0, 2] = -v[..., 2], v[..., 1]
+    k[..., 1, 0], k[..., 1, 2] = v[..., 2], -v[..., 0]
+    k[..., 2, 0], k[..., 2, 1] = -v[..., 1], v[..., 0]
+    return k
+
+
+# _GENERATORS[i] is the derivative of _skew(r) with respect to r[i].
+_GENERATORS = _skew(np.eye(3))
+
+
+def _rodrigues(rvecs, derivatives: bool = False) -> tuple:
+    """Rotations (m, 3, 3) of axis-angle vectors (m, 3), and on request their
+    derivatives (m, 3, 3, 3): ``[j, i]`` is d(rotation j)/d(component i)."""
+    r = np.asarray(rvecs, dtype=float).reshape(-1, 3)
+    # One dot product per vector, as np.linalg.norm takes for a single vector:
+    # simulated datasets depend on these rotations to the last bit.
+    theta = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    t2 = theta * theta
+    small = theta < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(safe) / safe)
+    # 2*sin(theta/2)**2 avoids cancellation in 1 - cos(theta)
+    b = np.where(small, 0.5 - t2 / 24.0, 2.0 * np.sin(safe / 2.0) ** 2 / (safe * safe))
+    k = _skew(r)
+    k2 = k @ k
+    rot = np.eye(3) + a[:, None, None] * k + b[:, None, None] * k2
+    if not derivatives:
+        return rot, None
+    small = theta < 1e-4  # these ratios cancel worse, so switch earlier
+    s = np.where(small, 1.0, theta)
+    # c1 = d(sin t / t)/dt / t and c2 = d((1 - cos t)/t^2)/dt / t
+    s3 = s * s * s
+    c1 = np.where(small, -1.0 / 3.0 + t2 / 30.0, (s * np.cos(s) - np.sin(s)) / s3)
+    # 4 sin^2(t/2) = 2 (1 - cos t), again free of cancellation
+    c2_big = (s * np.sin(s) - 4.0 * np.sin(s / 2.0) ** 2) / (s3 * s)
+    c2 = np.where(small, -1.0 / 12.0 + t2 / 180.0, c2_big)
+    e, kk = _GENERATORS, k[:, None]
+    drot = (
+        (c1[:, None] * r)[..., None, None] * kk
+        + a[:, None, None, None] * e
+        + (c2[:, None] * r)[..., None, None] * k2[:, None]
+        + b[:, None, None, None] * (e @ kk + kk @ e)
     )
+    return rot, drot
 
 
 def rotation_from_rodrigues(rvec) -> np.ndarray:
     """Rotation matrix for an axis-angle vector (angle = vector norm)."""
-    r = _as_vec(rvec, 3)
-    theta = float(np.linalg.norm(r))
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = np.sin(theta) / theta
-        # 2*sin(theta/2)**2 avoids cancellation in 1 - cos(theta)
-        b = 2.0 * np.sin(theta / 2.0) ** 2 / (theta * theta)
-    k = _skew(r)
-    return np.eye(3) + a * k + b * (k @ k)
+    return _rodrigues(_as_vec(rvec, 3))[0][0]
 
 
 def rodrigues_from_rotation(rot) -> np.ndarray:
@@ -148,30 +180,7 @@ def rotation_derivatives(rvec) -> np.ndarray:
     Entry ``[i]`` is the derivative of ``rotation_from_rodrigues(rvec)`` with
     respect to component ``i`` of the axis-angle vector.
     """
-    r = _as_vec(rvec, 3)
-    theta = float(np.linalg.norm(r))
-    t2 = theta * theta
-    if theta < 1e-4:
-        a = 1.0 - t2 / 6.0
-        b = 0.5 - t2 / 24.0
-        c1 = -1.0 / 3.0 + t2 / 30.0  # d(sin t / t)/dt / t
-        c2 = -1.0 / 12.0 + t2 / 180.0  # d((1-cos t)/t^2)/dt / t
-    else:
-        sin_t = np.sin(theta)
-        one_minus_cos = 2.0 * np.sin(theta / 2.0) ** 2
-        a = sin_t / theta
-        b = one_minus_cos / t2
-        c1 = (theta * np.cos(theta) - sin_t) / (t2 * theta)
-        c2 = (theta * sin_t - 2.0 * one_minus_cos) / (t2 * t2)
-    k = _skew(r)
-    k2 = k @ k
-    out = np.empty((3, 3, 3))
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = 1.0
-        eik = _skew(ei)
-        out[i] = c1 * r[i] * k + a * eik + c2 * r[i] * k2 + b * (eik @ k + k @ eik)
-    return out
+    return _rodrigues(_as_vec(rvec, 3), derivatives=True)[1][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +220,25 @@ class Pose:
         return pts @ self.matrix.T + self.translation
 
 
-# projection
+# projection and radial correction
+
+
+def _pinhole(x, y, z, alpha, beta, gamma, u0, v0) -> tuple:
+    """Pixels (u, v) of camera-frame coordinates."""
+    return (alpha * x + gamma * y) / z + u0, beta * y / z + v0
+
+
+def _radial(du, dv, alpha, beta, k1, k2) -> tuple:
+    """Normalized offsets, squared radius and gain of the radial correction.
+
+    ``du, dv`` are pixel offsets from the principal point. The radius is
+    normalized by the scale factors so the polynomial argument is
+    dimensionless; the correction ``(du, dv) * gain`` stays in pixels.
+    """
+    xb = du / alpha
+    yb = dv / beta
+    r2 = xb * xb + yb * yb
+    return xb, yb, r2, k1 * r2 + k2 * r2 * r2
 
 
 def perspective_pixels(camera_points, intr: Intrinsics) -> np.ndarray:
@@ -220,8 +247,9 @@ def perspective_pixels(camera_points, intr: Intrinsics) -> np.ndarray:
     z = cam[:, 2]
     if np.any(z <= 0.0) or not np.all(np.isfinite(cam)):
         raise NonPositiveDepth("point at or behind the camera plane")
-    u = (intr.alpha * cam[:, 0] + intr.gamma * cam[:, 1]) / z + intr.u0
-    v = intr.beta * cam[:, 1] / z + intr.v0
+    u, v = _pinhole(
+        cam[:, 0], cam[:, 1], z, intr.alpha, intr.beta, intr.gamma, intr.u0, intr.v0
+    )
     return np.column_stack([u, v])
 
 
@@ -235,24 +263,19 @@ def project(wp, intr: Intrinsics, pose: Pose) -> np.ndarray:
     return project_points(_as_vec(wp, 3)[None, :], intr, pose)[0]
 
 
-# radial distortion
-
-def _radial_gain(points, intr: Intrinsics, dist: Distortion) -> tuple:
+def _correction(points, intr: Intrinsics, dist: Distortion) -> tuple:
     pts = np.asarray(points, dtype=float)
     du = pts[..., 0] - intr.u0
     dv = pts[..., 1] - intr.v0
-    # Radius is normalized by the scale factors so the polynomial argument is
-    # dimensionless; the correction itself stays in pixels.
-    r2 = (du / intr.alpha) ** 2 + (dv / intr.beta) ** 2
-    g = dist.k1 * r2 + dist.k2 * r2 * r2
-    return du, dv, g
+    g = _radial(du, dv, intr.alpha, intr.beta, dist.k1, dist.k2)[3]
+    return du * g, dv * g
 
 
 def undistort_points(observed, intr: Intrinsics, dist: Distortion) -> np.ndarray:
     """Closed-form map from distorted pixels to corrected pixels."""
     pts = np.asarray(observed, dtype=float)
-    du, dv, g = _radial_gain(pts, intr, dist)
-    return np.stack([pts[..., 0] + du * g, pts[..., 1] + dv * g], axis=-1)
+    cu, cv = _correction(pts, intr, dist)
+    return np.stack([pts[..., 0] + cu, pts[..., 1] + cv], axis=-1)
 
 
 def undistort(observed, intr: Intrinsics, dist: Distortion) -> np.ndarray:
@@ -277,8 +300,8 @@ def distort_points(
         return target.copy()
     p = target.copy()
     for _ in range(max_iterations):
-        du, dv, g = _radial_gain(p, intr, dist)
-        new = np.stack([target[..., 0] - du * g, target[..., 1] - dv * g], axis=-1)
+        cu, cv = _correction(p, intr, dist)
+        new = np.stack([target[..., 0] - cu, target[..., 1] - cv], axis=-1)
         step = float(np.max(np.abs(new - p)))
         p = new
         if step < tol:
@@ -290,3 +313,73 @@ def distort_points(
 
 def distort(ideal, intr: Intrinsics, dist: Distortion, **kwargs) -> np.ndarray:
     return distort_points(_as_vec(ideal, 2), intr, dist, **kwargs)
+
+
+# the camera model over all views
+
+
+def reprojection_residuals(
+    world, image, view, rvecs, tvecs, alpha, beta, gamma, u0, v0, k1=0.0, k2=0.0,
+    *, jacobian: np.ndarray | None = None, columns: dict | None = None,
+    pose_column: int = 0,
+) -> np.ndarray:
+    """Residuals (n, 2) of the stacked points of every view in one pass.
+
+    Point ``j`` has template coordinates ``world[j]``, observed pixels
+    ``image[j]`` and view ``view[j]``, an index into the per-view axis-angle
+    vectors ``rvecs`` (m, 3) and translations ``tvecs`` (m, 3). ``alpha`` and
+    ``beta`` are shared scalars or per-view arrays (m,); the other parameters
+    are shared. A residual is the observation after the radial correction
+    minus the pin-hole projection. Every residual of a view with a point at
+    or behind the camera plane, or a non-positive scale factor, is infinite.
+
+    Given a zeroed (2n, p) ``jacobian``, the analytic derivatives of the
+    flattened residuals are written into it in place. ``columns`` maps free
+    shared parameters ("alpha", "beta", "gamma", "u0", "v0", "k1", "k2") to
+    their columns; view ``i``'s pose takes six columns from
+    ``pose_column + 6 * i``, rotation vector first.
+    """
+    world = np.asarray(world, dtype=float)
+    image = np.asarray(image, dtype=float)
+    view = np.asarray(view, dtype=np.intp)
+    rot, drot = _rodrigues(rvecs, derivatives=jacobian is not None)
+    cam = np.einsum("nab,nb->na", rot[view], world) + np.asarray(tvecs, float)[view]
+    x, y, z = cam.T
+    alpha, beta = (np.asarray(p, dtype=float) for p in (alpha, beta))
+    alpha, beta = (p[view] if p.ndim else p for p in (alpha, beta))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u_hat, v_hat = _pinhole(x, y, z, alpha, beta, gamma, u0, v0)
+        du = image[:, 0] - u0
+        dv = image[:, 1] - v0
+        xb, yb, r2, g = _radial(du, dv, alpha, beta, k1, k2)
+        u, v = image[:, 0] + du * g - u_hat, image[:, 1] + dv * g - v_hat
+        res = np.column_stack([u, v])
+    bad = (z <= _MIN_DEPTH) | (alpha <= 0) | (beta <= 0)
+    if bad.any():
+        res[np.isin(view, view[bad])] = np.inf
+    if jacobian is None:
+        return res
+    gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
+    ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
+    derivatives = {  # built on demand, one column pair at a time
+        "alpha": lambda: (-du * ex * xb - x / z, -dv * ex * xb),
+        "beta": lambda: (-du * ey * yb, -dv * ey * yb - y / z),
+        "gamma": lambda: (-y / z, 0.0),
+        "u0": lambda: (-g - du * ex - 1.0, -dv * ex),
+        "v0": lambda: (-du * ey, -g - dv * ey - 1.0),
+        "k1": lambda: (du * r2, dv * r2),
+        "k2": lambda: (du * r2 * r2, dv * r2 * r2),
+    }
+    for name, col in (columns or {}).items():
+        jacobian[0::2, col], jacobian[1::2, col] = derivatives[name]()
+    # pose block: residual = corrected - projected, so -d(projection)
+    grad_u = np.column_stack([alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z)])
+    grad_v = np.column_stack([np.zeros_like(z), beta / z, -beta * y / (z * z)])
+    dcam = np.einsum("nlab,nb->nla", drot[view], world)
+    rows = np.arange(0, 2 * len(view), 2)[:, None]
+    cols = pose_column + 6 * view[:, None] + np.arange(3)
+    jacobian[rows, cols] = -np.einsum("na,nla->nl", grad_u, dcam)
+    jacobian[rows + 1, cols] = -np.einsum("na,nla->nl", grad_v, dcam)
+    jacobian[rows, cols + 3] = -grad_u
+    jacobian[rows + 1, cols + 3] = -grad_v
+    return res

@@ -7,6 +7,7 @@ from focuscal.calibrate import (
     CalibrationView,
     IntrinsicSet,
     ScaleSource,
+    Solution,
     _Problem,
     calibrate_baseline,
     calibrate_proposed,
@@ -14,13 +15,16 @@ from focuscal.calibrate import (
     intrinsics_from_homographies,
     orthogonalize_rotation,
     reprojection_stats,
+    solution_residuals,
 )
 from focuscal.core import (
     Distortion,
     Intrinsics,
     Pose,
+    project_points,
     rodrigues_from_rotation,
     rotation_from_rodrigues,
+    undistort_points,
 )
 from focuscal.errors import (
     BehindCamera,
@@ -32,7 +36,8 @@ from focuscal.errors import (
 )
 from focuscal.lens import CurveFit
 from focuscal.scale import ScaleTable
-from focuscal.solver import SolverOptions
+from focuscal.homography import estimate_homography
+from focuscal.solver import SolverOptions, finite_difference_jacobian, levenberg_marquardt
 from focuscal.synth import (
     FOCUS_FIXED,
     FOCUS_VARYING,
@@ -200,6 +205,47 @@ class TestJacobian:
                 scale = max(1.0, np.abs(analytic).max())
                 assert np.abs(analytic - fd).max() / scale < 1e-5
 
+    def test_unequal_view_sizes(self):
+        # views of different sizes expose any mix-up of point and view indices
+        template = TemplateSpec(4, 5, 20.0)
+        full = make_views(ROBOTIQ, template, [300.0, 420.0, 540.0], FOCUS_FIXED, 0.3, 38)
+        views = [
+            CalibrationView(v.view_id, v.distance_mm, v.world[:keep], v.image[:keep], v.gt_pose)
+            for v, keep in zip(full, (20, 7, 13))
+        ]
+        assert [len(v) for v in views] == [20, 7, 13]
+        rng = np.random.default_rng(39)
+        poses = [
+            Pose(v.gt_pose.rodrigues + rng.normal(scale=0.02, size=3), v.gt_pose.translation)
+            for v in views
+        ]
+        dist = Distortion(0.01, -0.03)
+        frozen = [(1340.0, 1345.0), (1355.0, 1350.0), (1362.0, 1366.0)]
+        for intr in (
+            IntrinsicSet(650.0, 360.0, 0.2, ((1380.0, 1370.0),), True),
+            IntrinsicSet(650.0, 360.0, 0.2, tuple(frozen), False),
+        ):
+            problem = _Problem(views, None if intr.shared else frozen, True)
+            x = problem.pack(intr, dist, poses)
+            unpacked_intr, unpacked_dist, unpacked_poses = problem.unpack(x)
+            sol = Solution(unpacked_intr, unpacked_poses, unpacked_dist, None)
+            per_view = solution_residuals(sol, views)
+            assert [len(r) for r in per_view] == [20, 7, 13]
+            for i, (view, pose) in enumerate(zip(views, poses)):
+                alpha, beta = intr.scales[0 if intr.shared else i]
+                single = Intrinsics(alpha, beta, intr.gamma, intr.u0, intr.v0)
+                expected = undistort_points(view.image, single, dist) - project_points(
+                    view.world, single, pose
+                )
+                np.testing.assert_allclose(per_view[i], expected, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(
+                problem.residual(x), np.concatenate(per_view).ravel()
+            )
+            analytic = problem.jacobian(x)
+            fd = finite_difference_jacobian(problem.residual, x)
+            scale = max(1.0, np.abs(analytic).max())
+            assert np.abs(analytic - fd).max() / scale < 1e-5
+
 
 class TestCalibrateBaseline:
     def test_exact_recovery_fixed_plateau(self):
@@ -365,14 +411,41 @@ class TestRefinementBehaviour:
                 assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-10
                 assert abs(np.linalg.det(rot) - 1.0) < 1e-10
 
-    def test_finite_difference_flag_agrees(self):
+    def test_finite_difference_jacobian_agrees(self):
         template = TemplateSpec(4, 6, 15.0)
         views = make_views(ROBOTIQ, template, [400.0, 550.0, 750.0], FOCUS_FIXED, 0.0, 49)
-        a = calibrate_baseline(views, analytic_jacobian=True)
-        b = calibrate_baseline(views, analytic_jacobian=False)
-        assert a.refined.intrinsics.scales[0][0] == pytest.approx(
-            b.refined.intrinsics.scales[0][0], rel=1e-6
+        homs = [estimate_homography(v.world, v.image) for v in views]
+        intr0 = intrinsics_from_homographies(homs)
+        poses0 = [extrinsics_from_homography(h, intr0.matrix) for h in homs]
+        problem = _Problem(views, None, estimate_distortion=True)
+        x0 = problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0)
+        a = levenberg_marquardt(problem.residual, x0, jacobian=problem.jacobian)
+        b = levenberg_marquardt(problem.residual, x0)
+        assert a.params[0] == pytest.approx(b.params[0], rel=1e-6)
+
+    def test_view_behind_camera_is_infinite(self):
+        template = TemplateSpec(4, 6, 15.0)
+        views = make_views(ROBOTIQ, template, [400.0, 550.0, 750.0], FOCUS_FIXED, 0.0, 54)
+        views[1] = CalibrationView(
+            views[1].view_id, views[1].distance_mm,
+            views[1].world[:-5], views[1].image[:-5], views[1].gt_pose,
         )
+        owner = np.repeat([0, 1, 2], [2 * len(v) for v in views])
+        pose = views[1].gt_pose
+        depth = pose.transform(views[1].world)[:, 2]
+        for moved in (
+            Pose(pose.rodrigues, pose.translation * [1.0, 1.0, -1.0]),  # all behind
+            Pose(pose.rodrigues, pose.translation - [0.0, 0.0, np.median(depth)]),  # half
+        ):
+            poses = [views[0].gt_pose, moved, views[2].gt_pose]
+            for frozen in (None, [(1370.8, 1373.8)] * 3):
+                problem = _Problem(views, frozen, estimate_distortion=True)
+                intr = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
+                if frozen is not None:
+                    intr = IntrinsicSet(intr.u0, intr.v0, intr.gamma, tuple(frozen), False)
+                rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion, poses))
+                assert np.all(np.isinf(rows[owner == 1]))
+                assert np.all(np.isfinite(rows[owner != 1]))
 
 
 class TestReprojectionStats:

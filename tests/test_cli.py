@@ -248,6 +248,29 @@ class TestCalibrateAndReport:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_max_iterations_exits_2(self, artifacts, count):
+        tmp, dataset, _ = artifacts
+        out = tmp / "never.json"
+        proc = run(
+            "calibrate", "--dataset", str(dataset), "--method", "baseline",
+            "--max-iterations", count, "--out", str(out), "--json-errors",
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr.strip())["error"] == "UsageError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_view_count_exits_2(self, tmp_path, count):
+        out = tmp_path / "never.json"
+        proc = run(
+            "simulate", "--preset", "robotiq", "--views", count, "--out", str(out),
+            "--json-errors",
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr.strip())["error"] == "UsageError"
+        assert not out.exists()
+
     def test_report_without_ground_truth_exits_1(self, artifacts):
         tmp, dataset, table = artifacts
         doc = json.loads(dataset.read_text())

@@ -7,7 +7,6 @@ from focuscal.core import (
     Pose,
     distort,
     distort_points,
-    intrinsic_matrix,
     project,
     project_points,
     rodrigues_from_rotation,
@@ -34,12 +33,12 @@ def random_rotation(rng):
 
 class TestIntrinsicMatrix:
     def test_identity_case(self):
-        m = intrinsic_matrix(Intrinsics(1.0, 1.0, 0.0, 0.0, 0.0))
+        m = Intrinsics(1.0, 1.0, 0.0, 0.0, 0.0).matrix
         np.testing.assert_array_equal(m, np.eye(3))
 
     def test_published_values_placed(self):
         intr = Intrinsics(1370.8, 1373.8, 0.0001, 645.8, 359.3)
-        m = intrinsic_matrix(intr)
+        m = intr.matrix
         expected = np.array(
             [[1370.8, 0.0001, 645.8], [0.0, 1373.8, 359.3], [0.0, 0.0, 1.0]]
         )
@@ -49,7 +48,7 @@ class TestIntrinsicMatrix:
         rng = np.random.default_rng(0)
         for _ in range(20):
             intr = Intrinsics(*rng.uniform(100, 2000, 2), *rng.uniform(-5, 5, 3))
-            np.testing.assert_array_equal(intrinsic_matrix(intr)[2], [0.0, 0.0, 1.0])
+            np.testing.assert_array_equal(intr.matrix[2], [0.0, 0.0, 1.0])
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
