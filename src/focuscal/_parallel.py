@@ -1,30 +1,15 @@
-"""Optional thread fan-out for per-view work, capped by FOCUSCAL_THREADS."""
+"""Ordered map over per-view work.
+
+The pipelines map their per-view homography and pose work through
+``map_ordered``, so the per-view stage can be timed by name. It runs
+serially: each view costs well under a millisecond with the thin SVD.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-__all__ = ["thread_count", "map_ordered"]
+__all__ = ["map_ordered"]
 
 
-def thread_count() -> int:
-    """Worker cap from the FOCUSCAL_THREADS environment variable (0 = auto)."""
-    raw = os.environ.get("FOCUSCAL_THREADS", "").strip()
-    if raw in ("", "0"):
-        return min(os.cpu_count() or 1, 8)
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def map_ordered(fn, items):
-    """Apply ``fn`` over ``items`` preserving order, threading when allowed."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+def map_ordered(fn, items) -> list:
+    """Apply ``fn`` to each of ``items`` in order and return the results."""
+    return [fn(item) for item in items]

@@ -29,14 +29,7 @@ from .core import (
     reprojection_residuals,
     rodrigues_from_rotation,
 )
-from .errors import (
-    BehindCamera,
-    DegenerateViewSet,
-    MissingScaleForDistance,
-    NonConvergence,
-    SingularInput,
-    SingularIntrinsics,
-)
+from .errors import FocusCalError, NonConvergence
 from .homography import Homography, estimate_homography
 from .lens import CurveFit, FocalCurve, eval_focal_curve
 from .scale import ScaleTable
@@ -158,10 +151,10 @@ def orthogonalize_rotation(q) -> np.ndarray:
     """Nearest rotation in Frobenius norm, determinant forced to +1."""
     q = np.asarray(q, dtype=float)
     if q.shape != (3, 3) or not np.all(np.isfinite(q)):
-        raise SingularInput("input must be a finite 3x3 matrix")
+        raise FocusCalError("input must be a finite 3x3 matrix")
     u, s, vt = np.linalg.svd(q)
     if s[-1] <= 1e-13 * s[0]:
-        raise SingularInput("matrix is singular")
+        raise FocusCalError("matrix is singular")
     if np.linalg.det(u @ vt) < 0:
         u = u.copy()
         u[:, -1] = -u[:, -1]
@@ -176,21 +169,21 @@ def extrinsics_from_homography(h, intrinsic_matrix) -> Pose:
     """
     a = np.asarray(intrinsic_matrix, dtype=float)
     if a.shape != (3, 3) or not np.all(np.isfinite(a)):
-        raise SingularIntrinsics("intrinsic matrix must be a finite 3x3 matrix")
+        raise FocusCalError("intrinsic matrix must be a finite 3x3 matrix")
     if abs(np.linalg.det(a)) < 1e-12 * max(1.0, float(np.abs(a).max()) ** 3):
-        raise SingularIntrinsics("intrinsic matrix is not invertible")
+        raise FocusCalError("intrinsic matrix is not invertible")
     m = h.matrix if isinstance(h, Homography) else np.asarray(h, dtype=float)
     b = np.linalg.solve(a, m)
     norm1 = float(np.linalg.norm(b[:, 0]))
     if norm1 == 0.0:
-        raise SingularInput("homography first column vanishes under the intrinsics")
+        raise FocusCalError("homography first column vanishes under the intrinsics")
     rho = 1.0 / norm1
     t = rho * b[:, 2]
     if t[2] < 0:
         rho = -rho
         t = -t
     if not t[2] > 0:
-        raise BehindCamera("no scale sign puts the template in front of the camera")
+        raise FocusCalError("no scale sign puts the template in front of the camera")
     r1 = rho * b[:, 0]
     r2 = rho * b[:, 1]
     rot = orthogonalize_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
@@ -225,25 +218,25 @@ def intrinsics_from_homographies(homographies) -> Intrinsics:
         for h in homographies
     ]
     if len(matrices) < 3:
-        raise DegenerateViewSet("need at least three views for the closed form")
+        raise FocusCalError("need at least three views for the closed form")
     rows = np.zeros((2 * len(matrices), 6))
     for k, m in enumerate(matrices):
         rows[2 * k] = _conic_row(m, 0, 1)
         rows[2 * k + 1] = _conic_row(m, 0, 0) - _conic_row(m, 1, 1)
-    _, sing, vt = np.linalg.svd(rows)
+    _, sing, vt = np.linalg.svd(rows, full_matrices=False)
     if sing[4] <= 1e-10 * sing[0]:
-        raise DegenerateViewSet("view orientations do not constrain the intrinsics")
+        raise FocusCalError("view orientations do not constrain the intrinsics")
     b = vt[-1]
     if b[0] < 0:
         b = -b
     b11, b12, b22, b13, b23, b33 = b
     denom = b11 * b22 - b12 * b12
     if b11 <= 0 or denom <= 0:
-        raise DegenerateViewSet("conic solution is not positive definite")
+        raise FocusCalError("conic solution is not positive definite")
     v0 = (b12 * b13 - b11 * b23) / denom
     lam = b33 - (b13 * b13 + v0 * (b12 * b13 - b11 * b23)) / b11
     if lam <= 0:
-        raise DegenerateViewSet("conic solution is not positive definite")
+        raise FocusCalError("conic solution is not positive definite")
     alpha = float(np.sqrt(lam / b11))
     beta = float(np.sqrt(lam * b11 / denom))
     gamma = float(-b12 * alpha * alpha * beta / lam)
@@ -355,7 +348,7 @@ class ScaleSource:
                 float(eval_focal_curve(self.alpha_curve, distance_mm)),
                 float(eval_focal_curve(beta_curve, distance_mm)),
             )
-        raise MissingScaleForDistance(
+        raise FocusCalError(
             f"no scale-table row within {self.tolerance:.0%} of {distance_mm} mm "
             "and no fitted curve available"
         )
@@ -370,14 +363,14 @@ def _coerce_scale_source(source) -> ScaleSource:
         return ScaleSource(alpha_curve=source)
     if isinstance(source, FocalCurve):
         if source.fit is None:
-            raise MissingScaleForDistance("focal curve has no fitted parameters")
+            raise FocusCalError("focal curve has no fitted parameters")
         return ScaleSource(alpha_curve=source.fit)
     if isinstance(source, (tuple, list)) and len(source) == 2:
         fits = []
         for item in source:
             if isinstance(item, FocalCurve):
                 if item.fit is None:
-                    raise MissingScaleForDistance("focal curve has no fitted parameters")
+                    raise FocusCalError("focal curve has no fitted parameters")
                 fits.append(item.fit)
             elif isinstance(item, CurveFit):
                 fits.append(item)
@@ -490,7 +483,7 @@ def calibrate_baseline(
     """
     views = list(views)
     if len(views) < 3:
-        raise DegenerateViewSet("need at least three views")
+        raise FocusCalError("need at least three views")
     homs = map_ordered(lambda v: estimate_homography(v.world, v.image), views)
     intr0 = intrinsics_from_homographies(homs)
     a0 = intr0.matrix

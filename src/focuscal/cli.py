@@ -138,6 +138,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_scale_factors(args) -> int:
     template, views, meta = dataset_from_dict(_load_json(args.dataset, "dataset"))
+    if meta.get("kind", "stack") != "stack":
+        raise UsageError(
+            f"scale-factors needs a fronto-parallel stack dataset, got kind {meta['kind']!r}"
+        )
     parallel = parallel_views_from_dataset(template, views, meta)
     table = scale_factors(parallel, window_fraction=args.window)
     order = np.argsort(table.distances, kind="stable")
@@ -406,9 +410,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _report_error(exc, json_errors)
         return 2
-    except NonConvergence as exc:
-        _report_error(exc, json_errors)
-        return 1
     except FocusCalError as exc:
         _report_error(exc, json_errors)
         return 1

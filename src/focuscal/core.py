@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonPositiveDepth
+from .errors import FocusCalError, NonConvergence
 
 __all__ = [
     "Intrinsics",
@@ -246,7 +246,7 @@ def perspective_pixels(camera_points, intr: Intrinsics) -> np.ndarray:
     cam = np.atleast_2d(np.asarray(camera_points, dtype=float))
     z = cam[:, 2]
     if np.any(z <= 0.0) or not np.all(np.isfinite(cam)):
-        raise NonPositiveDepth("point at or behind the camera plane")
+        raise FocusCalError("point at or behind the camera plane")
     u, v = _pinhole(
         cam[:, 0], cam[:, 1], z, intr.alpha, intr.beta, intr.gamma, intr.u0, intr.v0
     )
@@ -306,7 +306,7 @@ def distort_points(
         p = new
         if step < tol:
             return p
-    raise NoConvergence(
+    raise NonConvergence(
         f"distortion inversion did not reach {tol} in {max_iterations} iterations"
     )
 

@@ -2,7 +2,9 @@
 
 Every error that callers are expected to catch derives from
 :class:`FocusCalError`, so CLI-level handling can map the whole family to a
-single exit code.
+single exit code. Geometric, numeric and missing-data failures are raised as
+:class:`FocusCalError` itself, told apart by their messages; a subclass exists
+only for a failure that a caller handles differently.
 """
 
 from __future__ import annotations
@@ -12,88 +14,16 @@ class FocusCalError(Exception):
     """Base class for all toolkit errors."""
 
 
-# projection / distortion
-
-class NonPositiveDepth(FocusCalError):
-    """A point lies at or behind the camera plane."""
-
-
-class NoConvergence(FocusCalError):
-    """Fixed-point inversion of the distortion map exhausted its iteration budget."""
-
-
-# lens focus model
-
-class DegenerateGeometry(FocusCalError):
-    """Lens geometry puts the sensor plane at infinity or behind the lens."""
-
-
-class InsufficientData(FocusCalError):
-    """Too few samples to fit the focal curve."""
-
-
-class SingularSystem(FocusCalError):
-    """The focal-curve regressor is rank deficient (all distances equal)."""
-
-
-# homography estimation
-
-class DegenerateInput(FocusCalError):
-    """Point normalization is impossible (all points identical)."""
-
-
-class InsufficientCorrespondences(FocusCalError):
-    """Fewer than four plane-image correspondences."""
-
-
-class DegenerateConfiguration(FocusCalError):
-    """Correspondences do not determine a homography (for example collinear points)."""
-
-
-class PointAtInfinity(FocusCalError):
-    """A homography maps a point to zero third coordinate."""
-
-
-# scale-factor estimation
-
-class TooFewCentralPoints(FocusCalError):
-    """Not enough adjacent point pairs inside the central image window."""
-
-
-class NoPlateauFound(FocusCalError):
-    """No run of at least three samples is flat within the noise band."""
-
-
-class EmptyZone2(FocusCalError):
-    """Zone segmentation left no rows between its boundaries."""
-
-
-# calibration
-
-class BehindCamera(FocusCalError):
-    """No scale sign places the template in front of the camera."""
-
-
-class SingularIntrinsics(FocusCalError):
-    """The intrinsic matrix is not invertible."""
-
-
-class SingularInput(FocusCalError):
-    """Rotation orthogonalization received a singular matrix."""
-
-
-class DegenerateViewSet(FocusCalError):
-    """The view collection does not constrain the closed-form intrinsics."""
-
-
-class MissingScaleForDistance(FocusCalError):
-    """No scale-table row or fitted curve covers a view distance."""
+class FormatError(FocusCalError):
+    """A dataset, calibration, preset or table document violates its schema."""
 
 
 class NonConvergence(FocusCalError):
-    """The refinement hit its iteration budget before meeting a tolerance.
+    """An iteration budget ran out before a tolerance was met.
 
-    The partial solution is attached as ``result`` so callers can persist it.
+    Raised by the refinement, which attaches its partial solution as
+    ``result`` so callers can persist it, and by the distortion inversion,
+    which has none (``result`` is ``None``).
     """
 
     def __init__(self, message: str, result=None):
@@ -101,21 +31,8 @@ class NonConvergence(FocusCalError):
         self.result = result
 
 
-class LinearAlgebraFailure(FocusCalError):
-    """The damped normal equations could not be solved at any damping level."""
+class NoPlateauFound(FocusCalError):
+    """No run of at least three samples is flat within the noise band.
 
-
-# synthetic data
-
-class MissingGroundTruth(FocusCalError):
-    """Bias reporting requires ground-truth poses."""
-
-
-class EmptyView(FocusCalError):
-    """No template point projects inside the image."""
-
-
-# file I/O
-
-class FormatError(FocusCalError):
-    """A dataset, calibration, or preset document violates its schema."""
+    Passing a wider noise band is the usual remedy.
+    """

@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    DegenerateInput,
-    InsufficientCorrespondences,
-    PointAtInfinity,
-)
+from .errors import FocusCalError
 
 __all__ = [
     "Homography",
@@ -52,7 +47,7 @@ class Homography:
         w = h[:, 2]
         scale = max(1.0, float(np.max(np.abs(h))))
         if np.any(np.abs(w) < 1e-15 * scale):
-            raise PointAtInfinity("plane point maps to zero third coordinate")
+            raise FocusCalError("plane point maps to zero third coordinate")
         return h[:, :2] / w[:, None]
 
 
@@ -86,12 +81,12 @@ def normalize_points(points) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 2 or pts.shape[1] != 2:
-        raise DegenerateInput("need at least two 2D points")
+        raise FocusCalError("need at least two 2D points")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     mean_dist = float(np.mean(np.linalg.norm(centered, axis=1)))
     if mean_dist < 1e-12 * (1.0 + float(np.max(np.abs(pts)))):
-        raise DegenerateInput("all points identical")
+        raise FocusCalError("all points identical")
     s = np.sqrt(2.0) / mean_dist
     transform = np.array(
         [
@@ -120,7 +115,8 @@ def estimate_homography(world, image) -> Homography:
     Both point sets are normalized, a 2n x 9 design matrix is assembled (two
     rows per correspondence, third block negated so exact data annihilates
     the stacked coefficient vector), and the smallest right singular vector
-    gives the solution, which is then denormalized and canonicalized.
+    gives the solution, which is then denormalized and canonicalized. Only
+    the right singular vectors are computed (a thin SVD).
     """
     wp = _plane_coords(world)
     ip = np.atleast_2d(np.asarray(image, dtype=float))
@@ -128,7 +124,7 @@ def estimate_homography(world, image) -> Homography:
         raise ValueError("world and image point counts differ")
     n = wp.shape[0]
     if n < 4:
-        raise InsufficientCorrespondences(f"need at least 4 correspondences, got {n}")
+        raise FocusCalError(f"need at least 4 correspondences, got {n}")
     wn, t_world = normalize_points(wp)
     im, t_image = normalize_points(ip)
     design = np.zeros((2 * n, 9))
@@ -137,17 +133,21 @@ def estimate_homography(world, image) -> Homography:
     design[1::2, 3:6] = np.column_stack([wn, ones])
     design[0::2, 6:9] = -im[:, 0:1] * np.column_stack([wn, ones])
     design[1::2, 6:9] = -im[:, 1:2] * np.column_stack([wn, ones])
-    _, sing, vt = np.linalg.svd(design)
+    if n == 4:
+        # A thin SVD of eight rows has only eight right singular vectors; a
+        # zero ninth row adds the null vector the solution is read from.
+        design = np.vstack([design, np.zeros(9)])
+    _, sing, vt = np.linalg.svd(design, full_matrices=False)
     # One vanishing singular value is the solution; two means the points do
     # not determine the map (for example collinear world points).
     if sing[7] <= _RANK_TOL * sing[0]:
-        raise DegenerateConfiguration("correspondences do not determine a homography")
+        raise FocusCalError("correspondences do not determine a homography")
     h_norm = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t_image) @ h_norm @ t_world
     condition = float(sing[0] / sing[7])
     matrix = canonicalize(h)
     if not np.all(np.isfinite(matrix)) or np.linalg.cond(matrix) > 1e12:
-        raise DegenerateConfiguration("estimated homography is rank deficient")
+        raise FocusCalError("estimated homography is rank deficient")
     return Homography(matrix, condition)
 
 

@@ -172,36 +172,35 @@ def dataset_to_dict(template: TemplateSpec, views, meta: dict | None = None) -> 
 def dataset_from_dict(doc: dict) -> tuple[TemplateSpec, list[CalibrationView], dict]:
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
         raise FormatError("dataset: unsupported or missing schema version")
-    tdoc = _require(doc, "template", "dataset")
+    context = "dataset template"
     try:
+        tdoc = _require(doc, "template", "dataset")
         template = TemplateSpec(
             rows=int(_require(tdoc, "rows", "template")),
             cols=int(_require(tdoc, "cols", "template")),
             pitch_mm=float(_require(tdoc, "pitch_mm", "template")),
         )
-    except ValueError as exc:
-        raise FormatError(f"dataset template: {exc}") from exc
-    views = []
-    for i, vdoc in enumerate(_require(doc, "views", "dataset")):
-        context = f"view {i}"
-        points = _require(vdoc, "points", context)
-        if len(points) < 4:
-            raise FormatError(f"{context}: needs at least 4 points")
-        world = []
-        image = []
-        for p in points:
-            world.append([float(_require(p, "wx_mm", context)),
-                          float(_require(p, "wy_mm", context)), 0.0])
-            image.append([float(_require(p, "u_px", context)),
-                          float(_require(p, "v_px", context))])
-        gt = None
-        if "gt_pose" in vdoc:
-            pdoc = vdoc["gt_pose"]
-            gt = Pose(
-                np.asarray(_require(pdoc, "rodrigues", context), dtype=float),
-                np.asarray(_require(pdoc, "t_mm", context), dtype=float),
-            )
-        try:
+        context = "dataset"
+        views = []
+        for i, vdoc in enumerate(_require(doc, "views", "dataset")):
+            context = f"view {i}"
+            points = _require(vdoc, "points", context)
+            if len(points) < 4:
+                raise FormatError(f"{context}: needs at least 4 points")
+            world = []
+            image = []
+            for p in points:
+                world.append([float(_require(p, "wx_mm", context)),
+                              float(_require(p, "wy_mm", context)), 0.0])
+                image.append([float(_require(p, "u_px", context)),
+                              float(_require(p, "v_px", context))])
+            gt = None
+            if "gt_pose" in vdoc:
+                pdoc = vdoc["gt_pose"]
+                gt = Pose(
+                    np.asarray(_require(pdoc, "rodrigues", context), dtype=float),
+                    np.asarray(_require(pdoc, "t_mm", context), dtype=float),
+                )
             views.append(
                 CalibrationView(
                     view_id=str(_require(vdoc, "id", context)),
@@ -211,9 +210,11 @@ def dataset_from_dict(doc: dict) -> tuple[TemplateSpec, list[CalibrationView], d
                     gt_pose=gt,
                 )
             )
-        except ValueError as exc:
-            raise FormatError(f"{context}: {exc}") from exc
-    return template, views, dict(doc.get("meta", {}))
+        context = "dataset meta"
+        meta = dict(doc.get("meta", {}))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"{context}: {exc}") from exc
+    return template, views, meta
 
 
 def parallel_views_from_dataset(
@@ -413,6 +414,10 @@ def scale_table_from_csv(text: str) -> ScaleTable:
     if not rows:
         raise FormatError("scale table: no data rows")
     arr = np.asarray(rows)
+    if not np.all(np.isfinite(arr)):
+        raise FormatError("scale table: values must be finite")
+    if np.any(arr <= 0):
+        raise FormatError("scale table: distances and scale factors must be positive")
     return ScaleTable(arr[:, 0], arr[:, 1], arr[:, 2])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InsufficientData, SingularSystem
+from .errors import FocusCalError
 
 __all__ = [
     "LensSpec",
@@ -92,18 +92,18 @@ def incoming_angle(lens: LensSpec, d: float) -> float:
         raise ValueError("distance must be positive")
     span = lens.radius_mm - lens.axis_offset_mm
     if span == 0.0:
-        raise DegenerateGeometry("probe point at the lens edge")
+        raise FocusCalError("probe point at the lens edge")
     return float(np.arctan(d / span))
 
 
 def _sweep(lens: LensSpec, d: np.ndarray) -> np.ndarray:
     span = lens.radius_mm - lens.axis_offset_mm
     if span == 0.0:
-        raise DegenerateGeometry("probe point at the lens edge")
+        raise FocusCalError("probe point at the lens edge")
     outgoing = lens.angle_ratio * np.arctan(d / span)
     denom = np.tan(np.pi / 2.0 - outgoing) - lens.axis_offset_mm / d
     if np.any(denom <= 0.0):
-        raise DegenerateGeometry("sensor plane at infinity or behind the lens")
+        raise FocusCalError("sensor plane at infinity or behind the lens")
     return lens.radius_mm / denom
 
 
@@ -143,13 +143,13 @@ def fit_focal_curve(samples) -> FocalCurve:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be an (n, 2) array of (distance, value)")
     if arr.shape[0] < 2:
-        raise InsufficientData("need at least two samples")
+        raise FocusCalError("need at least two samples")
     d = arr[:, 0]
     v = arr[:, 1]
     if np.any(d <= 0):
         raise ValueError("distances must be strictly positive")
     if np.unique(d).size < 2:
-        raise SingularSystem("all sample distances are equal")
+        raise FocusCalError("all sample distances are equal")
     design = np.column_stack([-1.0 / (d * d), np.ones_like(d)])
     # Column scaling tames the wildly different magnitudes of 1/d**2 and 1.
     scale = np.linalg.norm(design, axis=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyZone2, NoPlateauFound, TooFewCentralPoints
+from .errors import FocusCalError, NoPlateauFound
 
 __all__ = [
     "ParallelView",
@@ -125,7 +125,7 @@ def central_increments(
     """
     du, dv = _central_gaps(view, window_fraction)
     if du.size < 1 or dv.size < 1 or du.size + dv.size < 2:
-        raise TooFewCentralPoints(
+        raise FocusCalError(
             "need adjacent point pairs along both axes inside the central window"
         )
     return float(du.mean()), float(dv.mean())
@@ -202,7 +202,7 @@ def plateau_scale(table: ScaleTable, seg: ZoneSegmentation) -> tuple[float, floa
         table.distances <= seg.zone2_end_mm
     )
     if not np.any(mask):
-        raise EmptyZone2("no table rows between the zone boundaries")
+        raise FocusCalError("no table rows between the zone boundaries")
     return float(table.alpha[mask].mean()), float(table.beta[mask].mean())
 
 
@@ -227,6 +227,6 @@ def suggest_noise_band(
         bands.append(2.0 * float(np.std(du, ddof=1)) * factor)
         scales.append(float(du.mean()) * factor)
     if not bands:
-        raise TooFewCentralPoints("no view has two central horizontal gaps")
+        raise FocusCalError("no view has two central horizontal gaps")
     band = float(np.median(bands))
     return max(band, 1e-6 * float(np.median(scales)))

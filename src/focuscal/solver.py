@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LinearAlgebraFailure, NonConvergence
+from .errors import FocusCalError, NonConvergence
 
 __all__ = ["SolverOptions", "LMResult", "levenberg_marquardt", "finite_difference_jacobian"]
 
@@ -78,8 +78,10 @@ def levenberg_marquardt(
     solving, which makes the damping scale-invariant across mixed units).
     Accepted steps strictly decrease the objective. Raises
     :class:`NonConvergence` with the partial result attached when the
-    iteration budget runs out, and :class:`LinearAlgebraFailure` when the
-    damped system cannot be solved at any damping level.
+    iteration budget runs out, and :class:`FocusCalError` when the damped
+    system cannot be solved at any damping level. Only one Jacobian is held
+    at a time: the previous one is released before ``jacobian`` is called
+    again.
     """
     opts = opts or SolverOptions()
     jac_fn = jacobian if jacobian is not None else (
@@ -88,14 +90,14 @@ def levenberg_marquardt(
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
     if not np.all(np.isfinite(r)):
-        raise LinearAlgebraFailure("residual is not finite at the starting point")
+        raise FocusCalError("residual is not finite at the starting point")
     obj = float(r @ r)
     history = [obj]
     lam = opts.damping_init
     iterations = 0
     accepted = 0
     need_jacobian = True
-    jac = grad = col_scale = normal = None
+    grad = col_scale = normal = None
 
     while True:
         if need_jacobian:
@@ -104,6 +106,7 @@ def levenberg_marquardt(
             if float(np.max(np.abs(grad), initial=0.0)) < opts.gradient_tol:
                 return LMResult(x, obj, iterations, accepted, "gradient", history)
             normal = jac.T @ jac
+            del jac
             col_scale = np.sqrt(np.diag(normal))
             floor = max(float(col_scale.max(initial=0.0)), 1.0) * 1e-14
             col_scale = np.maximum(col_scale, floor)
@@ -130,7 +133,7 @@ def levenberg_marquardt(
                 pass
             lam *= opts.damping_increase
             if lam > _MAX_DAMPING:
-                raise LinearAlgebraFailure(
+                raise FocusCalError(
                     "damped normal equations unsolvable at maximum damping"
                 )
 
@@ -158,7 +161,7 @@ def levenberg_marquardt(
         else:
             lam *= opts.damping_increase
             if lam > _MAX_DAMPING:
-                raise LinearAlgebraFailure(
+                raise FocusCalError(
                     "damped normal equations unsolvable at maximum damping"
                 )
         if small_step:

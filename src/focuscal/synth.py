@@ -31,7 +31,7 @@ from .core import (
     rodrigues_from_rotation,
     rotation_from_rodrigues,
 )
-from .errors import EmptyView, FormatError, MissingGroundTruth
+from .errors import FocusCalError, FormatError
 from .lens import LensSpec, sharp_focal_length
 from .scale import ParallelView
 
@@ -183,14 +183,18 @@ def bundled_preset_names() -> list[str]:
 def load_preset(name_or_path: str) -> CameraPreset:
     """Load a bundled preset by name or any preset JSON file by path."""
     path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        return CameraPreset.from_dict(json.loads(path.read_text()))
-    candidate = resources.files("focuscal").joinpath(f"presets/{name_or_path}.json")
-    if candidate.is_file():
-        return CameraPreset.from_dict(json.loads(candidate.read_text()))
-    raise FormatError(
-        f"unknown preset {name_or_path!r}; bundled: {', '.join(bundled_preset_names())}"
-    )
+    if not (path.suffix == ".json" and path.exists()):
+        path = resources.files("focuscal").joinpath(f"presets/{name_or_path}.json")
+        if not path.is_file():
+            raise FormatError(
+                f"unknown preset {name_or_path!r}; "
+                f"bundled: {', '.join(bundled_preset_names())}"
+            )
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid camera preset: {exc}") from exc
+    return CameraPreset.from_dict(doc)
 
 
 def _near_image(pixels: np.ndarray, image_size, margin_fraction: float = 0.1) -> np.ndarray:
@@ -251,7 +255,7 @@ def generate_view(
     cam = world @ rot.T + pose.translation
     distance = float(cam.mean(axis=0)[2])
     if distance <= 0:
-        raise EmptyView("template centre is behind the camera")
+        raise FocusCalError("template centre is behind the camera")
     intr = preset.effective_intrinsics(distance, focus_mode)
     in_front = cam[:, 2] > 0
     pixels = perspective_pixels(cam[in_front], intr)
@@ -270,7 +274,7 @@ def generate_view(
         & (pixels[:, 1] <= h)
     )
     if not np.any(visible):
-        raise EmptyView("no template point projects inside the image")
+        raise FocusCalError("no template point projects inside the image")
     return CalibrationView(
         view_id=view_id,
         distance_mm=distance,
@@ -378,7 +382,7 @@ def parallel_stack_dataset(
     for i, pv in enumerate(stack):
         finite = np.all(np.isfinite(pv.points), axis=2)
         if not np.any(finite):
-            raise EmptyView(f"stack view at {pv.distance_mm} mm is empty")
+            raise FocusCalError(f"stack view at {pv.distance_mm} mm is empty")
         pose = Pose(
             np.zeros(3), np.array([0.0, 0.0, pv.distance_mm]) - centre
         )
@@ -419,7 +423,7 @@ def bias_report(result: CalibrationResult, views) -> BiasReport:
     if len(views) != len(result.refined.poses):
         raise ValueError("view count does not match the calibration result")
     if any(v.gt_pose is None for v in views):
-        raise MissingGroundTruth("every view needs a ground-truth pose")
+        raise FocusCalError("every view needs a ground-truth pose")
     dt = np.array(
         [
             result.refined.poses[i].translation - views[i].gt_pose.translation

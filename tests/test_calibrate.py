@@ -26,14 +26,7 @@ from focuscal.core import (
     rotation_from_rodrigues,
     undistort_points,
 )
-from focuscal.errors import (
-    BehindCamera,
-    DegenerateViewSet,
-    MissingScaleForDistance,
-    NonConvergence,
-    SingularInput,
-    SingularIntrinsics,
-)
+from focuscal.errors import FocusCalError, NonConvergence
 from focuscal.lens import CurveFit
 from focuscal.scale import ScaleTable
 from focuscal.homography import estimate_homography
@@ -81,7 +74,7 @@ class TestOrthogonalizeRotation:
         assert np.linalg.det(out) > 0.999999
 
     def test_singular_input(self):
-        with pytest.raises(SingularInput):
+        with pytest.raises(FocusCalError, match="matrix is singular"):
             orthogonalize_rotation(np.zeros((3, 3)))
 
 
@@ -124,11 +117,11 @@ class TestExtrinsicsFromHomography:
         pose_t = np.array([10.0, 5.0, 0.0])  # template plane through the camera
         rot = rotation_from_rodrigues([0.1, 0.0, 0.0])
         h = self.intr.matrix @ np.column_stack([rot[:, 0], rot[:, 1], pose_t])
-        with pytest.raises(BehindCamera):
+        with pytest.raises(FocusCalError, match="no scale sign puts the template in front of the camera"):
             extrinsics_from_homography(h, self.intr.matrix)
 
     def test_singular_intrinsics(self):
-        with pytest.raises(SingularIntrinsics):
+        with pytest.raises(FocusCalError, match="intrinsic matrix is not invertible"):
             extrinsics_from_homography(np.eye(3), np.zeros((3, 3)))
 
 
@@ -151,7 +144,7 @@ class TestClosedFormIntrinsics:
         intr = Intrinsics(1000.0, 1000.0)
         hs = [homography_from_pose(intr, Pose([0.3, 0, 0], [0, 0, 500.0])),
               homography_from_pose(intr, Pose([0, 0.3, 0], [0, 0, 500.0]))]
-        with pytest.raises(DegenerateViewSet):
+        with pytest.raises(FocusCalError, match="need at least three views for the closed form"):
             intrinsics_from_homographies(hs)
 
     def test_pure_translation_views_rejected(self):
@@ -160,7 +153,7 @@ class TestClosedFormIntrinsics:
             homography_from_pose(intr, Pose(np.zeros(3), [dx, 0.0, 700.0]))
             for dx in (0.0, 30.0, 60.0, 90.0)
         ]
-        with pytest.raises(DegenerateViewSet):
+        with pytest.raises(FocusCalError, match="view orientations do not constrain the intrinsics"):
             intrinsics_from_homographies(hs)
 
 
@@ -286,7 +279,7 @@ class TestCalibrateBaseline:
     def test_two_views_rejected(self):
         template = TemplateSpec(5, 6, 20.0)
         views = make_views(ROBOTIQ, template, [400.0, 500.0], FOCUS_FIXED, 0.0, 39)
-        with pytest.raises(DegenerateViewSet):
+        with pytest.raises(FocusCalError, match="need at least three views$"):
             calibrate_baseline(views)
 
     def test_non_convergence_carries_partial(self):
@@ -335,7 +328,7 @@ class TestCalibrateProposed:
         template = TemplateSpec(5, 7, 10.0)
         views = make_views(ROBOTIQ, template, [100.0], FOCUS_VARYING, 0.0, 43)
         table = ScaleTable([500.0], [1370.0], [1373.0])
-        with pytest.raises(MissingScaleForDistance):
+        with pytest.raises(FocusCalError, match="no scale-table row within 10% of 100"):
             calibrate_proposed(views, table, image_size=ROBOTIQ.image_size)
 
     def test_curve_source_used_beyond_table(self):

@@ -296,6 +296,52 @@ class TestCalibrateAndReport:
         assert doc["converged"] is False
 
 
+# Edits that make a valid dataset document malformed.
+MALFORMED_DATASETS = {
+    "views-not-objects": lambda doc: doc.update(views=[1, 2, 3]),
+    "views-not-a-list": lambda doc: doc.update(views=5),
+    "u-not-a-number": lambda doc: doc["views"][0]["points"][0].update(u_px="abc"),
+    "u-null": lambda doc: doc["views"][0]["points"][0].update(u_px=None),
+    "rodrigues-too-short": lambda doc: doc["views"][0]["gt_pose"].update(rodrigues=[0.1, 0.2]),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", [*MALFORMED_DATASETS, "preset-not-json"])
+    def test_format_error_exits_1_without_file(self, artifacts, tmp_path, case):
+        _, dataset, _ = artifacts
+        out = tmp_path / "never.json"
+        if case == "preset-not-json":
+            preset = tmp_path / "bad.json"
+            preset.write_text("{bad")
+            args = ["simulate", "--preset", str(preset), "--out", str(out)]
+        else:
+            doc = json.loads(dataset.read_text())
+            MALFORMED_DATASETS[case](doc)
+            broken = tmp_path / "broken.json"
+            broken.write_text(json.dumps(doc))
+            args = ["calibrate", "--dataset", str(broken), "--method", "baseline",
+                    "--out", str(out)]
+        proc = run(*args, "--json-errors")
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr.strip())["error"] == "FormatError"
+        assert not out.exists()
+
+    def test_scale_factors_on_tilted_dataset_exits_2(self, artifacts, tmp_path):
+        _, dataset, _ = artifacts
+        outs = [tmp_path / "t.csv", tmp_path / "z.json", tmp_path / "c.json"]
+        proc = run(
+            "scale-factors", "--dataset", str(dataset), "--out-table", str(outs[0]),
+            "--out-zones", str(outs[1]), "--fit", "--out-curve", str(outs[2]),
+            "--noise-band", "100000", "--json-errors",
+        )
+        assert proc.returncode == 2
+        payload = json.loads(proc.stderr.strip())
+        assert payload["error"] == "UsageError"
+        assert "tilted" in payload["message"]
+        assert not any(path.exists() for path in outs)
+
+
 class TestLensCurve:
     def test_preset_sweep(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -15,7 +15,7 @@ from focuscal.core import (
     undistort,
     undistort_points,
 )
-from focuscal.errors import NonPositiveDepth
+from focuscal.errors import FocusCalError, NonConvergence
 
 
 def oracle_project(wp, intr, rot, t):
@@ -101,9 +101,9 @@ class TestProject:
     def test_non_positive_depth(self):
         intr = Intrinsics(1000.0, 1000.0)
         pose = Pose(np.zeros(3), [0.0, 0.0, -10.0])
-        with pytest.raises(NonPositiveDepth):
+        with pytest.raises(FocusCalError, match="point at or behind the camera plane"):
             project([0, 0, 0], intr, pose)
-        with pytest.raises(NonPositiveDepth):
+        with pytest.raises(FocusCalError, match="point at or behind the camera plane"):
             project_points([[0, 0, 10], [0, 0, 20]], intr, pose)
 
 
@@ -174,6 +174,12 @@ class TestDistortion:
         pp = np.array([self.intr.u0, self.intr.v0])
         np.testing.assert_allclose(undistort(pp, self.intr, d), pp)
         np.testing.assert_allclose(distort(pp, self.intr, d), pp)
+
+    def test_inversion_budget_exhausted(self):
+        d = Distortion(5.0, 0.0)
+        with pytest.raises(NonConvergence, match="distortion inversion did not reach") as info:
+            distort_points(np.array([[1500.0, 900.0]]), self.intr, d, max_iterations=5)
+        assert info.value.result is None
 
     def test_published_coefficients_round_trip(self):
         d = Distortion(0.0087, -0.072)

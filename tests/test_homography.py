@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from focuscal.errors import (
-    DegenerateConfiguration,
-    DegenerateInput,
-    InsufficientCorrespondences,
-    PointAtInfinity,
-)
+from focuscal.errors import FocusCalError
 from focuscal.homography import (
     Homography,
     canonicalize,
@@ -68,7 +63,7 @@ class TestNormalizePoints:
             np.testing.assert_allclose(mapped, normed, atol=1e-9)
 
     def test_identical_points_rejected(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(FocusCalError, match="all points identical"):
             normalize_points([[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])
 
 
@@ -99,11 +94,11 @@ class TestEstimateHomography:
     def test_collinear_world_points_rejected(self):
         world = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         image = np.array([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0], [6.0, 3.0]])
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(FocusCalError, match="correspondences do not determine a homography"):
             estimate_homography(world, image)
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientCorrespondences):
+        with pytest.raises(FocusCalError, match="need at least 4 correspondences, got 3"):
             estimate_homography(grid(5)[:3], grid(5)[:3])
 
     def test_z_column_accepted_when_zero(self):
@@ -177,5 +172,5 @@ class TestResiduals:
 
     def test_point_at_infinity(self):
         h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
-        with pytest.raises(PointAtInfinity):
+        with pytest.raises(FocusCalError, match="plane point maps to zero third coordinate"):
             Homography(canonicalize(h)).apply([[0.0, 1.0]])

@@ -176,6 +176,21 @@ class TestCsvTables:
         with pytest.raises(FormatError):
             scale_table_from_csv("d,a,b\n1,2,3\n")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("100,nan,1373", "finite"),
+            ("inf,1370,1373", "finite"),
+            ("-100,1370,1373", "positive"),
+            ("0,1370,1373", "positive"),
+            ("100,1370,-1373", "positive"),
+        ],
+    )
+    def test_scale_table_bad_values(self, row, message):
+        text = f"distance_mm,alpha_px,beta_px\n200,1371,1374\n{row}\n"
+        with pytest.raises(FormatError, match=message):
+            scale_table_from_csv(text)
+
     def test_segmentation_keys(self):
         seg = ZoneSegmentation(150.0, 1200.0, 1370.8, 1373.8)
         doc = segmentation_to_dict(seg)

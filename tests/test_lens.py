@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from focuscal.errors import DegenerateGeometry, InsufficientData, SingularSystem
+from focuscal.errors import FocusCalError
 from focuscal.lens import (
     CurveFit,
     FocalCurve,
@@ -36,7 +36,7 @@ class TestIncomingAngle:
 
     def test_degenerate_offset(self):
         lens = LensSpec(radius_mm=3.0, angle_ratio=0.5, axis_offset_mm=3.0)
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(FocusCalError, match="probe point at the lens edge"):
             incoming_angle(lens, 10.0)
 
 
@@ -94,7 +94,7 @@ class TestSharpFocalLength:
     def test_degenerate_sensor_plane(self):
         # Large off-axis offset at short distance pushes the denominator negative.
         lens = LensSpec(radius_mm=51.0, angle_ratio=0.9, axis_offset_mm=50.0)
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(FocusCalError, match="sensor plane at infinity or behind the lens"):
             sharp_focal_length(lens, 5.0)
 
     def test_sweep_matches_scalar(self):
@@ -146,11 +146,11 @@ class TestFitFocalCurve:
         assert fit_a.value0 == pytest.approx(fit_b.value0, rel=1e-12)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(FocusCalError, match="need at least two samples"):
             fit_focal_curve(np.array([[100.0, 5.0]]))
 
     def test_singular_system(self):
-        with pytest.raises(SingularSystem):
+        with pytest.raises(FocusCalError, match="all sample distances are equal"):
             fit_focal_curve(np.array([[100.0, 5.0], [100.0, 6.0], [100.0, 7.0]]))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from focuscal.core import Distortion, Intrinsics, distort_points
-from focuscal.errors import EmptyZone2, NoPlateauFound, TooFewCentralPoints
+from focuscal.errors import FocusCalError, NoPlateauFound
 from focuscal.scale import (
     ParallelView,
     ScaleTable,
@@ -74,7 +74,7 @@ class TestCentralIncrements:
             pitch_mm=10.0,
             image_size=IMAGE,
         )
-        with pytest.raises(TooFewCentralPoints):
+        with pytest.raises(FocusCalError, match="need adjacent point pairs along both axes"):
             central_increments(view)
 
     def test_nan_points_ignored(self):
@@ -211,7 +211,7 @@ class TestPlateauScale:
 
     def test_empty_zone(self):
         table = ScaleTable([100.0, 200.0, 300.0, 400.0, 500.0], np.ones(5), np.ones(5))
-        with pytest.raises(EmptyZone2):
+        with pytest.raises(FocusCalError, match="no table rows between the zone boundaries"):
             plateau_scale(table, ZoneSegmentation(600.0, 700.0, 0.0, 0.0))
 
     def test_monte_carlo_band(self):

@@ -1,9 +1,10 @@
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
-from focuscal.errors import LinearAlgebraFailure, NonConvergence
+from focuscal.errors import FocusCalError, NonConvergence
 from focuscal.solver import (
     SolverOptions,
     finite_difference_jacobian,
@@ -75,7 +76,7 @@ class TestDiagnostics:
             int(fields["it"])
 
     def test_non_finite_start_rejected(self):
-        with pytest.raises(LinearAlgebraFailure):
+        with pytest.raises(FocusCalError, match="residual is not finite at the starting point"):
             levenberg_marquardt(lambda x: np.array([np.nan]), np.zeros(1))
 
     def test_rejected_steps_do_not_move_params(self):
@@ -83,6 +84,27 @@ class TestDiagnostics:
         target = np.zeros(2)
         result = levenberg_marquardt(lambda x: x - target, target.copy())
         np.testing.assert_array_equal(result.params, target)
+
+
+class TestJacobianLifetime:
+    def test_previous_jacobian_released_before_next_call(self):
+        def residual(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        previous = []
+        still_alive = []
+
+        def jacobian(x):
+            if previous:
+                still_alive.append(previous[-1]() is not None)
+            jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+            previous.append(weakref.ref(jac))
+            return jac
+
+        result = levenberg_marquardt(residual, np.array([-1.2, 1.0]), jacobian=jacobian)
+        assert result.objective < 1e-12
+        assert len(still_alive) > 2
+        assert not any(still_alive)
 
 
 class TestFiniteDifferenceJacobian:

@@ -3,7 +3,7 @@ import pytest
 
 from focuscal.calibrate import calibrate_baseline
 from focuscal.core import Pose
-from focuscal.errors import EmptyView, FormatError, MissingGroundTruth
+from focuscal.errors import FocusCalError, FormatError
 from focuscal.scale import scale_factors, segment_zones
 from focuscal.synth import (
     FOCUS_FIXED,
@@ -106,7 +106,7 @@ class TestGenerateView:
         template = TemplateSpec(6, 9, 8.0)
         centre = generate_template(template).mean(axis=0)
         pose = Pose(np.zeros(3), np.array([0.0, 0.0, -400.0]) - centre)
-        with pytest.raises(EmptyView):
+        with pytest.raises(FocusCalError, match="template centre is behind the camera"):
             generate_view(ROBOTIQ, template, pose, FOCUS_FIXED, 0.0, seed=0)
 
     def test_distance_is_centre_depth(self):
@@ -194,7 +194,7 @@ class TestBiasReport:
             CalibrationView(v.view_id, v.distance_mm, v.world, v.image, None)
             for v in views
         ]
-        with pytest.raises(MissingGroundTruth):
+        with pytest.raises(FocusCalError, match="every view needs a ground-truth pose"):
             bias_report(result, stripped)
 
 
