@@ -33,7 +33,7 @@ from .errors import FocusCalError, NonConvergence
 from .homography import Homography, estimate_homography
 from .lens import CurveFit, FocalCurve, eval_focal_curve
 from .scale import ScaleTable
-from .solver import LMResult, SolverOptions, levenberg_marquardt
+from .solver import BlockJacobian, LMResult, SolverOptions, levenberg_marquardt
 
 __all__ = [
     "CalibrationView",
@@ -261,11 +261,14 @@ class _Problem:
 
     Parameter order: intrinsic block, then six pose parameters per view.
     Baseline intrinsic block is (alpha, beta, gamma, u0, v0[, k1, k2]); the
-    frozen-scale block is (u0, v0, gamma[, k1, k2]).
+    frozen-scale block is (u0, v0, gamma[, k1, k2]). The Jacobian comes as
+    a block-arrow :class:`BlockJacobian`: the intrinsic columns, and each
+    view's six pose columns over that view's contiguous rows.
     """
 
     def __init__(self, views, frozen_scales, estimate_distortion: bool):
-        self.world, self.image, self.view, _ = _stack(views)
+        self.world, self.image, self.view, offsets = _stack(views)
+        self.starts = 2 * np.r_[0, offsets]  # first residual row of each view
         self.frozen = frozen_scales  # None for baseline
         self.n_views = len(views)
         if frozen_scales is None:
@@ -312,11 +315,12 @@ class _Problem:
             self.world, self.image, self.view, **self._model_args(x)
         ).ravel()
 
-    def jacobian(self, x) -> np.ndarray:
-        jac = np.zeros((2 * len(self.view), self.n_params))
+    def jacobian(self, x) -> BlockJacobian:
+        rows = 2 * len(self.view)
+        jac = BlockJacobian(np.empty((rows, self.n_intr)), np.empty((rows, 6)), self.starts)
         reprojection_residuals(
             self.world, self.image, self.view, **self._model_args(x),
-            jacobian=jac, columns=self.columns, pose_column=self.n_intr,
+            jacobian=(jac.shared, jac.pose), columns=self.columns,
         )
         return jac
 

@@ -35,6 +35,7 @@ from .io import (
     dataset_from_dict,
     dataset_to_dict,
     focal_curve_to_csv,
+    image_size_from_meta,
     parallel_views_from_dataset,
     scale_table_from_csv,
     scale_table_to_csv,
@@ -89,13 +90,26 @@ def _resolve_preset(name_or_path: str):
     return load_preset(name_or_path)
 
 
-def _load_json(path: str, what: str) -> dict:
+def _read_text(path: str, what: str) -> str:
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except FileNotFoundError as exc:
         raise UsageError(f"{what} file not found: {path}") from exc
+
+
+def _load_json(path: str, what: str) -> dict:
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: not valid JSON ({exc})") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -130,7 +144,7 @@ def cmd_simulate(args) -> int:
         )
         meta["kind"] = "tilted"
     doc = dataset_to_dict(template, views, meta)
-    atomic_write_text(args.out, canonical_dumps(doc))
+    _write(args.out, canonical_dumps(doc))
     total = sum(len(v) for v in views)
     print(f"simulate: {len(views)} views, {total} points, mode={mode} -> {args.out}")
     return 0
@@ -148,18 +162,18 @@ def cmd_scale_factors(args) -> int:
     table = type(table)(
         table.distances[order], table.alpha[order], table.beta[order]
     )
-    atomic_write_text(args.out_table, scale_table_to_csv(table))
+    _write(args.out_table, scale_table_to_csv(table))
     band = args.noise_band if args.noise_band else suggest_noise_band(
         parallel, window_fraction=args.window
     )
     seg = segment_zones(table, band)
-    atomic_write_text(args.out_zones, canonical_dumps(segmentation_to_dict(seg)))
+    _write(args.out_zones, canonical_dumps(segmentation_to_dict(seg)))
     if args.fit:
         if not args.out_curve:
             raise UsageError("--fit requires --out-curve")
         alpha_fit = fit_focal_curve(np.column_stack([table.distances, table.alpha])).fit
         beta_fit = fit_focal_curve(np.column_stack([table.distances, table.beta])).fit
-        atomic_write_text(
+        _write(
             args.out_curve, canonical_dumps(curve_fits_to_dict(alpha_fit, beta_fit))
         )
     print(
@@ -204,7 +218,7 @@ def cmd_calibrate(args) -> int:
                     "--method proposed requires --scale-table or --scale-curve"
                 )
             table = (
-                scale_table_from_csv(Path(args.scale_table).read_text())
+                scale_table_from_csv(_read_text(args.scale_table, "scale table"))
                 if args.scale_table
                 else None
             )
@@ -214,21 +228,20 @@ def cmd_calibrate(args) -> int:
                     _load_json(args.scale_curve, "scale curve")
                 )
             source = ScaleSource(table=table, alpha_curve=alpha_fit, beta_curve=beta_fit)
-            size = meta.get("image_size_px")
             result = calibrate_proposed(
                 views,
                 source,
                 opts,
-                image_size=tuple(size) if size else None,
+                image_size=image_size_from_meta(meta),
                 estimate_distortion=not args.no_distortion,
             )
     except NonConvergence as exc:
         if exc.result is not None:
-            atomic_write_text(
+            _write(
                 args.out, canonical_dumps(calibration_to_dict(exc.result, provenance))
             )
         raise
-    atomic_write_text(args.out, canonical_dumps(calibration_to_dict(result, provenance)))
+    _write(args.out, canonical_dumps(calibration_to_dict(result, provenance)))
     stats = result.refined.stats
     print(
         f"calibrate[{args.method}]: mean_abs={stats.mean_abs_px:.6g} px "
@@ -258,7 +271,7 @@ def cmd_report(args) -> int:
         ) + "_b.csv"
         out_paths.append(second)
     for report, path in zip(reports, out_paths):
-        atomic_write_text(path, bias_to_csv(report))
+        _write(path, bias_to_csv(report))
     lines = []
     means = []
     for path_in, result, report in zip(args.calib, results, reports):
@@ -275,7 +288,7 @@ def cmd_report(args) -> int:
         ratio = means[0] / means[1] if means[1] > 0 else float("inf")
         print(f"translation error ratio (first/second): {ratio:.3f}")
         if args.out_compare:
-            atomic_write_text(
+            _write(
                 args.out_compare,
                 canonical_dumps(
                     {
@@ -305,7 +318,7 @@ def cmd_lens_curve(args) -> int:
     else:
         distances = np.linspace(args.from_mm, args.to_mm, args.count)
     curve = focal_sweep(lens, distances)
-    atomic_write_text(args.out, focal_curve_to_csv(curve.distances, curve.values))
+    _write(args.out, focal_curve_to_csv(curve.distances, curve.values))
     print(f"lens-curve: {args.count} samples -> {args.out}")
     return 0
 

@@ -320,8 +320,7 @@ def distort(ideal, intr: Intrinsics, dist: Distortion, **kwargs) -> np.ndarray:
 
 def reprojection_residuals(
     world, image, view, rvecs, tvecs, alpha, beta, gamma, u0, v0, k1=0.0, k2=0.0,
-    *, jacobian: np.ndarray | None = None, columns: dict | None = None,
-    pose_column: int = 0,
+    *, jacobian: tuple | None = None, columns: dict | None = None,
 ) -> np.ndarray:
     """Residuals (n, 2) of the stacked points of every view in one pass.
 
@@ -333,11 +332,13 @@ def reprojection_residuals(
     minus the pin-hole projection. Every residual of a view with a point at
     or behind the camera plane, or a non-positive scale factor, is infinite.
 
-    Given a zeroed (2n, p) ``jacobian``, the analytic derivatives of the
-    flattened residuals are written into it in place. ``columns`` maps free
-    shared parameters ("alpha", "beta", "gamma", "u0", "v0", "k1", "k2") to
-    their columns; view ``i``'s pose takes six columns from
-    ``pose_column + 6 * i``, rotation vector first.
+    Given ``jacobian``, a pair of caller-allocated arrays ``(shared, pose)``,
+    the analytic derivatives of the flattened residuals are written into them
+    in place. ``shared`` (2n, k) takes the derivatives by the free shared
+    parameters at the columns ``columns`` maps them to ("alpha", "beta",
+    "gamma", "u0", "v0", "k1", "k2"); ``pose`` (2n, 6) takes each row's
+    derivatives by its own view's pose, rotation vector first. Every entry of
+    ``pose`` and of the mapped columns is written.
     """
     world = np.asarray(world, dtype=float)
     image = np.asarray(image, dtype=float)
@@ -359,6 +360,7 @@ def reprojection_residuals(
         res[np.isin(view, view[bad])] = np.inf
     if jacobian is None:
         return res
+    shared, pose = jacobian
     gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
     ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
     derivatives = {  # built on demand, one column pair at a time
@@ -371,15 +373,13 @@ def reprojection_residuals(
         "k2": lambda: (du * r2 * r2, dv * r2 * r2),
     }
     for name, col in (columns or {}).items():
-        jacobian[0::2, col], jacobian[1::2, col] = derivatives[name]()
+        shared[0::2, col], shared[1::2, col] = derivatives[name]()
     # pose block: residual = corrected - projected, so -d(projection)
     grad_u = np.column_stack([alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z)])
     grad_v = np.column_stack([np.zeros_like(z), beta / z, -beta * y / (z * z)])
     dcam = np.einsum("nlab,nb->nla", drot[view], world)
-    rows = np.arange(0, 2 * len(view), 2)[:, None]
-    cols = pose_column + 6 * view[:, None] + np.arange(3)
-    jacobian[rows, cols] = -np.einsum("na,nla->nl", grad_u, dcam)
-    jacobian[rows + 1, cols] = -np.einsum("na,nla->nl", grad_v, dcam)
-    jacobian[rows, cols + 3] = -grad_u
-    jacobian[rows + 1, cols + 3] = -grad_v
+    pose[0::2, :3] = -np.einsum("na,nla->nl", grad_u, dcam)
+    pose[1::2, :3] = -np.einsum("na,nla->nl", grad_v, dcam)
+    pose[0::2, 3:] = -grad_u
+    pose[1::2, 3:] = -grad_v
     return res

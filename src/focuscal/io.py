@@ -36,6 +36,7 @@ __all__ = [
     "sha256_hex",
     "dataset_to_dict",
     "dataset_from_dict",
+    "image_size_from_meta",
     "parallel_views_from_dataset",
     "calibration_to_dict",
     "calibration_from_dict",
@@ -217,6 +218,20 @@ def dataset_from_dict(doc: dict) -> tuple[TemplateSpec, list[CalibrationView], d
     return template, views, meta
 
 
+def image_size_from_meta(meta: dict) -> tuple[float, float] | None:
+    """A dataset's ``meta.image_size_px`` as (width, height), None if absent."""
+    size = meta.get("image_size_px")
+    if size is None:
+        return None
+    try:
+        width, height = (float(n) for n in size)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"dataset meta: image_size_px {size!r} is not two numbers") from exc
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise FormatError(f"dataset meta: image_size_px {size!r} is not positive and finite")
+    return width, height
+
+
 def parallel_views_from_dataset(
     template: TemplateSpec, views, meta: dict
 ) -> list[ParallelView]:
@@ -225,7 +240,7 @@ def parallel_views_from_dataset(
     Grid indices are recovered from the world coordinates, which are exact
     multiples of the template pitch; absent grid positions become NaN.
     """
-    size = meta.get("image_size_px")
+    size = image_size_from_meta(meta)
     if size is None:
         raise FormatError("dataset meta lacks image_size_px; cannot place the window")
     out = []

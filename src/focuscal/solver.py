@@ -1,4 +1,16 @@
-"""Dense Levenberg-Marquardt for small nonlinear least-squares problems."""
+"""Levenberg-Marquardt for least-squares problems with a block-arrow Jacobian.
+
+In a calibration every residual row depends on a few shared parameters and
+on the parameters of its own view only, so the Jacobian is block-arrow
+shaped: a dense shared block of ``k`` columns beside one ``b``-column block
+per group of rows. The solver never forms the dense Jacobian or its normal
+matrix. It sums the normal matrix's blocks over each group of rows, U
+(k x k), V_i (b x b) and W_i (k x b), eliminates the group parameters,
+solves the k x k reduced (Schur complement) system and back-substitutes
+(Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000, section 6).
+Memory per step is linear in the number of rows, not in rows x parameters.
+A plain 2-D Jacobian takes the same path, as a shared block with no groups.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +21,13 @@ import numpy as np
 
 from .errors import FocusCalError, NonConvergence
 
-__all__ = ["SolverOptions", "LMResult", "levenberg_marquardt", "finite_difference_jacobian"]
+__all__ = [
+    "SolverOptions",
+    "LMResult",
+    "BlockJacobian",
+    "levenberg_marquardt",
+    "finite_difference_jacobian",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +64,85 @@ class LMResult:
     objective_history: list = field(default_factory=list)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockJacobian:
+    """A block-arrow Jacobian stored as its two nonzero blocks.
+
+    Parameters are ``k`` shared ones followed by ``b`` per group. ``shared``
+    (rows, k) holds every row's derivatives by the shared parameters and
+    ``pose`` (rows, b) its derivatives by its own group's parameters. Group
+    ``i`` owns the rows from ``starts[i]`` to the next start (the last group
+    runs to the end); the first start is 0 and no group is empty.
+    """
+
+    shared: np.ndarray
+    pose: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        rows, k = self.shared.shape
+        return rows, k + self.pose.shape[1] * len(self.starts)
+
+
+def _as_blocks(jac) -> BlockJacobian:
+    if isinstance(jac, BlockJacobian):
+        return jac
+    jac = np.asarray(jac, dtype=float)
+    return BlockJacobian(jac, np.empty((len(jac), 0)), np.empty(0, dtype=np.intp))
+
+
+def _row_groups(jac: BlockJacobian) -> list[slice]:
+    ends = np.r_[jac.starts[1:], len(jac.shared)]
+    return [slice(start, end) for start, end in zip(jac.starts, ends)]
+
+
+def _gradient(jac: BlockJacobian, r: np.ndarray) -> np.ndarray:
+    """``J.T @ r`` in parameter order."""
+    local = [jac.pose[g].T @ r[g] for g in _row_groups(jac)]
+    return np.concatenate([jac.shared.T @ r, *local])
+
+
+class _NormalEquations:
+    """Column-scaled normal equations of a block-arrow Jacobian.
+
+    Columns are scaled to unit norm (with a floor for null columns), which
+    makes the damping ``lam * I`` of ``step`` scale-invariant across mixed
+    units. Holds the blocks of the scaled normal matrix, not the Jacobian.
+    """
+
+    def __init__(self, jac: BlockJacobian, grad: np.ndarray):
+        shared, pose, groups = jac.shared, jac.pose, _row_groups(jac)
+        k, b, m = shared.shape[1], pose.shape[1], len(groups)
+        # One matrix product per group of rows: summing per-row outer
+        # products with np.add.reduceat took ten times as long at 60 x 384.
+        u = shared.T @ shared
+        w = np.array([shared[g].T @ pose[g] for g in groups]).reshape(m, k, b)
+        v = np.array([pose[g].T @ pose[g] for g in groups]).reshape(m, b, b)
+        diag = np.concatenate([np.diag(u), np.diagonal(v, axis1=1, axis2=2).ravel()])
+        scale = np.sqrt(diag)
+        floor = max(float(scale.max(initial=0.0)), 1.0) * 1e-14
+        self.scale = np.maximum(scale, floor)
+        su, sp = self.scale[:k], self.scale[k:].reshape(m, b)
+        self.u = u / np.outer(su, su)
+        self.v = v / (sp[:, :, None] * sp[:, None, :])
+        self.w = w / (su[:, None] * sp[:, None, :])
+        self.rhs = -grad / self.scale
+
+    def step(self, lam: float) -> np.ndarray:
+        """Solution of the damped system, unscaled; may raise LinAlgError."""
+        k, (m, b, _) = len(self.u), self.v.shape
+        rhs_u, rhs_p = self.rhs[:k], self.rhs[k:].reshape(m, b)
+        # V_i^-1 [W_i^T | rhs_i] for every group in one batched solve
+        wt_rhs = np.concatenate([self.w.transpose(0, 2, 1), rhs_p[:, :, None]], axis=2)
+        solved = np.linalg.solve(self.v + lam * np.eye(b), wt_rhs)
+        v_wt, v_rhs = solved[:, :, :k], solved[:, :, k]
+        schur = self.u + lam * np.eye(k) - np.einsum("mkb,mbj->kj", self.w, v_wt)
+        step_u = np.linalg.solve(schur, rhs_u - np.einsum("mkb,mb->k", self.w, v_rhs))
+        step_p = v_rhs - v_wt @ step_u
+        return np.concatenate([step_u, step_p.ravel()]) / self.scale
+
+
 def finite_difference_jacobian(residual, params, scale: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian, step scaled per parameter magnitude."""
     x = np.asarray(params, dtype=float)
@@ -72,15 +169,16 @@ def levenberg_marquardt(
 ) -> LMResult:
     """Minimize the sum of squared residuals starting from ``x0``.
 
-    ``jacobian(x)`` must return the residual Jacobian; when omitted a
-    central-difference approximation is used. Damping is applied through the
-    diagonal of the normal matrix (columns are rescaled to unit norm before
-    solving, which makes the damping scale-invariant across mixed units).
-    Accepted steps strictly decrease the objective. Raises
-    :class:`NonConvergence` with the partial result attached when the
-    iteration budget runs out, and :class:`FocusCalError` when the damped
-    system cannot be solved at any damping level. Only one Jacobian is held
-    at a time: the previous one is released before ``jacobian`` is called
+    ``jacobian(x)`` must return the residual Jacobian, as a 2-D array or a
+    :class:`BlockJacobian`; when omitted a central-difference approximation
+    is used. Damping is applied through the diagonal of the normal matrix
+    (columns are rescaled to unit norm before solving, which makes the
+    damping scale-invariant across mixed units). Accepted steps strictly
+    decrease the objective. Raises :class:`NonConvergence` with the partial
+    result attached when the iteration budget runs out, and
+    :class:`FocusCalError` when the damped system cannot be solved at any
+    damping level. Only one Jacobian is held at a time: it is released once
+    the normal matrix's blocks are summed, before ``jacobian`` is called
     again.
     """
     opts = opts or SolverOptions()
@@ -97,20 +195,16 @@ def levenberg_marquardt(
     iterations = 0
     accepted = 0
     need_jacobian = True
-    grad = col_scale = normal = None
+    normal = None
 
     while True:
         if need_jacobian:
-            jac = np.asarray(jac_fn(x), dtype=float)
-            grad = jac.T @ r
+            jac = _as_blocks(jac_fn(x))
+            grad = _gradient(jac, r)
             if float(np.max(np.abs(grad), initial=0.0)) < opts.gradient_tol:
                 return LMResult(x, obj, iterations, accepted, "gradient", history)
-            normal = jac.T @ jac
+            normal = _NormalEquations(jac, grad)
             del jac
-            col_scale = np.sqrt(np.diag(normal))
-            floor = max(float(col_scale.max(initial=0.0)), 1.0) * 1e-14
-            col_scale = np.maximum(col_scale, floor)
-            normal = normal / np.outer(col_scale, col_scale)
             need_jacobian = False
 
         if iterations >= opts.max_iterations:
@@ -124,10 +218,9 @@ def levenberg_marquardt(
         step = None
         while step is None:
             try:
-                scaled = normal + lam * np.eye(len(x))
-                candidate = np.linalg.solve(scaled, -grad / col_scale)
+                candidate = normal.step(lam)
                 if np.all(np.isfinite(candidate)):
-                    step = candidate / col_scale
+                    step = candidate
                     break
             except np.linalg.LinAlgError:
                 pass

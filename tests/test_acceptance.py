@@ -31,6 +31,8 @@ from focuscal.synth import (
     load_preset,
 )
 
+from blocks import dense
+
 ROBOTIQ = load_preset("robotiq")
 
 
@@ -222,7 +224,7 @@ def test_criterion_6_jacobian_correctness():
             for v in views
         ]
         x = problem.pack(intr, dist, poses)
-        analytic = problem.jacobian(x)
+        analytic = dense(problem.jacobian(x))
         fd = np.empty_like(analytic)
         for j in range(x.size):
             step = 1e-6 * max(1.0, abs(x[j]))

@@ -39,6 +39,8 @@ from focuscal.synth import (
     load_preset,
 )
 
+from blocks import dense
+
 ROBOTIQ = load_preset("robotiq")
 
 
@@ -188,7 +190,7 @@ class TestJacobian:
                     for v in views
                 ]
                 x = problem.pack(intr, dist, poses)
-                analytic = problem.jacobian(x)
+                analytic = dense(problem.jacobian(x))
                 fd = np.empty_like(analytic)
                 for j in range(x.size):
                     step = 1e-6 * max(1.0, abs(x[j]))
@@ -234,7 +236,7 @@ class TestJacobian:
             np.testing.assert_array_equal(
                 problem.residual(x), np.concatenate(per_view).ravel()
             )
-            analytic = problem.jacobian(x)
+            analytic = dense(problem.jacobian(x))
             fd = finite_difference_jacobian(problem.residual, x)
             scale = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - fd).max() / scale < 1e-5

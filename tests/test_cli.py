@@ -341,6 +341,57 @@ class TestMalformedInput:
         assert "tilted" in payload["message"]
         assert not any(path.exists() for path in outs)
 
+    @pytest.mark.parametrize("size", ["ab", [1280], [1280, -720], [1280, None]])
+    @pytest.mark.parametrize("command", ["scale-factors", "calibrate"])
+    def test_bad_image_size_exits_1(self, artifacts, tmp_path, command, size):
+        tmp, dataset, table = artifacts
+        source = tmp / "stack.json" if command == "scale-factors" else dataset
+        doc = json.loads(source.read_text())
+        doc["meta"]["image_size_px"] = size
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        outs = [tmp_path / "t.csv", tmp_path / "z.json"]
+        if command == "scale-factors":
+            args = ["--out-table", str(outs[0]), "--out-zones", str(outs[1]),
+                    "--noise-band", "1.0"]
+        else:
+            args = ["--method", "proposed", "--scale-table", str(table), "--out", str(outs[1])]
+        proc = run(command, "--dataset", str(broken), *args, "--json-errors")
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr.strip())
+        assert payload["error"] == "FormatError"
+        assert "image_size_px" in payload["message"]
+        assert not any(path.exists() for path in outs)
+
+    def test_missing_scale_table_exits_2(self, artifacts, tmp_path):
+        _, dataset, _ = artifacts
+        out = tmp_path / "never.json"
+        proc = run(
+            "calibrate", "--dataset", str(dataset), "--method", "proposed",
+            "--scale-table", str(tmp_path / "missing.csv"), "--out", str(out),
+            "--json-errors",
+        )
+        assert proc.returncode == 2
+        payload = json.loads(proc.stderr.strip())
+        assert payload["error"] == "UsageError"
+        assert "missing.csv" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["lens-curve", "--preset", "robotiq", "--from", "20", "--to", "200", "--count", "5"],
+        ["simulate", "--preset", "robotiq", "--views", "3"],
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, command):
+        # an output path under a regular file fails for every user, root included
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        proc = run(*command, "--out", str(blocker / "x.out"), "--json-errors")
+        assert proc.returncode == 2
+        payload = json.loads(proc.stderr.strip())
+        assert payload["error"] == "UsageError"
+        assert str(blocker / "x.out") in payload["message"]
+        assert blocker.read_text() == ""
+
 
 class TestLensCurve:
     def test_preset_sweep(self, tmp_path):
