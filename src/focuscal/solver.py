@@ -195,7 +195,6 @@ def levenberg_marquardt(
     iterations = 0
     accepted = 0
     need_jacobian = True
-    normal = None
 
     while True:
         if need_jacobian:

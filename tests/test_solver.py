@@ -184,12 +184,6 @@ class TestBlockArrowStep:
             bound = max(1e-10, 1e-15 * np.linalg.cond(scaled))
             assert np.linalg.norm(step - expected) <= bound * np.linalg.norm(expected)
 
-    def test_plain_array_is_a_shared_block(self):
-        rng = np.random.default_rng(110)
-        a, target = rng.normal(size=(12, 4)), rng.normal(size=12)
-        result = levenberg_marquardt(lambda x: a @ x - target, np.zeros(4), jacobian=lambda x: a)
-        np.testing.assert_allclose(result.params, np.linalg.lstsq(a, target)[0], rtol=1e-9)
-
     def test_rank_deficient_group_raises_damping(self, caplog):
         # A one-row group whose six pose columns are equal: its scaled V_i + lam I
         # is exactly singular in floating point until lam reaches about 1e-16.
