@@ -31,9 +31,9 @@ from .core import (
 )
 from .errors import FocusCalError, NonConvergence
 from .homography import Homography, estimate_homography
-from .lens import CurveFit, FocalCurve, eval_focal_curve
+from .lens import CurveFit, eval_focal_curve
 from .scale import ScaleTable
-from .solver import BlockJacobian, LMResult, SolverOptions, levenberg_marquardt
+from .solver import BlockJacobian, SolverOptions, levenberg_marquardt
 
 __all__ = [
     "CalibrationView",
@@ -363,24 +363,6 @@ def _coerce_scale_source(source) -> ScaleSource:
         return source
     if isinstance(source, ScaleTable):
         return ScaleSource(table=source)
-    if isinstance(source, CurveFit):
-        return ScaleSource(alpha_curve=source)
-    if isinstance(source, FocalCurve):
-        if source.fit is None:
-            raise FocusCalError("focal curve has no fitted parameters")
-        return ScaleSource(alpha_curve=source.fit)
-    if isinstance(source, (tuple, list)) and len(source) == 2:
-        fits = []
-        for item in source:
-            if isinstance(item, FocalCurve):
-                if item.fit is None:
-                    raise FocusCalError("focal curve has no fitted parameters")
-                fits.append(item.fit)
-            elif isinstance(item, CurveFit):
-                fits.append(item)
-            else:
-                raise TypeError("curve pair must contain FocalCurve or CurveFit")
-        return ScaleSource(alpha_curve=fits[0], beta_curve=fits[1])
     raise TypeError(f"unsupported scale source: {type(source).__name__}")
 
 
@@ -447,30 +429,23 @@ def _solution(problem: _Problem, x, views) -> Solution:
 
 
 def _refine(problem, x0, views, method, algebraic, opts):
-    view_ids = tuple(v.view_id for v in views)
+    failure = None
     try:
         lm = levenberg_marquardt(problem.residual, x0, opts, jacobian=problem.jacobian)
     except NonConvergence as exc:
-        partial: LMResult = exc.result
-        result = CalibrationResult(
-            method=method,
-            view_ids=view_ids,
-            algebraic=algebraic,
-            refined=_solution(problem, partial.params, views),
-            converged=False,
-            iterations=partial.iterations,
-            termination=partial.termination,
-        )
-        raise NonConvergence(str(exc), result=result) from None
-    return CalibrationResult(
+        failure, lm = exc, exc.result
+    result = CalibrationResult(
         method=method,
-        view_ids=view_ids,
+        view_ids=tuple(v.view_id for v in views),
         algebraic=algebraic,
         refined=_solution(problem, lm.params, views),
-        converged=True,
+        converged=failure is None,
         iterations=lm.iterations,
         termination=lm.termination,
     )
+    if failure is not None:
+        raise NonConvergence(str(failure), result=result) from None
+    return result
 
 
 def calibrate_baseline(
@@ -508,12 +483,11 @@ def calibrate_proposed(
 ) -> CalibrationResult:
     """Constrained calibration with frozen per-view scale factors.
 
-    Scale factors come from ``scale_source`` (a ScaleTable, a FocalCurve or
-    fit, a pair of curves, or a ScaleSource) keyed by each view's distance
-    and never change during refinement. The principal point starts at the
-    image centre when the image size is known, else at the midrange of the
-    observed pixels; skew and distortion start at zero. Only poses, principal
-    point, skew, and distortion are refined.
+    Scale factors come from ``scale_source``, a ScaleTable or a ScaleSource,
+    keyed by each view's distance and never change during refinement. The
+    principal point starts at the image centre when the image size is known,
+    else at the midrange of the observed pixels; skew and distortion start at
+    zero. Only poses, principal point, skew, and distortion are refined.
     """
     views = list(views)
     if not views:

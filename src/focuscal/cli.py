@@ -48,6 +48,7 @@ from .solver import SolverOptions
 from .synth import (
     FOCUS_FIXED,
     FOCUS_VARYING,
+    CameraPreset,
     TemplateSpec,
     bias_report,
     bundled_preset_names,
@@ -80,9 +81,9 @@ def _parse_range(text: str, name: str, parts: int) -> list[float]:
 
 def _resolve_preset(name_or_path: str):
     path = Path(name_or_path)
-    if not (path.suffix == ".json" and path.exists()) and name_or_path not in (
-        bundled_preset_names()
-    ):
+    if path.suffix == ".json" and path.exists():
+        return CameraPreset.from_dict(_load_json(name_or_path, "preset"))
+    if name_or_path not in bundled_preset_names():
         raise UsageError(
             f"unknown preset {name_or_path!r}; bundled presets: "
             f"{', '.join(bundled_preset_names())}"
@@ -91,18 +92,28 @@ def _resolve_preset(name_or_path: str):
 
 
 def _read_text(path: str, what: str) -> str:
+    """Every input file is read here: unreadable is a usage error, not UTF-8 a
+    format error. Decoding is strict and keeps line endings, so the text's
+    UTF-8 encoding is the file's bytes."""
     try:
-        return Path(path).read_text()
-    except FileNotFoundError as exc:
-        raise UsageError(f"{what} file not found: {path}") from exc
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what}: not UTF-8 text ({exc})") from exc
 
 
-def _load_json(path: str, what: str) -> dict:
-    text = _read_text(path, what)
+def _parse_json(text: str, what: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: not valid JSON ({exc})") from exc
+
+
+def _load_json(path: str, what: str) -> dict:
+    return _parse_json(_read_text(path, what), what)
 
 
 def _write(path: str, text: str) -> None:
@@ -184,20 +195,14 @@ def cmd_scale_factors(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if not Path(args.dataset).exists():
-        raise UsageError(f"dataset file not found: {args.dataset}")
-    raw = Path(args.dataset).read_bytes()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"dataset: not valid JSON ({exc})") from exc
-    template, views, meta = dataset_from_dict(doc)
+    text = _read_text(args.dataset, "dataset")
+    template, views, meta = dataset_from_dict(_parse_json(text, "dataset"))
     try:
         opts = SolverOptions(max_iterations=args.max_iterations)
     except ValueError as exc:
         raise UsageError(f"--max-iterations: {exc}") from exc
     provenance = {
-        "dataset_sha256": sha256_hex(raw),
+        "dataset_sha256": sha256_hex(text),  # of the file's bytes, see _read_text
         "tool_version": __version__,
         "options": {
             "method": args.method,

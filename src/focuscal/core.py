@@ -6,10 +6,13 @@ the camera frame via ``x_cam = R @ x_world + t`` with the optical axis along
 +z. All types are immutable values and every function is pure.
 
 The camera model (Zhang, "A flexible new technique for camera calibration",
-PAMI 2000) is written once, here: batched Rodrigues rotations and derivatives
-(``_rodrigues``), the pin-hole projection (``_pinhole``) and the radial
-correction (``_radial``). ``reprojection_residuals`` evaluates it over the
-stacked points of every view, with the analytic Jacobian on request.
+PAMI 2000) is written once, here: batched Rodrigues rotations and their left
+Jacobians (``_rodrigues``), the pin-hole projection (``_pinhole``) and the
+radial correction (``_radial``). ``reprojection_residuals`` evaluates it over
+the stacked points of every view, with the analytic Jacobian on request. A
+rotated point's derivative by the axis-angle vector takes the closed form
+d(R w)/dr = -[R w]x J_l(r) (Gallego & Yezzi, "A compact formula for the
+derivative of a 3-D rotation in exponential coordinates", JMIV 2015).
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ _MIN_DEPTH = 1e-9
 
 
 def _as_vec(x, n: int) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(n)
-    return v
+    return np.asarray(x, dtype=float).reshape(n)
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,10 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return k
 
 
-# _GENERATORS[i] is the derivative of _skew(r) with respect to r[i].
-_GENERATORS = _skew(np.eye(3))
-
-
 def _rodrigues(rvecs, derivatives: bool = False) -> tuple:
     """Rotations (m, 3, 3) of axis-angle vectors (m, 3), and on request their
-    derivatives (m, 3, 3, 3): ``[j, i]`` is d(rotation j)/d(component i)."""
+    left Jacobians (m, 3, 3): rotation j moves by ``[J_l[j] dr]x R`` when its
+    vector moves by ``dr``."""
     r = np.asarray(rvecs, dtype=float).reshape(-1, 3)
     # One dot product per vector, as np.linalg.norm takes for a single vector:
     # simulated datasets depend on these rotations to the last bit.
@@ -127,22 +126,10 @@ def _rodrigues(rvecs, derivatives: bool = False) -> tuple:
     rot = np.eye(3) + a[:, None, None] * k + b[:, None, None] * k2
     if not derivatives:
         return rot, None
-    small = theta < 1e-4  # these ratios cancel worse, so switch earlier
-    s = np.where(small, 1.0, theta)
-    # c1 = d(sin t / t)/dt / t and c2 = d((1 - cos t)/t^2)/dt / t
-    s3 = s * s * s
-    c1 = np.where(small, -1.0 / 3.0 + t2 / 30.0, (s * np.cos(s) - np.sin(s)) / s3)
-    # 4 sin^2(t/2) = 2 (1 - cos t), again free of cancellation
-    c2_big = (s * np.sin(s) - 4.0 * np.sin(s / 2.0) ** 2) / (s3 * s)
-    c2 = np.where(small, -1.0 / 12.0 + t2 / 180.0, c2_big)
-    e, kk = _GENERATORS, k[:, None]
-    drot = (
-        (c1[:, None] * r)[..., None, None] * kk
-        + a[:, None, None, None] * e
-        + (c2[:, None] * r)[..., None, None] * k2[:, None]
-        + b[:, None, None, None] * (e @ kk + kk @ e)
-    )
-    return rot, drot
+    # c = (1 - sin(theta)/theta)/theta^2 cancels worse, so its series starts earlier
+    series = theta < 1e-4
+    c = np.where(series, 1.0 / 6.0 - t2 / 120.0, (1.0 - a) / np.where(series, 1.0, t2))
+    return rot, np.eye(3) + b[:, None, None] * k + c[:, None, None] * k2
 
 
 def rotation_from_rodrigues(rvec) -> np.ndarray:
@@ -180,7 +167,8 @@ def rotation_derivatives(rvec) -> np.ndarray:
     Entry ``[i]`` is the derivative of ``rotation_from_rodrigues(rvec)`` with
     respect to component ``i`` of the axis-angle vector.
     """
-    return _rodrigues(_as_vec(rvec, 3), derivatives=True)[1][0]
+    rot, jl = _rodrigues(_as_vec(rvec, 3), derivatives=True)
+    return _skew(jl[0].T) @ rot[0]  # d(R)/d(r_i) = [J_l e_i]x R
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,8 +331,9 @@ def reprojection_residuals(
     world = np.asarray(world, dtype=float)
     image = np.asarray(image, dtype=float)
     view = np.asarray(view, dtype=np.intp)
-    rot, drot = _rodrigues(rvecs, derivatives=jacobian is not None)
-    cam = np.einsum("nab,nb->na", rot[view], world) + np.asarray(tvecs, float)[view]
+    rot, jl = _rodrigues(rvecs, derivatives=jacobian is not None)
+    rw = np.einsum("nab,nb->na", rot[view], world)
+    cam = rw + np.asarray(tvecs, float)[view]
     x, y, z = cam.T
     alpha, beta = (np.asarray(p, dtype=float) for p in (alpha, beta))
     alpha, beta = (p[view] if p.ndim else p for p in (alpha, beta))
@@ -374,12 +363,13 @@ def reprojection_residuals(
     }
     for name, col in (columns or {}).items():
         shared[0::2, col], shared[1::2, col] = derivatives[name]()
-    # pose block: residual = corrected - projected, so -d(projection)
+    # pose block: residual = corrected - projected, so -d(projection), and
+    # d(cam)/dr = -[rw]x J_l turns -grad . d(cam)/dr into (grad x rw) J_l
     grad_u = np.column_stack([alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z)])
     grad_v = np.column_stack([np.zeros_like(z), beta / z, -beta * y / (z * z)])
-    dcam = np.einsum("nlab,nb->nla", drot[view], world)
-    pose[0::2, :3] = -np.einsum("na,nla->nl", grad_u, dcam)
-    pose[1::2, :3] = -np.einsum("na,nla->nl", grad_v, dcam)
+    jl = jl[view]
+    pose[0::2, :3] = np.einsum("na,nab->nb", np.cross(grad_u, rw), jl)
+    pose[1::2, :3] = np.einsum("na,nab->nb", np.cross(grad_v, rw), jl)
     pose[0::2, 3:] = -grad_u
     pose[1::2, 3:] = -grad_v
     return res

@@ -31,25 +31,25 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Stop when the largest gradient entry, or the step relative to |x|, is below these.
+_GRADIENT_TOL = 1e-10
+_STEP_TOL = 1e-12
+# Damping schedule: start, factor on a rejected step, factor on an accepted one.
+_DAMPING_INIT = 1e-3
+_DAMPING_INCREASE = 10.0
+_DAMPING_DECREASE = 0.1
 _MAX_DAMPING = 1e32
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, tolerances, and damping schedule for the solver."""
+    """Iteration budget of the solver."""
 
     max_iterations: int = 200
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    damping_init: float = 1e-3
-    damping_increase: float = 10.0
-    damping_decrease: float = 0.1
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if min(self.gradient_tol, self.step_tol, self.damping_init) <= 0:
-            raise ValueError("tolerances and damping must be positive")
 
 
 @dataclass
@@ -143,6 +143,13 @@ class _NormalEquations:
         return np.concatenate([step_u, step_p.ravel()]) / self.scale
 
 
+def _more_damping(lam: float) -> float:
+    lam *= _DAMPING_INCREASE
+    if lam > _MAX_DAMPING:
+        raise FocusCalError("damped normal equations unsolvable at maximum damping")
+    return lam
+
+
 def finite_difference_jacobian(residual, params, scale: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian, step scaled per parameter magnitude."""
     x = np.asarray(params, dtype=float)
@@ -191,7 +198,7 @@ def levenberg_marquardt(
         raise FocusCalError("residual is not finite at the starting point")
     obj = float(r @ r)
     history = [obj]
-    lam = opts.damping_init
+    lam = _DAMPING_INIT
     iterations = 0
     accepted = 0
     need_jacobian = True
@@ -200,7 +207,7 @@ def levenberg_marquardt(
         if need_jacobian:
             jac = _as_blocks(jac_fn(x))
             grad = _gradient(jac, r)
-            if float(np.max(np.abs(grad), initial=0.0)) < opts.gradient_tol:
+            if float(np.max(np.abs(grad), initial=0.0)) < _GRADIENT_TOL:
                 return LMResult(x, obj, iterations, accepted, "gradient", history)
             normal = _NormalEquations(jac, grad)
             del jac
@@ -214,20 +221,14 @@ def levenberg_marquardt(
             )
         iterations += 1
 
-        step = None
-        while step is None:
+        while True:
             try:
-                candidate = normal.step(lam)
-                if np.all(np.isfinite(candidate)):
-                    step = candidate
+                step = normal.step(lam)
+                if np.all(np.isfinite(step)):
                     break
             except np.linalg.LinAlgError:
                 pass
-            lam *= opts.damping_increase
-            if lam > _MAX_DAMPING:
-                raise FocusCalError(
-                    "damped normal equations unsolvable at maximum damping"
-                )
+            lam = _more_damping(lam)
 
         trial = x + step
         r_trial = np.asarray(residual(trial), dtype=float)
@@ -241,20 +242,16 @@ def levenberg_marquardt(
             int(ok),
         )
         step_norm = float(np.linalg.norm(step))
-        small_step = step_norm < opts.step_tol * (float(np.linalg.norm(x)) + opts.step_tol)
+        small_step = step_norm < _STEP_TOL * (float(np.linalg.norm(x)) + _STEP_TOL)
         if ok:
             x = trial
             r = r_trial
             obj = obj_trial
             history.append(obj)
             accepted += 1
-            lam = max(lam * opts.damping_decrease, 1e-14)
+            lam = max(lam * _DAMPING_DECREASE, 1e-14)
             need_jacobian = True
         else:
-            lam *= opts.damping_increase
-            if lam > _MAX_DAMPING:
-                raise FocusCalError(
-                    "damped normal equations unsolvable at maximum damping"
-                )
+            lam = _more_damping(lam)
         if small_step:
             return LMResult(x, obj, iterations, accepted, "step", history)

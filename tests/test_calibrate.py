@@ -343,6 +343,12 @@ class TestCalibrateProposed:
         result = calibrate_proposed(views, source, image_size=ROBOTIQ.image_size)
         assert result.converged
 
+    def test_bare_curve_is_not_a_scale_source(self):
+        template = TemplateSpec(5, 7, 10.0)
+        views = make_views(ROBOTIQ, template, [100.0, 120.0, 130.0], FOCUS_VARYING, 0.0, 44)
+        with pytest.raises(TypeError, match="unsupported scale source: CurveFit"):
+            calibrate_proposed(views, CurveFit(k_f=0.0, value0=ROBOTIQ.intrinsics.alpha))
+
     def test_centre_init_perturbation_is_harmless(self):
         # moving the principal-point start does not change the converged answer
         template = TemplateSpec(6, 9, 8.0)

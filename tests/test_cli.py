@@ -1,10 +1,13 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from focuscal import cli
 from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_from_csv
 from focuscal.synth import TemplateSpec
 
@@ -391,6 +394,63 @@ class TestMalformedInput:
         assert payload["error"] == "UsageError"
         assert str(blocker / "x.out") in payload["message"]
         assert blocker.read_text() == ""
+
+
+# Each command reads the file ``{bad}``; the other inputs are valid.
+UNREADABLE_INPUT_COMMANDS = {
+    "calibrate-dataset": "calibrate --dataset {bad} --method baseline --out {out}",
+    "calibrate-scale-table": "calibrate --dataset {dataset} --method proposed "
+                             "--scale-table {bad} --out {out}",
+    "calibrate-scale-curve": "calibrate --dataset {dataset} --method proposed "
+                             "--scale-curve {bad} --out {out}",
+    "scale-factors-dataset": "scale-factors --dataset {bad} --out-table {out} "
+                             "--out-zones {out}",
+    "report-calib": "report --dataset {dataset} --calib {bad} --out-csv {out}",
+    "simulate-preset": "simulate --preset {bad} --out {out}",
+}
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("command", list(UNREADABLE_INPUT_COMMANDS))
+    def test_json_error_without_output(self, artifacts, tmp_path, capsys, command, kind):
+        _, dataset, _ = artifacts
+        bad = tmp_path / "input.json"  # a preset path needs the .json suffix
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"schema": 1, "name": "\xff"}')
+        out = tmp_path / "never.out"
+        args = [word.format(bad=bad, dataset=dataset, out=out)
+                for word in UNREADABLE_INPUT_COMMANDS[command].split()]
+        code = cli.main([*args, "--json-errors"])
+        payload = json.loads(capsys.readouterr().err)  # one JSON object, nothing else
+        expected = (2, "UsageError") if kind == "directory" else (1, "FormatError")
+        assert (code, payload["error"]) == expected
+        assert not out.exists()
+
+
+def readme_commands() -> list[list[str]]:
+    """The commands of the README's "Command line" block, without ``focuscal``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln) for ln in lines if ln.startswith("focuscal ")]
+    return [c[1:] for c in commands]
+
+
+class TestReadmeWalkthrough:
+    def test_every_step_succeeds(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert [c[0] for c in commands] == [
+            "simulate", "simulate", "scale-factors", "calibrate", "calibrate", "report",
+            "lens-curve",
+        ]
+        for command in commands:
+            assert cli.main(command) == 0, command
+        compare = json.loads((tmp_path / "compare.json").read_text())
+        assert compare["translation_error_ratio"] > 1.0
 
 
 class TestLensCurve:

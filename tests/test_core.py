@@ -135,10 +135,14 @@ class TestRodrigues:
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
             assert abs(np.linalg.det(rot) - 1.0) < 1e-12
 
-    def test_derivatives_match_finite_differences(self):
+    # 0 and 1e-9 take every series branch, 1e-5 the left Jacobian's only;
+    # 9.99e-5 and 1.001e-4 straddle its switch; pi - 1e-6 ends the angle range.
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-5, 9.99e-5, 1.001e-4, 0.5, np.pi - 1e-6])
+    def test_derivatives_match_finite_differences(self, angle):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            r = rng.normal(scale=1.0, size=3)
+            axis = rng.normal(size=3)
+            r = angle * axis / np.linalg.norm(axis)
             dr = rotation_derivatives(r)
             for i in range(3):
                 step = 1e-7
