@@ -1,8 +1,8 @@
 """Ordered map over per-view work.
 
-The pipelines map their per-view homography and pose work through
-``map_ordered``, so the per-view stage can be timed by name. It runs
-serially: each view costs well under a millisecond with the thin SVD.
+The pipelines map their per-view homography work through ``map_ordered``,
+so the per-view stage can be timed by name. It runs serially: each view
+costs well under a millisecond with the thin SVD.
 """
 
 from __future__ import annotations

@@ -247,15 +247,6 @@ def intrinsics_from_homographies(homographies) -> Intrinsics:
 # refinement problem
 
 
-def _stack(views) -> tuple:
-    """Stacked world and image points, per-point view index, view offsets."""
-    counts = [len(v) for v in views]
-    world = np.vstack([v.world for v in views])
-    image = np.vstack([v.image for v in views])
-    view = np.repeat(np.arange(len(views)), counts)
-    return world, image, view, np.cumsum(counts)[:-1]
-
-
 class _Problem:
     """Residuals and analytic Jacobian for the joint refinement.
 
@@ -267,8 +258,11 @@ class _Problem:
     """
 
     def __init__(self, views, frozen_scales, estimate_distortion: bool):
-        self.world, self.image, self.view, offsets = _stack(views)
-        self.starts = 2 * np.r_[0, offsets]  # first residual row of each view
+        counts = [len(v) for v in views]
+        self.world = np.vstack([v.world for v in views])
+        self.image = np.vstack([v.image for v in views])
+        self.view = np.repeat(np.arange(len(views)), counts)
+        self.starts = 2 * np.r_[0, np.cumsum(counts)[:-1]]  # first residual row of each view
         self.frozen = frozen_scales  # None for baseline
         self.n_views = len(views)
         if frozen_scales is None:
@@ -315,6 +309,10 @@ class _Problem:
             self.world, self.image, self.view, **self._model_args(x)
         ).ravel()
 
+    def view_residuals(self, x) -> list[np.ndarray]:
+        """Signed (du, dv) residuals at parameters ``x``, one (n_i, 2) array per view."""
+        return np.split(self.residual(x).reshape(-1, 2), self.starts[1:] // 2)
+
     def jacobian(self, x) -> BlockJacobian:
         rows = 2 * len(self.view)
         jac = BlockJacobian(np.empty((rows, self.n_intr)), np.empty((rows, 6)), self.starts)
@@ -327,24 +325,25 @@ class _Problem:
 
 # scale-factor sources for the constrained pipeline
 
+_TABLE_TOLERANCE = 0.1
+
 
 @dataclass(frozen=True)
 class ScaleSource:
     """Where per-view scale factors come from: table rows, fitted curves, or both.
 
-    A view distance matches a table row when within ``tolerance`` (fraction of
-    the distance); otherwise the fitted curves are evaluated.
+    A view distance matches a table row within 10% of the distance; otherwise
+    the fitted curves are evaluated.
     """
 
     table: ScaleTable | None = None
     alpha_curve: CurveFit | None = None
     beta_curve: CurveFit | None = None
-    tolerance: float = 0.1
 
     def lookup(self, distance_mm: float) -> tuple[float, float]:
         if self.table is not None and len(self.table) > 0:
             idx = int(np.argmin(np.abs(self.table.distances - distance_mm)))
-            if abs(self.table.distances[idx] - distance_mm) <= self.tolerance * distance_mm:
+            if abs(self.table.distances[idx] - distance_mm) <= _TABLE_TOLERANCE * distance_mm:
                 return float(self.table.alpha[idx]), float(self.table.beta[idx])
         if self.alpha_curve is not None:
             beta_curve = self.beta_curve or self.alpha_curve
@@ -353,7 +352,7 @@ class ScaleSource:
                 float(eval_focal_curve(beta_curve, distance_mm)),
             )
         raise FocusCalError(
-            f"no scale-table row within {self.tolerance:.0%} of {distance_mm} mm "
+            f"no scale-table row within {_TABLE_TOLERANCE:.0%} of {distance_mm} mm "
             "and no fitted curve available"
         )
 
@@ -371,15 +370,9 @@ def _coerce_scale_source(source) -> ScaleSource:
 
 def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
     """Signed (du, dv) residuals per view for a stored solution."""
-    world, image, view, offsets = _stack(views)
-    intr, dist = solution.intrinsics, solution.distortion
-    alpha, beta = np.array(intr.scales[0] if intr.shared else intr.scales, float).T
-    res = reprojection_residuals(
-        world, image, view, [p.rodrigues for p in solution.poses],
-        [p.translation for p in solution.poses], alpha, beta,
-        intr.gamma, intr.u0, intr.v0, dist.k1, dist.k2,
-    )
-    return np.split(res, offsets)
+    intr = solution.intrinsics
+    problem = _Problem(views, None if intr.shared else intr.scales, estimate_distortion=True)
+    return problem.view_residuals(problem.pack(intr, solution.distortion, solution.poses))
 
 
 def _stats_from_residuals(residuals, view_ids) -> ReprojectionStats:
@@ -419,29 +412,37 @@ def reprojection_stats(result_or_solution, views) -> ReprojectionStats:
 # pipelines
 
 
-def _solution(problem: _Problem, x, views) -> Solution:
-    intr, dist, poses = problem.unpack(x)
-    sol = Solution(intr, poses, dist, None)
-    stats = _stats_from_residuals(
-        solution_residuals(sol, views), [v.view_id for v in views]
-    )
-    return Solution(intr, poses, dist, stats)
+def _calibrate(
+    views, homs, start: IntrinsicSet, method: str, opts: SolverOptions | None,
+    estimate_distortion: bool,
+) -> CalibrationResult:
+    """Poses from the homographies under ``start``, then the joint refinement.
 
-
-def _refine(problem, x0, views, method, algebraic, opts):
+    ``start`` holds one scale pair shared by every view (baseline) or one
+    frozen pair per view (proposed); each view's pose start decomposes its
+    homography with the intrinsic matrix of its own pair.
+    """
+    matrices = [Intrinsics(alpha, beta, start.gamma, start.u0, start.v0).matrix
+                for alpha, beta in start.scales]
+    if start.shared:
+        matrices *= len(homs)
+    poses0 = [extrinsics_from_homography(h, a) for h, a in zip(homs, matrices)]
+    problem = _Problem(views, None if start.shared else start.scales, estimate_distortion)
+    x0 = problem.pack(start, Distortion(), poses0)
     failure = None
     try:
         lm = levenberg_marquardt(problem.residual, x0, opts, jacobian=problem.jacobian)
     except NonConvergence as exc:
         failure, lm = exc, exc.result
+    view_ids = tuple(v.view_id for v in views)
+    solutions = []
+    for x in (x0, lm.params):
+        intr, dist, poses = problem.unpack(x)
+        stats = _stats_from_residuals(problem.view_residuals(x), view_ids)
+        solutions.append(Solution(intr, poses, dist, stats))
     result = CalibrationResult(
-        method=method,
-        view_ids=tuple(v.view_id for v in views),
-        algebraic=algebraic,
-        refined=_solution(problem, lm.params, views),
-        converged=failure is None,
-        iterations=lm.iterations,
-        termination=lm.termination,
+        method, view_ids, *solutions, converged=failure is None,
+        iterations=lm.iterations, termination=lm.termination,
     )
     if failure is not None:
         raise NonConvergence(str(failure), result=result) from None
@@ -464,13 +465,8 @@ def calibrate_baseline(
     if len(views) < 3:
         raise FocusCalError("need at least three views")
     homs = map_ordered(lambda v: estimate_homography(v.world, v.image), views)
-    intr0 = intrinsics_from_homographies(homs)
-    a0 = intr0.matrix
-    poses0 = [extrinsics_from_homography(h, a0) for h in homs]
-    problem = _Problem(views, None, estimate_distortion)
-    x0 = problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0)
-    algebraic = _solution(problem, x0, views)
-    return _refine(problem, x0, views, "baseline", algebraic, opts)
+    start = IntrinsicSet.from_single(intrinsics_from_homographies(homs))
+    return _calibrate(views, homs, start, "baseline", opts, estimate_distortion)
 
 
 def calibrate_proposed(
@@ -493,7 +489,7 @@ def calibrate_proposed(
     if not views:
         raise ValueError("need at least one view")
     source = _coerce_scale_source(scale_source)
-    frozen = [source.lookup(v.distance_mm) for v in views]
+    frozen = tuple(source.lookup(v.distance_mm) for v in views)
     if image_size is not None:
         centre = (image_size[0] / 2.0, image_size[1] / 2.0)
     else:
@@ -501,17 +497,6 @@ def calibrate_proposed(
         low = pixels.min(axis=0)
         high = pixels.max(axis=0)
         centre = (float((low[0] + high[0]) / 2.0), float((low[1] + high[1]) / 2.0))
-
-    def init_pose(pair):
-        view, (alpha, beta) = pair
-        a_i = Intrinsics(alpha, beta, 0.0, centre[0], centre[1]).matrix
-        return extrinsics_from_homography(
-            estimate_homography(view.world, view.image), a_i
-        )
-
-    poses0 = map_ordered(init_pose, zip(views, frozen))
-    problem = _Problem(views, [tuple(p) for p in frozen], estimate_distortion)
-    intr0 = IntrinsicSet(centre[0], centre[1], 0.0, tuple(map(tuple, frozen)), False)
-    x0 = problem.pack(intr0, Distortion(), poses0)
-    algebraic = _solution(problem, x0, views)
-    return _refine(problem, x0, views, "proposed", algebraic, opts)
+    homs = map_ordered(lambda v: estimate_homography(v.world, v.image), views)
+    start = IntrinsicSet(centre[0], centre[1], 0.0, frozen, False)
+    return _calibrate(views, homs, start, "proposed", opts, estimate_distortion)

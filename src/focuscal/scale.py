@@ -172,22 +172,18 @@ def segment_zones(table: ScaleTable, noise_band: float) -> ZoneSegmentation:
     if not noise_band > 0:
         raise ValueError("noise band must be positive")
     values = table.alpha
-    n = len(table)
-    best: tuple[int, int] | None = None
-    for i in range(n - 2):
-        for j in range(i + 2, n):
-            window = values[i : j + 1]
-            if np.max(np.abs(window - window.mean())) <= noise_band:
-                if (
-                    best is None
-                    or (j - i, j, -i) > (best[1] - best[0], best[1], -best[0])
-                ):
-                    best = (i, j)
-    if best is None:
+    for length in range(len(table), 2, -1):
+        windows = np.lib.stride_tricks.sliding_window_view(values, length)
+        spread = np.max(np.abs(windows - windows.mean(axis=1)[:, None]), axis=1)
+        flat = np.flatnonzero(spread <= noise_band)
+        if flat.size:
+            i = int(flat[-1])
+            j = i + length - 1
+            break
+    else:
         raise NoPlateauFound(
             f"no run of three or more samples is flat within {noise_band}"
         )
-    i, j = best
     return ZoneSegmentation(
         zone1_end_mm=float(d[i]),
         zone2_end_mm=float(d[j]),

@@ -197,15 +197,28 @@ def load_preset(name_or_path: str) -> CameraPreset:
     return CameraPreset.from_dict(doc)
 
 
-def _near_image(pixels: np.ndarray, image_size, margin_fraction: float = 0.1) -> np.ndarray:
-    w, h = image_size
-    margin = margin_fraction * float(np.hypot(w, h))
-    return (
-        (pixels[:, 0] >= -margin)
-        & (pixels[:, 0] <= w + margin)
-        & (pixels[:, 1] >= -margin)
-        & (pixels[:, 1] <= h + margin)
-    )
+def _observe(preset: CameraPreset, intr: Intrinsics, cam, noise_px: float, seed) -> np.ndarray:
+    """Detected pixels (n, 2) of camera-frame points (n, 3), NaN where undetected.
+
+    Points in front of the camera are projected, pushed through the distortion
+    model, perturbed with isotropic Gaussian pixel noise, and detected only if
+    they land inside the image.
+    """
+    w, h = preset.image_size
+    index = np.flatnonzero(cam[:, 2] > 0)
+    ideal = perspective_pixels(cam[index], intr)
+    # Points far outside the frame are undetectable and can sit beyond the
+    # distortion model's invertible range; cut them before inverting.
+    margin = 0.1 * float(np.hypot(w, h))
+    near = np.all((ideal >= -margin) & (ideal <= (w + margin, h + margin)), axis=1)
+    index, detected = index[near], distort_points(ideal[near], intr, preset.distortion)
+    if noise_px > 0:
+        rng = np.random.default_rng(seed)
+        detected += rng.normal(0.0, noise_px, size=detected.shape)
+    inside = np.all((detected >= 0.0) & (detected <= (w, h)), axis=1)
+    pixels = np.full((len(cam), 2), np.nan)
+    pixels[index[inside]] = detected[inside]
+    return pixels
 
 
 def sample_pose(
@@ -257,29 +270,15 @@ def generate_view(
     if distance <= 0:
         raise FocusCalError("template centre is behind the camera")
     intr = preset.effective_intrinsics(distance, focus_mode)
-    in_front = cam[:, 2] > 0
-    pixels = perspective_pixels(cam[in_front], intr)
-    # Points far outside the frame are undetectable and can sit beyond the
-    # distortion model's invertible range; cut them before inverting.
-    rough = _near_image(pixels, preset.image_size)
-    pixels = distort_points(pixels[rough], intr, preset.distortion)
-    if noise_px > 0:
-        rng = np.random.default_rng(seed)
-        pixels = pixels + rng.normal(0.0, noise_px, size=pixels.shape)
-    w, h = preset.image_size
-    visible = (
-        (pixels[:, 0] >= 0.0)
-        & (pixels[:, 0] <= w)
-        & (pixels[:, 1] >= 0.0)
-        & (pixels[:, 1] <= h)
-    )
-    if not np.any(visible):
+    pixels = _observe(preset, intr, cam, noise_px, seed)
+    found = np.isfinite(pixels[:, 0])
+    if not np.any(found):
         raise FocusCalError("no template point projects inside the image")
     return CalibrationView(
         view_id=view_id,
         distance_mm=distance,
-        world=world[in_front][rough][visible],
-        image=pixels[visible],
+        world=world[found],
+        image=pixels[found],
         gt_pose=pose,
     )
 
@@ -331,26 +330,12 @@ def generate_parallel_stack(
         raise ValueError("distances must be positive")
     world = generate_template(template)
     centre = world.mean(axis=0)
-    w, h = preset.image_size
     children = np.random.SeedSequence(seed).spawn(len(distances))
     stack = []
     for d, child in zip(distances, children):
         t = np.array([0.0, 0.0, d]) - centre
         intr = preset.effective_intrinsics(d, FOCUS_VARYING)
-        ideal = perspective_pixels(world + t, intr)
-        rough = _near_image(ideal, preset.image_size)
-        pixels = np.full_like(ideal, np.nan)
-        pixels[rough] = distort_points(ideal[rough], intr, preset.distortion)
-        if noise_px > 0:
-            rng = np.random.default_rng(child)
-            pixels[rough] += rng.normal(0.0, noise_px, size=(int(rough.sum()), 2))
-        outside = ~rough | (
-            (pixels[:, 0] < 0.0)
-            | (pixels[:, 0] > w)
-            | (pixels[:, 1] < 0.0)
-            | (pixels[:, 1] > h)
-        )
-        pixels[outside] = np.nan
+        pixels = _observe(preset, intr, world + t, noise_px, child)
         stack.append(
             ParallelView(
                 points=pixels.reshape(template.rows, template.cols, 2),

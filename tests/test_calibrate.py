@@ -461,12 +461,19 @@ class TestReprojectionStats:
     def test_recompute_is_deterministic_and_matches(self):
         template = TemplateSpec(5, 7, 12.0)
         views = make_views(ROBOTIQ, template, np.linspace(300, 900, 6), FOCUS_FIXED, 0.3, 51)
-        result = calibrate_baseline(views)
-        again = reprojection_stats(result, views)
-        once_more = reprojection_stats(result.refined, views)
-        assert again.mean_px == result.refined.stats.mean_px
-        assert again.rms_px == once_more.rms_px
-        assert again.std_px == once_more.std_px
+        spread = np.linspace(1.0, 1.003, len(views))  # a distinct frozen pair per view
+        table = ScaleTable([v.distance_mm for v in views], spread * ROBOTIQ.intrinsics.alpha,
+                           spread * ROBOTIQ.intrinsics.beta)
+        for result in (
+            calibrate_baseline(views),
+            calibrate_proposed(views, table, image_size=ROBOTIQ.image_size),
+        ):
+            stored = result.refined.stats
+            for again in (reprojection_stats(result, views),
+                          reprojection_stats(result.refined, views)):
+                for field in ("mean_px", "median_px", "std_px", "rms_px", "mean_abs_px",
+                              "per_view"):
+                    assert getattr(again, field) == getattr(stored, field), field
 
     def test_per_view_breakdown_shape(self):
         template = TemplateSpec(5, 7, 12.0)

@@ -9,7 +9,7 @@ import pytest
 
 from focuscal import cli
 from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_from_csv
-from focuscal.synth import TemplateSpec
+from focuscal.synth import TemplateSpec, bias_report
 
 CMD = [sys.executable, "-m", "focuscal"]
 
@@ -430,11 +430,15 @@ class TestUnreadableInput:
         assert not out.exists()
 
 
+def readme_block(heading: str) -> str:
+    """The first fenced block under a README heading, without its language tag."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split(f"## {heading}", 1)[1].split("```", 2)[1].split("\n", 1)[1]
+
+
 def readme_commands() -> list[list[str]]:
     """The commands of the README's "Command line" block, without ``focuscal``."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = readme_block("Command line").replace("\\\n", " ").splitlines()
     commands = [shlex.split(ln) for ln in lines if ln.startswith("focuscal ")]
     return [c[1:] for c in commands]
 
@@ -451,6 +455,17 @@ class TestReadmeWalkthrough:
             assert cli.main(command) == 0, command
         compare = json.loads((tmp_path / "compare.json").read_text())
         assert compare["translation_error_ratio"] > 1.0
+
+
+class TestReadmeQuickStart:
+    def test_baseline_biased_and_proposed_closer(self):
+        namespace = {}
+        exec(compile(readme_block("Library quick start"), "README.md", "exec"), namespace)
+        views = namespace["views"]
+        baseline_dz = bias_report(namespace["baseline"], views).mean_mm[2]
+        proposed_dz = bias_report(namespace["proposed"], views).mean_mm[2]
+        assert baseline_dz < 0
+        assert abs(proposed_dz) < abs(baseline_dz)
 
 
 class TestLensCurve:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,65 @@ def curve_table(noise_band, knee=150.0, spacing=25.0, lo=50.0, hi=1000.0, value0
     return ScaleTable(d, alpha, alpha * 1.002)
 
 
+def reference_plateau(values, noise_band):
+    """Rows (i, j) of the longest, then latest, flat run by a direct scan, or None."""
+    n = len(values)
+    best = None
+    for i in range(n - 2):
+        for j in range(i + 2, n):
+            window = values[i : j + 1]
+            if np.max(np.abs(window - window.mean())) <= noise_band:
+                if best is None or (j - i, j, -i) > (best[1] - best[0], best[1], -best[0]):
+                    best = (i, j)
+    return best
+
+
+def assert_matches_reference(table, noise_band):
+    best = reference_plateau(table.alpha, noise_band)
+    if best is None:
+        with pytest.raises(NoPlateauFound, match=re.escape(f"flat within {noise_band}") + "$"):
+            segment_zones(table, noise_band)
+        return
+    i, j = best
+    seg = segment_zones(table, noise_band)
+    assert (seg.zone1_end_mm, seg.zone2_end_mm) == (table.distances[i], table.distances[j])
+    assert seg.plateau_alpha_px == table.alpha[i : j + 1].mean()
+    assert seg.plateau_beta_px == table.beta[i : j + 1].mean()
+
+
+def random_table(rng, n):
+    """Rising rows, a plateau, then a noisy tail, at random sizes and scales."""
+    knee, tail = sorted(rng.integers(0, n + 1, size=2))
+    alpha = np.full(n, 1370.0) + rng.normal(0.0, rng.uniform(0.01, 2.0), n)
+    alpha[:knee] -= rng.uniform(0.5, 20.0) * np.arange(knee, 0, -1)
+    alpha[tail:] += rng.normal(0.0, rng.uniform(1.0, 30.0), n - tail)
+    return ScaleTable(np.arange(1.0, n + 1.0) * 10.0, alpha, alpha * 1.002)
+
+
 class TestSegmentZones:
+    def test_matches_reference_on_random_tables(self):
+        rng = np.random.default_rng(140)
+        for _ in range(150):
+            table = random_table(rng, int(rng.integers(5, 40)))
+            assert_matches_reference(table, float(rng.uniform(0.05, 8.0)))
+
+    def test_matches_reference_at_band_edge(self):
+        # the band equals one window's spread exactly, so the <= comparison decides
+        rng = np.random.default_rng(141)
+        for _ in range(150):
+            n = int(rng.integers(5, 40))
+            table = random_table(rng, n)
+            length = int(rng.integers(3, n + 1))
+            start = int(rng.integers(0, n - length + 1))
+            window = table.alpha[start : start + length]
+            assert_matches_reference(table, float(np.max(np.abs(window - window.mean()))))
+
+    def test_latest_of_equal_length_runs_wins(self):
+        alpha = np.array([0.0, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0]) + 1370.0
+        table = ScaleTable(np.arange(1.0, 12.0) * 10.0, alpha, alpha)
+        assert reference_plateau(alpha, 0.5) == (8, 10)
+        assert_matches_reference(table, 0.5)
+
     def test_knee_located_within_one_spacing(self):
         band = 2.0
         table = curve_table(band, knee=150.0, spacing=25.0)
