@@ -197,10 +197,7 @@ def cmd_scale_factors(args) -> int:
 def cmd_calibrate(args) -> int:
     text = _read_text(args.dataset, "dataset")
     template, views, meta = dataset_from_dict(_parse_json(text, "dataset"))
-    try:
-        opts = SolverOptions(max_iterations=args.max_iterations)
-    except ValueError as exc:
-        raise UsageError(f"--max-iterations: {exc}") from exc
+    opts = SolverOptions(max_iterations=args.max_iterations)
     provenance = {
         "dataset_sha256": sha256_hex(text),  # of the file's bytes, see _read_text
         "tool_version": __version__,
@@ -310,10 +307,7 @@ def cmd_lens_curve(args) -> int:
     if args.preset:
         lens = _resolve_preset(args.preset).lens
     elif args.radius is not None and args.angle_ratio is not None:
-        try:
-            lens = LensSpec(args.radius, args.angle_ratio, args.axis_offset)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        lens = LensSpec(args.radius, args.angle_ratio, args.axis_offset)
     else:
         raise UsageError("lens-curve needs --preset or --radius with --angle-ratio")
     if not 0 < args.from_mm <= args.to_mm or args.count < 2:
@@ -409,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(exc: Exception, json_errors: bool) -> None:
+def _report_error(name: str, exc: Exception, json_errors: bool) -> None:
     if json_errors:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+        payload = {"error": name, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     else:
         print(f"focuscal: {exc}", file=sys.stderr)
@@ -425,11 +419,13 @@ def main(argv=None) -> int:
         if len(getattr(args, "calib", []) or []) > 2:
             raise UsageError("at most two calibration files can be compared")
         return args.func(args)
-    except UsageError as exc:
-        _report_error(exc, json_errors)
+    except (UsageError, ValueError) as exc:
+        # The library rejects out-of-range argument values with ValueError;
+        # input files are checked by their readers, which raise FormatError.
+        _report_error("UsageError", exc, json_errors)
         return 2
     except FocusCalError as exc:
-        _report_error(exc, json_errors)
+        _report_error(type(exc).__name__, exc, json_errors)
         return 1
 
 

@@ -290,7 +290,7 @@ def distort_points(
     for _ in range(max_iterations):
         cu, cv = _correction(p, intr, dist)
         new = np.stack([target[..., 0] - cu, target[..., 1] - cv], axis=-1)
-        step = float(np.max(np.abs(new - p)))
+        step = float(np.max(np.abs(new - p), initial=0.0))
         p = new
         if step < tol:
             return p

@@ -12,6 +12,8 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +131,26 @@ def sha256_hex(data) -> str:
 # dataset documents
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise FormatError(f"{context}: missing key {key!r}")
-    return doc[key]
+def _pose_to_dict(pose: Pose) -> dict:
+    return {
+        "rodrigues": [float(x) for x in pose.rodrigues],
+        "t_mm": [float(x) for x in pose.translation],
+    }
+
+
+@contextmanager
+def _reading(what: str, doc=None):
+    """Check outside input in one place. Given a document, require ``"schema": 1``.
+    Inside the block, a missing key or a malformed value becomes a
+    :class:`FormatError` about ``what``."""
+    if doc is not None and not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION):
+        raise FormatError(f"{what}: unsupported or missing schema version")
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{what}: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 def dataset_to_dict(template: TemplateSpec, views, meta: dict | None = None) -> dict:
@@ -153,10 +171,7 @@ def dataset_to_dict(template: TemplateSpec, views, meta: dict | None = None) -> 
             "points": points,
         }
         if view.gt_pose is not None:
-            doc["gt_pose"] = {
-                "rodrigues": [float(x) for x in view.gt_pose.rodrigues],
-                "t_mm": [float(x) for x in view.gt_pose.translation],
-            }
+            doc["gt_pose"] = _pose_to_dict(view.gt_pose)
         view_docs.append(doc)
     return {
         "schema": SCHEMA_VERSION,
@@ -170,51 +185,37 @@ def dataset_to_dict(template: TemplateSpec, views, meta: dict | None = None) -> 
     }
 
 
-def dataset_from_dict(doc: dict) -> tuple[TemplateSpec, list[CalibrationView], dict]:
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
-        raise FormatError("dataset: unsupported or missing schema version")
-    context = "dataset template"
-    try:
-        tdoc = _require(doc, "template", "dataset")
-        template = TemplateSpec(
-            rows=int(_require(tdoc, "rows", "template")),
-            cols=int(_require(tdoc, "cols", "template")),
-            pitch_mm=float(_require(tdoc, "pitch_mm", "template")),
+def _view_from_dict(i: int, vdoc: dict) -> CalibrationView:
+    with _reading(f"view {i}"):
+        # one (n, 4) array of wx, wy, u, v; CalibrationView checks its size and values
+        points = np.array(
+            [[p["wx_mm"], p["wy_mm"], p["u_px"], p["v_px"]] for p in vdoc["points"]],
+            dtype=float,
+        ).reshape(-1, 4)
+        gt = None
+        if "gt_pose" in vdoc:
+            gt = Pose(vdoc["gt_pose"]["rodrigues"], vdoc["gt_pose"]["t_mm"])
+        return CalibrationView(
+            view_id=str(vdoc["id"]),
+            distance_mm=float(vdoc["distance_mm"]),
+            world=points[:, :2],
+            image=points[:, 2:],
+            gt_pose=gt,
         )
-        context = "dataset"
-        views = []
-        for i, vdoc in enumerate(_require(doc, "views", "dataset")):
-            context = f"view {i}"
-            points = _require(vdoc, "points", context)
-            if len(points) < 4:
-                raise FormatError(f"{context}: needs at least 4 points")
-            world = []
-            image = []
-            for p in points:
-                world.append([float(_require(p, "wx_mm", context)),
-                              float(_require(p, "wy_mm", context)), 0.0])
-                image.append([float(_require(p, "u_px", context)),
-                              float(_require(p, "v_px", context))])
-            gt = None
-            if "gt_pose" in vdoc:
-                pdoc = vdoc["gt_pose"]
-                gt = Pose(
-                    np.asarray(_require(pdoc, "rodrigues", context), dtype=float),
-                    np.asarray(_require(pdoc, "t_mm", context), dtype=float),
-                )
-            views.append(
-                CalibrationView(
-                    view_id=str(_require(vdoc, "id", context)),
-                    distance_mm=float(_require(vdoc, "distance_mm", context)),
-                    world=np.asarray(world),
-                    image=np.asarray(image),
-                    gt_pose=gt,
-                )
-            )
-        context = "dataset meta"
+
+
+def dataset_from_dict(doc: dict) -> tuple[TemplateSpec, list[CalibrationView], dict]:
+    with _reading("dataset", doc):
+        tdoc = doc["template"]
+        template = TemplateSpec(
+            rows=int(tdoc["rows"]), cols=int(tdoc["cols"]), pitch_mm=float(tdoc["pitch_mm"])
+        )
+        views = [_view_from_dict(i, vdoc) for i, vdoc in enumerate(doc["views"])]
         meta = dict(doc.get("meta", {}))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise FormatError(f"{context}: {exc}") from exc
+    if not views:
+        raise FormatError("dataset: no views")
+    if len({v.view_id for v in views}) < len(views):
+        raise FormatError("dataset: view ids are not unique")
     return template, views, meta
 
 
@@ -223,10 +224,8 @@ def image_size_from_meta(meta: dict) -> tuple[float, float] | None:
     size = meta.get("image_size_px")
     if size is None:
         return None
-    try:
+    with _reading(f"dataset meta: image_size_px {size!r}"):
         width, height = (float(n) for n in size)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"dataset meta: image_size_px {size!r} is not two numbers") from exc
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise FormatError(f"dataset meta: image_size_px {size!r} is not positive and finite")
     return width, height
@@ -284,35 +283,13 @@ def _intrinsics_to_dict(intr: IntrinsicSet) -> dict:
 
 
 def _intrinsics_from_dict(doc: dict) -> IntrinsicSet:
-    scales = tuple(
-        (float(s["alpha_px"]), float(s["beta_px"])) for s in _require(doc, "scales", "intrinsics")
-    )
     return IntrinsicSet(
-        u0=float(_require(doc, "u0_px", "intrinsics")),
-        v0=float(_require(doc, "v0_px", "intrinsics")),
-        gamma=float(_require(doc, "gamma", "intrinsics")),
-        scales=scales,
-        shared=bool(_require(doc, "shared", "intrinsics")),
+        u0=float(doc["u0_px"]),
+        v0=float(doc["v0_px"]),
+        gamma=float(doc["gamma"]),
+        scales=tuple((float(s["alpha_px"]), float(s["beta_px"])) for s in doc["scales"]),
+        shared=bool(doc["shared"]),
     )
-
-
-def _stats_to_dict(stats: ReprojectionStats) -> dict:
-    return {
-        "mean_px": stats.mean_px,
-        "median_px": stats.median_px,
-        "std_px": stats.std_px,
-        "rms_px": stats.rms_px,
-        "mean_abs_px": stats.mean_abs_px,
-        "per_view": [
-            {
-                "view_id": pv.view_id,
-                "mean_abs_px": pv.mean_abs_px,
-                "rms_px": pv.rms_px,
-                "n_points": pv.n_points,
-            }
-            for pv in stats.per_view
-        ],
-    }
 
 
 def _stats_from_dict(doc: dict) -> ReprojectionStats:
@@ -339,22 +316,15 @@ def _solution_to_dict(sol: Solution, view_ids) -> dict:
         "intrinsics": _intrinsics_to_dict(sol.intrinsics),
         "distortion": {"k1": sol.distortion.k1, "k2": sol.distortion.k2},
         "poses": [
-            {
-                "view_id": view_ids[i],
-                "rodrigues": [float(x) for x in sol.poses[i].rodrigues],
-                "t_mm": [float(x) for x in sol.poses[i].translation],
-            }
-            for i in range(len(sol.poses))
+            {"view_id": view_id, **_pose_to_dict(pose)}
+            for view_id, pose in zip(view_ids, sol.poses)
         ],
-        "stats": _stats_to_dict(sol.stats),
+        "stats": asdict(sol.stats),  # renaming a stats field changes the format
     }
 
 
 def _solution_from_dict(doc: dict) -> tuple[Solution, tuple[str, ...]]:
-    poses = tuple(
-        Pose(np.asarray(p["rodrigues"], dtype=float), np.asarray(p["t_mm"], dtype=float))
-        for p in doc["poses"]
-    )
+    poses = tuple(Pose(p["rodrigues"], p["t_mm"]) for p in doc["poses"])
     view_ids = tuple(str(p["view_id"]) for p in doc["poses"])
     return (
         Solution(
@@ -385,9 +355,7 @@ def calibration_to_dict(result: CalibrationResult, provenance: dict) -> dict:
 
 
 def calibration_from_dict(doc: dict) -> CalibrationResult:
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
-        raise FormatError("calibration: unsupported or missing schema version")
-    try:
+    with _reading("calibration", doc):
         refined, view_ids = _solution_from_dict(doc)
         algebraic, _ = _solution_from_dict(doc["algebraic"])
         return CalibrationResult(
@@ -399,36 +367,37 @@ def calibration_from_dict(doc: dict) -> CalibrationResult:
             iterations=int(doc["iterations"]),
             termination=str(doc["termination"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"calibration: {exc}") from exc
 
 
 # CSV tables
 
 
+def _csv(header: str, *columns) -> str:
+    """One row per index of the columns; strings as they are, numbers canonical."""
+    rows = (
+        ",".join(v if isinstance(v, str) else _format_float(float(v)) for v in row)
+        for row in zip(*columns)
+    )
+    return "\n".join([header, *rows]) + "\n"
+
+
+_SCALE_TABLE_HEADER = "distance_mm,alpha_px,beta_px"
+
+
 def scale_table_to_csv(table: ScaleTable) -> str:
-    lines = ["distance_mm,alpha_px,beta_px"]
-    for d, a, b in zip(table.distances, table.alpha, table.beta):
-        lines.append(f"{_format_float(d)},{_format_float(a)},{_format_float(b)}")
-    return "\n".join(lines) + "\n"
+    return _csv(_SCALE_TABLE_HEADER, table.distances, table.alpha, table.beta)
 
 
 def scale_table_from_csv(text: str) -> ScaleTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "distance_mm,alpha_px,beta_px":
+    if not lines or lines[0].strip() != _SCALE_TABLE_HEADER:
         raise FormatError("scale table: missing or wrong header row")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"scale table: malformed row {ln!r}")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise FormatError(f"scale table: {exc}") from exc
-    if not rows:
+    if len(lines) == 1:
         raise FormatError("scale table: no data rows")
-    arr = np.asarray(rows)
+    with _reading("scale table"):  # unpacking rejects rows without three values
+        arr = np.array(
+            [[float(d), float(a), float(b)] for d, a, b in (ln.split(",") for ln in lines[1:])]
+        )
     if not np.all(np.isfinite(arr)):
         raise FormatError("scale table: values must be finite")
     if np.any(arr <= 0):
@@ -455,30 +424,19 @@ def curve_fits_to_dict(alpha_fit: CurveFit, beta_fit: CurveFit) -> dict:
 
 
 def curve_fits_from_dict(doc: dict) -> tuple[CurveFit, CurveFit]:
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
-        raise FormatError("curve fits: unsupported or missing schema version")
-    try:
+    with _reading("curve fits", doc):
         return (
             CurveFit(float(doc["alpha_fit"]["k_f"]), float(doc["alpha_fit"]["value0"])),
             CurveFit(float(doc["beta_fit"]["k_f"]), float(doc["beta_fit"]["value0"])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"curve fits: {exc}") from exc
 
 
 def bias_to_csv(report: BiasReport) -> str:
-    lines = ["view_id,dx_mm,dy_mm,dz_mm,rot_err_rad"]
-    for i, vid in enumerate(report.view_ids):
-        dx, dy, dz = report.translation_errors_mm[i]
-        lines.append(
-            f"{vid},{_format_float(dx)},{_format_float(dy)},"
-            f"{_format_float(dz)},{_format_float(report.rotation_errors_rad[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "view_id,dx_mm,dy_mm,dz_mm,rot_err_rad",
+        report.view_ids, *np.transpose(report.translation_errors_mm), report.rotation_errors_rad,
+    )
 
 
 def focal_curve_to_csv(distances, focals) -> str:
-    lines = ["distance_mm,focal_mm"]
-    for d, f in zip(distances, focals):
-        lines.append(f"{_format_float(float(d))},{_format_float(float(f))}")
-    return "\n".join(lines) + "\n"
+    return _csv("distance_mm,focal_mm", distances, focals)

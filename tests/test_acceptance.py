@@ -194,6 +194,45 @@ def test_criterion_5_bias_reproduction():
     )
 
 
+def headline_cases():
+    """Both presets, each with its zone-1 views and the scale table of its stack."""
+    cases = [
+        ("robotiq", np.concatenate([[50.0], np.linspace(130, 145, 14)]),
+         np.arange(45.0, 177.5, 5.0)),
+        ("eosens12cxp", np.concatenate([[320.0], np.linspace(560, 640, 14)]),
+         np.arange(300.0, 910.0, 20.0)),
+    ]
+    for name, distances, stack_distances in cases:
+        preset = load_preset(name)
+        stack = generate_parallel_stack(
+            preset, TemplateSpec(10, 14, 8.0), stack_distances, 0.0, seed=73
+        )
+        yield preset, distances, scale_factors(stack)
+
+
+def test_criterion_5_bias_holds_across_presets_seeds_and_noise():
+    """The frozen-scale method beats the baseline in every one of 60 cases."""
+    start = time.time()
+    lines = []
+    for preset, distances, table in headline_cases():
+        ratios = []
+        for seed in range(10):
+            for noise in (0.1, 0.25, 0.5):
+                views = generate_dataset(
+                    preset, TemplateSpec(6, 9, 8.0), distances, FOCUS_VARYING, noise, seed
+                )
+                means = [
+                    float(np.linalg.norm(bias_report(r, views).translation_errors_mm,
+                                         axis=1).mean())
+                    for r in (calibrate_baseline(views),
+                              calibrate_proposed(views, table, image_size=preset.image_size))
+                ]
+                ratios.append(means[0] / means[1])
+        assert min(ratios) > 1.0, (preset.name, ratios)
+        lines.append(f"{preset.name} min ratio {min(ratios):.2f}")
+    ok("5 bias-sweep", f"60/60 cases, {', '.join(lines)}, {time.time() - start:.1f}s")
+
+
 def test_criterion_6_jacobian_correctness():
     """Analytic Jacobian matches central differences at 100 random points."""
     template = TemplateSpec(4, 5, 20.0)

@@ -306,6 +306,20 @@ MALFORMED_DATASETS = {
     "u-not-a-number": lambda doc: doc["views"][0]["points"][0].update(u_px="abc"),
     "u-null": lambda doc: doc["views"][0]["points"][0].update(u_px=None),
     "rodrigues-too-short": lambda doc: doc["views"][0]["gt_pose"].update(rodrigues=[0.1, 0.2]),
+    "duplicate-view-ids": lambda doc: doc["views"][1].update(id=doc["views"][0]["id"]),
+    "no-views": lambda doc: doc.update(views=[]),
+}
+
+# Argument values the library rejects, each with a part of its message; each
+# command names its output file ``{out}``.
+REJECTED_ARGUMENT_VALUES = {
+    "simulate-rows": ("simulate --preset robotiq --rows 1 --out {out}", "2 rows"),
+    "simulate-pitch": ("simulate --preset robotiq --pitch 0 --out {out}", "pitch"),
+    "simulate-noise": ("simulate --preset robotiq --noise -1 --out {out}", "noise"),
+    "scale-factors-noise-band": ("scale-factors --dataset {stack} --out-table {out} "
+                                 "--out-zones {out}.json --noise-band -1", "noise band"),
+    "scale-factors-four-views": ("scale-factors --dataset {stack4} --out-table {out} "
+                                 "--out-zones {out}.json", "five rows"),
 }
 
 
@@ -328,6 +342,35 @@ class TestMalformedInput:
         proc = run(*args, "--json-errors")
         assert proc.returncode == 1
         assert json.loads(proc.stderr.strip())["error"] == "FormatError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(REJECTED_ARGUMENT_VALUES))
+    def test_rejected_argument_value_exits_2(self, artifacts, tmp_path, capsys, case):
+        tmp, _, _ = artifacts
+        stack4 = tmp_path / "stack4.json"
+        if case == "scale-factors-four-views":
+            make_stack(tmp_path, name=stack4.name, rng="100:115:5")
+        command, message = REJECTED_ARGUMENT_VALUES[case]
+        out = tmp_path / "never.out"
+        args = [word.format(out=out, stack=tmp / "stack.json", stack4=stack4)
+                for word in command.split()]
+        code = cli.main([*args, "--json-errors"])
+        payload = json.loads(capsys.readouterr().err)  # one JSON object, nothing else
+        assert (code, payload["error"]) == (2, "UsageError")
+        assert message in payload["message"]
+        if args[0] == "simulate":
+            assert not out.exists()
+
+    @pytest.mark.parametrize("distances, message", [
+        ("--distance-range 10:20", "no template point projects inside the image"),
+        ("--parallel-stack 1:3:1", "stack view at 1.0 mm is empty"),
+    ])
+    def test_no_point_in_image_exits_1(self, tmp_path, capsys, distances, message):
+        out = tmp_path / "never.json"
+        code = cli.main(["simulate", "--preset", "robotiq", *distances.split(),
+                         "--out", str(out), "--json-errors"])
+        payload = json.loads(capsys.readouterr().err)
+        assert (code, payload["error"], payload["message"]) == (1, "FocusCalError", message)
         assert not out.exists()
 
     def test_scale_factors_on_tilted_dataset_exits_2(self, artifacts, tmp_path):

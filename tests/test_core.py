@@ -185,6 +185,10 @@ class TestDistortion:
             distort_points(np.array([[1500.0, 900.0]]), self.intr, d, max_iterations=5)
         assert info.value.result is None
 
+    def test_no_points_gives_no_points(self):
+        out = distort_points(np.empty((0, 2)), self.intr, Distortion(0.03, -0.1))
+        assert out.shape == (0, 2)
+
     def test_published_coefficients_round_trip(self):
         d = Distortion(0.0087, -0.072)
         ideal = np.array([self.intr.u0 + 200.0 / np.sqrt(2), self.intr.v0 + 200.0 / np.sqrt(2)])

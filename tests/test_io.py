@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from focuscal.calibrate import calibrate_baseline, reprojection_stats
+from focuscal.calibrate import CalibrationView, calibrate_baseline, reprojection_stats
+from focuscal.core import Pose
 from focuscal.errors import FormatError
 from focuscal.io import (
     atomic_write_text,
@@ -70,6 +73,58 @@ class TestCanonicalJson:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+# finite floats over the whole normal range, both signs, and both zeros
+MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+FLOATS = MAGNITUDES | MAGNITUDES.map(lambda x: -x) | st.sampled_from([0.0, -0.0])
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def datasets(draw):
+    """A template, one to three views of 4-20 points each, with or without truth."""
+    coord = st.floats(min_value=-1e4, max_value=1e4)
+    template = TemplateSpec(
+        draw(st.integers(2, 12)), draw(st.integers(2, 12)),
+        draw(st.floats(min_value=0.1, max_value=100.0)),
+    )
+    views = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(4, 20))
+        pose = None
+        if draw(st.booleans()):
+            pose = Pose(draw(st.lists(coord, min_size=3, max_size=3)),
+                        draw(st.lists(coord, min_size=3, max_size=3)))
+        views.append(CalibrationView(
+            view_id=f"view{i:03d}",
+            distance_mm=draw(st.floats(min_value=1e-3, max_value=1e5)),
+            world=draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
+            image=draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
+            gt_pose=pose,
+        ))
+    return template, views
+
+
+class TestDocumentProperties:
+    @settings(deadline=None)
+    @given(DOCUMENTS)
+    def test_canonical_text_is_a_fixed_point(self, doc):
+        text = canonical_dumps(doc)
+        assert canonical_dumps(json.loads(text)) == text
+
+    @settings(deadline=None, max_examples=50)
+    @given(datasets())
+    def test_dataset_write_read_write_byte_identity(self, dataset):
+        template, views = dataset
+        text = canonical_dumps(dataset_to_dict(template, views, {"seed": 1}))
+        again = dataset_to_dict(*dataset_from_dict(json.loads(text)))
+        assert canonical_dumps(again) == text
 
 
 class TestDatasetDocument:
