@@ -60,7 +60,7 @@ from .scale import (
     segment_zones,
     suggest_noise_band,
 )
-from .solver import LMResult, SolverOptions, levenberg_marquardt
+from .solver import LMResult, levenberg_marquardt
 from .synth import (
     BiasReport,
     CameraPreset,

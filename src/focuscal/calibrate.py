@@ -29,11 +29,11 @@ from .core import (
     reprojection_residuals,
     rodrigues_from_rotation,
 )
-from .errors import FocusCalError, NonConvergence
+from .errors import FocusCalError
 from .homography import Homography, estimate_homography
 from .lens import CurveFit, eval_focal_curve
 from .scale import ScaleTable
-from .solver import BlockJacobian, SolverOptions, levenberg_marquardt
+from .solver import BlockJacobian, _check_budget, levenberg_marquardt
 
 __all__ = [
     "CalibrationView",
@@ -133,7 +133,11 @@ class Solution:
 
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
-    """Algebraic and refined solutions plus solver diagnostics."""
+    """Algebraic and refined solutions plus solver diagnostics.
+
+    ``converged`` is false exactly when the refinement used up its
+    ``max_iterations`` budget (``termination == "max_iterations"``).
+    """
 
     method: str
     view_ids: tuple[str, ...]
@@ -413,7 +417,7 @@ def reprojection_stats(result_or_solution, views) -> ReprojectionStats:
 
 
 def _calibrate(
-    views, homs, start: IntrinsicSet, method: str, opts: SolverOptions | None,
+    views, homs, start: IntrinsicSet, method: str, max_iterations: int,
     estimate_distortion: bool,
 ) -> CalibrationResult:
     """Poses from the homographies under ``start``, then the joint refinement.
@@ -429,30 +433,25 @@ def _calibrate(
     poses0 = [extrinsics_from_homography(h, a) for h, a in zip(homs, matrices)]
     problem = _Problem(views, None if start.shared else start.scales, estimate_distortion)
     x0 = problem.pack(start, Distortion(), poses0)
-    failure = None
-    try:
-        lm = levenberg_marquardt(problem.residual, x0, opts, jacobian=problem.jacobian)
-    except NonConvergence as exc:
-        failure, lm = exc, exc.result
+    lm = levenberg_marquardt(
+        problem.residual, x0, problem.jacobian, max_iterations=max_iterations
+    )
     view_ids = tuple(v.view_id for v in views)
     solutions = []
     for x in (x0, lm.params):
         intr, dist, poses = problem.unpack(x)
         stats = _stats_from_residuals(problem.view_residuals(x), view_ids)
         solutions.append(Solution(intr, poses, dist, stats))
-    result = CalibrationResult(
-        method, view_ids, *solutions, converged=failure is None,
+    return CalibrationResult(
+        method, view_ids, *solutions, converged=lm.termination != "max_iterations",
         iterations=lm.iterations, termination=lm.termination,
     )
-    if failure is not None:
-        raise NonConvergence(str(failure), result=result) from None
-    return result
 
 
 def calibrate_baseline(
     views,
-    opts: SolverOptions | None = None,
     *,
+    max_iterations: int = 200,
     estimate_distortion: bool = True,
 ) -> CalibrationResult:
     """Single-focal-length calibration: closed form plus joint refinement.
@@ -461,19 +460,20 @@ def calibrate_baseline(
     refinement adjusts the full intrinsic matrix, every pose, and (by
     default) the radial distortion coefficients simultaneously.
     """
+    _check_budget(max_iterations)
     views = list(views)
     if len(views) < 3:
         raise FocusCalError("need at least three views")
     homs = map_ordered(lambda v: estimate_homography(v.world, v.image), views)
     start = IntrinsicSet.from_single(intrinsics_from_homographies(homs))
-    return _calibrate(views, homs, start, "baseline", opts, estimate_distortion)
+    return _calibrate(views, homs, start, "baseline", max_iterations, estimate_distortion)
 
 
 def calibrate_proposed(
     views,
     scale_source,
-    opts: SolverOptions | None = None,
     *,
+    max_iterations: int = 200,
     image_size: tuple[int, int] | None = None,
     estimate_distortion: bool = True,
 ) -> CalibrationResult:
@@ -485,6 +485,7 @@ def calibrate_proposed(
     else at the midrange of the observed pixels; skew and distortion start at
     zero. Only poses, principal point, skew, and distortion are refined.
     """
+    _check_budget(max_iterations)
     views = list(views)
     if not views:
         raise ValueError("need at least one view")
@@ -499,4 +500,4 @@ def calibrate_proposed(
         centre = (float((low[0] + high[0]) / 2.0), float((low[1] + high[1]) / 2.0))
     homs = map_ordered(lambda v: estimate_homography(v.world, v.image), views)
     start = IntrinsicSet(centre[0], centre[1], 0.0, frozen, False)
-    return _calibrate(views, homs, start, "proposed", opts, estimate_distortion)
+    return _calibrate(views, homs, start, "proposed", max_iterations, estimate_distortion)

@@ -23,7 +23,7 @@ from .calibrate import (
     calibrate_baseline,
     calibrate_proposed,
 )
-from .errors import FocusCalError, FormatError, NonConvergence
+from .errors import FocusCalError, FormatError, NonConvergence, NoPlateauFound
 from .io import (
     atomic_write_text,
     bias_to_csv,
@@ -44,7 +44,6 @@ from .io import (
 )
 from .lens import LensSpec, fit_focal_curve, focal_sweep
 from .scale import scale_factors, segment_zones, suggest_noise_band
-from .solver import SolverOptions
 from .synth import (
     FOCUS_FIXED,
     FOCUS_VARYING,
@@ -162,6 +161,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scale_factors(args) -> int:
+    if args.fit and not args.out_curve:
+        raise UsageError("--fit requires --out-curve")
     template, views, meta = dataset_from_dict(_load_json(args.dataset, "dataset"))
     if meta.get("kind", "stack") != "stack":
         raise UsageError(
@@ -173,20 +174,27 @@ def cmd_scale_factors(args) -> int:
     table = type(table)(
         table.distances[order], table.alpha[order], table.beta[order]
     )
-    _write(args.out_table, scale_table_to_csv(table))
-    band = args.noise_band if args.noise_band else suggest_noise_band(
+    band = args.noise_band if args.noise_band is not None else suggest_noise_band(
         parallel, window_fraction=args.window
     )
-    seg = segment_zones(table, band)
-    _write(args.out_zones, canonical_dumps(segmentation_to_dict(seg)))
+    table_csv = scale_table_to_csv(table)
+    try:
+        seg = segment_zones(table, band)
+    except NoPlateauFound:
+        # the table is measured whatever the band: keep it for another try
+        _write(args.out_table, table_csv)
+        raise
+    outputs = {
+        args.out_table: table_csv,
+        args.out_zones: canonical_dumps(segmentation_to_dict(seg)),
+    }
     if args.fit:
-        if not args.out_curve:
-            raise UsageError("--fit requires --out-curve")
         alpha_fit = fit_focal_curve(np.column_stack([table.distances, table.alpha])).fit
         beta_fit = fit_focal_curve(np.column_stack([table.distances, table.beta])).fit
-        _write(
-            args.out_curve, canonical_dumps(curve_fits_to_dict(alpha_fit, beta_fit))
-        )
+        outputs[args.out_curve] = canonical_dumps(curve_fits_to_dict(alpha_fit, beta_fit))
+    # every argument check has passed: a rejected run writes nothing
+    for path, text in outputs.items():
+        _write(path, text)
     print(
         f"scale-factors: {len(table)} rows, plateau alpha={seg.plateau_alpha_px:.6g} px, "
         f"zones [{seg.zone1_end_mm:.6g}, {seg.zone2_end_mm:.6g}] mm -> {args.out_table}"
@@ -197,7 +205,6 @@ def cmd_scale_factors(args) -> int:
 def cmd_calibrate(args) -> int:
     text = _read_text(args.dataset, "dataset")
     template, views, meta = dataset_from_dict(_parse_json(text, "dataset"))
-    opts = SolverOptions(max_iterations=args.max_iterations)
     provenance = {
         "dataset_sha256": sha256_hex(text),  # of the file's bytes, see _read_text
         "tool_version": __version__,
@@ -209,41 +216,36 @@ def cmd_calibrate(args) -> int:
             "scale_curve": args.scale_curve,
         },
     }
-    try:
-        if args.method == "baseline":
-            result = calibrate_baseline(
-                views, opts, estimate_distortion=not args.no_distortion
+    if args.method == "baseline":
+        result = calibrate_baseline(
+            views, max_iterations=args.max_iterations,
+            estimate_distortion=not args.no_distortion,
+        )
+    else:
+        if not args.scale_table and not args.scale_curve:
+            raise UsageError("--method proposed requires --scale-table or --scale-curve")
+        table = (
+            scale_table_from_csv(_read_text(args.scale_table, "scale table"))
+            if args.scale_table
+            else None
+        )
+        alpha_fit = beta_fit = None
+        if args.scale_curve:
+            alpha_fit, beta_fit = curve_fits_from_dict(
+                _load_json(args.scale_curve, "scale curve")
             )
-        else:
-            if not args.scale_table and not args.scale_curve:
-                raise UsageError(
-                    "--method proposed requires --scale-table or --scale-curve"
-                )
-            table = (
-                scale_table_from_csv(_read_text(args.scale_table, "scale table"))
-                if args.scale_table
-                else None
-            )
-            alpha_fit = beta_fit = None
-            if args.scale_curve:
-                alpha_fit, beta_fit = curve_fits_from_dict(
-                    _load_json(args.scale_curve, "scale curve")
-                )
-            source = ScaleSource(table=table, alpha_curve=alpha_fit, beta_curve=beta_fit)
-            result = calibrate_proposed(
-                views,
-                source,
-                opts,
-                image_size=image_size_from_meta(meta),
-                estimate_distortion=not args.no_distortion,
-            )
-    except NonConvergence as exc:
-        if exc.result is not None:
-            _write(
-                args.out, canonical_dumps(calibration_to_dict(exc.result, provenance))
-            )
-        raise
+        source = ScaleSource(table=table, alpha_curve=alpha_fit, beta_curve=beta_fit)
+        result = calibrate_proposed(
+            views,
+            source,
+            max_iterations=args.max_iterations,
+            image_size=image_size_from_meta(meta),
+            estimate_distortion=not args.no_distortion,
+        )
     _write(args.out, canonical_dumps(calibration_to_dict(result, provenance)))
+    if not result.converged:
+        # the partial result is written above, so it can be inspected
+        raise NonConvergence(f"no tolerance met within {args.max_iterations} iterations")
     stats = result.refined.stats
     print(
         f"calibrate[{args.method}]: mean_abs={stats.mean_abs_px:.6g} px "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FocusCalError, NonConvergence
+from .errors import FocusCalError
 
 __all__ = [
     "Intrinsics",
@@ -44,6 +44,9 @@ __all__ = [
 _SMALL_ANGLE = 1e-7
 # Depth at or below which a view's residuals are infinite.
 _MIN_DEPTH = 1e-9
+# Budget and pixel step tolerance of the distortion inversion's fixed point.
+_DISTORT_ITERATIONS = 50
+_DISTORT_TOL = 1e-12
 
 
 def _as_vec(x, n: int) -> np.ndarray:
@@ -270,37 +273,41 @@ def undistort(observed, intr: Intrinsics, dist: Distortion) -> np.ndarray:
     return undistort_points(_as_vec(observed, 2), intr, dist)
 
 
-def distort_points(
-    ideal,
-    intr: Intrinsics,
-    dist: Distortion,
-    max_iterations: int = 50,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Invert the correction map by fixed-point iteration.
+def distort_points(ideal, intr: Intrinsics, dist: Distortion) -> np.ndarray:
+    """Invert the correction map: pixels whose correction reproduces ``ideal``.
 
-    Produces distorted pixels whose correction reproduces ``ideal``. Starts at
-    the ideal position and iterates ``p <- ideal - delta(p)``; converges for
-    mild distortion (correction slope below one).
+    Iterates ``p <- ideal - delta(p)`` from the ideal position. A point still
+    moving when the budget runs out (the correction is too steep there) is
+    solved along its ray instead: the correction scales the normalized offset
+    from the principal point by ``1 + k1 r^2 + k2 r^4``, so the inverse radius
+    is the smallest positive root of ``k2 r^5 + k1 r^3 + r = |offset|``, and
+    the point is NaN where there is none. Never raises.
     """
     target = np.asarray(ideal, dtype=float)
     if dist.is_zero:
         return target.copy()
     p = target.copy()
-    for _ in range(max_iterations):
-        cu, cv = _correction(p, intr, dist)
-        new = np.stack([target[..., 0] - cu, target[..., 1] - cv], axis=-1)
-        step = float(np.max(np.abs(new - p), initial=0.0))
-        p = new
-        if step < tol:
-            return p
-    raise NonConvergence(
-        f"distortion inversion did not reach {tol} in {max_iterations} iterations"
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # diverging points, replaced below
+        for _ in range(_DISTORT_ITERATIONS):
+            cu, cv = _correction(p, intr, dist)
+            new = np.stack([target[..., 0] - cu, target[..., 1] - cv], axis=-1)
+            step = np.abs(new - p)
+            p = new
+            if float(np.max(step, initial=0.0)) < _DISTORT_TOL:
+                return p
+    lost = ~(np.max(step, axis=-1) < _DISTORT_TOL)
+    offset = target[lost].reshape(-1, 2) - (intr.u0, intr.v0)
+    radius = np.hypot(offset[:, 0] / intr.alpha, offset[:, 1] / intr.beta)
+    for i, r in enumerate(radius):
+        roots = np.roots([dist.k2, 0.0, dist.k1, 0.0, 1.0, -r])
+        real = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+        offset[i] *= real.min() / r if real.size else np.nan
+    p[lost] = offset + (intr.u0, intr.v0)
+    return p
 
 
-def distort(ideal, intr: Intrinsics, dist: Distortion, **kwargs) -> np.ndarray:
-    return distort_points(_as_vec(ideal, 2), intr, dist, **kwargs)
+def distort(ideal, intr: Intrinsics, dist: Distortion) -> np.ndarray:
+    return distort_points(_as_vec(ideal, 2), intr, dist)
 
 
 # the camera model over all views

@@ -19,16 +19,11 @@ class FormatError(FocusCalError):
 
 
 class NonConvergence(FocusCalError):
-    """An iteration budget ran out before a tolerance was met.
+    """The command line's report of a calibration that ran out of iterations.
 
-    Raised by the refinement, which attaches its partial solution as
-    ``result`` so callers can persist it, and by the distortion inversion,
-    which has none (``result`` is ``None``).
+    The library returns such a calibration with ``converged`` false; the
+    ``calibrate`` command writes it and then raises this.
     """
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class NoPlateauFound(FocusCalError):

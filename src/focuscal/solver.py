@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FocusCalError, NonConvergence
+from .errors import FocusCalError
 
 __all__ = [
-    "SolverOptions",
     "LMResult",
     "BlockJacobian",
     "levenberg_marquardt",
@@ -41,20 +40,13 @@ _DAMPING_DECREASE = 0.1
 _MAX_DAMPING = 1e32
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Iteration budget of the solver."""
-
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
 @dataclass
 class LMResult:
-    """Solver outcome: refined parameters plus convergence diagnostics."""
+    """Solver outcome: refined parameters plus convergence diagnostics.
+
+    ``termination`` is ``"gradient"`` or ``"step"`` when a tolerance was met
+    and ``"max_iterations"`` when the iteration budget ran out first.
+    """
 
     params: np.ndarray
     objective: float
@@ -143,6 +135,11 @@ class _NormalEquations:
         return np.concatenate([step_u, step_p.ravel()]) / self.scale
 
 
+def _check_budget(max_iterations: int) -> None:
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+
+
 def _more_damping(lam: float) -> float:
     lam *= _DAMPING_INCREASE
     if lam > _MAX_DAMPING:
@@ -171,8 +168,9 @@ def finite_difference_jacobian(residual, params, scale: float = 1e-6) -> np.ndar
 def levenberg_marquardt(
     residual,
     x0,
-    opts: SolverOptions | None = None,
     jacobian=None,
+    *,
+    max_iterations: int = 200,
 ) -> LMResult:
     """Minimize the sum of squared residuals starting from ``x0``.
 
@@ -181,14 +179,14 @@ def levenberg_marquardt(
     is used. Damping is applied through the diagonal of the normal matrix
     (columns are rescaled to unit norm before solving, which makes the
     damping scale-invariant across mixed units). Accepted steps strictly
-    decrease the objective. Raises :class:`NonConvergence` with the partial
-    result attached when the iteration budget runs out, and
-    :class:`FocusCalError` when the damped system cannot be solved at any
-    damping level. Only one Jacobian is held at a time: it is released once
-    the normal matrix's blocks are summed, before ``jacobian`` is called
-    again.
+    decrease the objective. Running out of the ``max_iterations`` budget is
+    a result, with termination ``"max_iterations"`` and the best parameters
+    found, not an error; :class:`FocusCalError` is raised when the damped
+    system cannot be solved at any damping level. Only one Jacobian is held
+    at a time: it is released once the normal matrix's blocks are summed,
+    before ``jacobian`` is called again.
     """
-    opts = opts or SolverOptions()
+    _check_budget(max_iterations)
     jac_fn = jacobian if jacobian is not None else (
         lambda x: finite_difference_jacobian(residual, x)
     )
@@ -213,12 +211,8 @@ def levenberg_marquardt(
             del jac
             need_jacobian = False
 
-        if iterations >= opts.max_iterations:
-            result = LMResult(x, obj, iterations, accepted, "max_iterations", history)
-            raise NonConvergence(
-                f"no tolerance met within {opts.max_iterations} iterations",
-                result=result,
-            )
+        if iterations >= max_iterations:
+            return LMResult(x, obj, iterations, accepted, "max_iterations", history)
         iterations += 1
 
         while True:

@@ -66,6 +66,13 @@ class TestSimulate:
         doc = json.loads(out.read_text())
         assert len(doc["views"]) == 19
 
+    def test_close_stack_with_steep_distortion(self, tmp_path):
+        out = tmp_path / "stack.json"
+        code = cli.main(["simulate", "--preset", "eosens12cxp", "--rows", "10", "--cols", "14",
+                         "--pitch", "8", "--parallel-stack", "18:27:1", "--out", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["views"]) == 10
+
     def test_unknown_preset_exits_2_without_file(self, tmp_path):
         out = tmp_path / "never.json"
         proc = run("simulate", "--preset", "doesnotexist", "--out", str(out))
@@ -177,10 +184,13 @@ class TestScaleFactors:
         proc = run(
             "scale-factors", "--dataset", str(stack),
             "--out-table", str(tmp_path / "t.csv"), "--out-zones", str(tmp_path / "z.json"),
-            "--noise-band", "0.5",
+            "--fit", "--out-curve", str(tmp_path / "c.json"), "--noise-band", "0.5",
         )
         assert proc.returncode == 1
         assert "flat" in proc.stderr
+        # the table does not depend on the band, so it is kept; the rest is not written
+        assert len(scale_table_from_csv((tmp_path / "t.csv").read_text())) == 9
+        assert not (tmp_path / "z.json").exists() and not (tmp_path / "c.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -310,8 +320,9 @@ MALFORMED_DATASETS = {
     "no-views": lambda doc: doc.update(views=[]),
 }
 
-# Argument values the library rejects, each with a part of its message; each
-# command names its output file ``{out}``.
+# Argument values that are rejected, each with a part of its message; each
+# command names its output files ``{out}`` and ``{out}.json``, and a rejected
+# run leaves neither behind.
 REJECTED_ARGUMENT_VALUES = {
     "simulate-rows": ("simulate --preset robotiq --rows 1 --out {out}", "2 rows"),
     "simulate-pitch": ("simulate --preset robotiq --pitch 0 --out {out}", "pitch"),
@@ -320,6 +331,10 @@ REJECTED_ARGUMENT_VALUES = {
                                  "--out-zones {out}.json --noise-band -1", "noise band"),
     "scale-factors-four-views": ("scale-factors --dataset {stack4} --out-table {out} "
                                  "--out-zones {out}.json", "five rows"),
+    "scale-factors-noise-band-zero": ("scale-factors --dataset {stack} --out-table {out} "
+                                      "--out-zones {out}.json --noise-band 0", "noise band"),
+    "scale-factors-fit-without-curve": ("scale-factors --dataset {stack} --out-table {out} "
+                                        "--out-zones {out}.json --fit", "--out-curve"),
 }
 
 
@@ -358,12 +373,14 @@ class TestMalformedInput:
         payload = json.loads(capsys.readouterr().err)  # one JSON object, nothing else
         assert (code, payload["error"]) == (2, "UsageError")
         assert message in payload["message"]
-        if args[0] == "simulate":
-            assert not out.exists()
+        assert not out.exists() and not out.with_name(out.name + ".json").exists()
 
     @pytest.mark.parametrize("distances, message", [
         ("--distance-range 10:20", "no template point projects inside the image"),
         ("--parallel-stack 1:3:1", "stack view at 1.0 mm is empty"),
+        # the distortion maps no pixel onto the four points near the image
+        ("--rows 10 --cols 14 --pitch 8 --parallel-stack 3:5:1",
+         "stack view at 3.0 mm is empty"),
     ])
     def test_no_point_in_image_exits_1(self, tmp_path, capsys, distances, message):
         out = tmp_path / "never.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focuscal.core import (
     Distortion,
@@ -15,7 +17,8 @@ from focuscal.core import (
     undistort,
     undistort_points,
 )
-from focuscal.errors import FocusCalError, NonConvergence
+from focuscal import core
+from focuscal.errors import FocusCalError
 
 
 def oracle_project(wp, intr, rot, t):
@@ -128,6 +131,25 @@ class TestRodrigues:
             back = rotation_from_rodrigues(rodrigues_from_rotation(rot))
             assert np.linalg.norm(back - rot) < 1e-10
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+        exponent=st.one_of(st.just(-np.inf), st.floats(-16.0, -1.0)),
+        near_pi=st.booleans(),
+    )
+    def test_round_trip_near_0_and_pi(self, axis, exponent, near_pi):
+        axis = np.array(axis) / np.linalg.norm(axis)
+        offset = 10.0**exponent  # 0 for an exponent of -inf
+        rvec = axis * (np.pi - offset if near_pi else offset)
+        rot = rotation_from_rodrigues(rvec)
+        back = rodrigues_from_rotation(rot)
+        assert np.linalg.norm(rotation_from_rodrigues(back) - rot) < 1e-10
+        if near_pi:
+            # r and -r give the same rotation at pi: the angle is what is fixed
+            assert np.linalg.norm(back) == pytest.approx(np.pi - offset, abs=1e-7)
+        else:
+            np.testing.assert_allclose(back, rvec, rtol=1e-9, atol=1e-18)
+
     def test_orthonormality(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -179,11 +201,17 @@ class TestDistortion:
         np.testing.assert_allclose(undistort(pp, self.intr, d), pp)
         np.testing.assert_allclose(distort(pp, self.intr, d), pp)
 
-    def test_inversion_budget_exhausted(self):
-        d = Distortion(5.0, 0.0)
-        with pytest.raises(NonConvergence, match="distortion inversion did not reach") as info:
-            distort_points(np.array([[1500.0, 900.0]]), self.intr, d, max_iterations=5)
-        assert info.value.result is None
+    def test_inversion_budget_exhausted(self, monkeypatch):
+        # Five fixed-point steps leave every point unconverged: each is solved
+        # along its ray instead, or is NaN where the correction reaches no
+        # pixel onto it (k2 < 0 caps the corrected radius).
+        monkeypatch.setattr(core, "_DISTORT_ITERATIONS", 5)
+        ideal = np.array([[1500.0, 900.0], [700.0, 400.0]])
+        there = distort_points(ideal, self.intr, Distortion(5.0, 0.0))
+        np.testing.assert_allclose(undistort_points(there, self.intr, Distortion(5.0, 0.0)),
+                                   ideal, atol=1e-9)
+        capped = distort_points(ideal, self.intr, Distortion(0.0, -5.0))
+        assert np.isnan(capped[0]).all() and np.isfinite(capped[1]).all()
 
     def test_no_points_gives_no_points(self):
         out = distort_points(np.empty((0, 2)), self.intr, Distortion(0.03, -0.1))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focuscal.errors import FocusCalError
 from focuscal.homography import (
@@ -123,6 +125,42 @@ class TestEstimateHomography:
         world = grid(5)
         est = estimate_homography(world, world)
         assert np.isfinite(est.condition) and est.condition >= 1.0
+
+
+class TestInvariance:
+    """Normalized DLT does not depend on point order or on a similarity of the image."""
+
+    @staticmethod
+    def noisy_correspondences(seed):
+        rng = np.random.default_rng(seed)
+        truth = random_well_conditioned_h(rng)
+        world = rng.uniform(0.0, 150.0, size=(int(rng.integers(4, 30)), 2))
+        image = apply_h(truth, world) + rng.normal(0.0, 0.5, size=(len(world), 2))
+        return rng, world, image
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_point_permutation(self, seed):
+        rng, world, image = self.noisy_correspondences(seed)
+        order = rng.permutation(len(world))
+        h = estimate_homography(world, image).matrix
+        permuted = estimate_homography(world[order], image[order]).matrix
+        np.testing.assert_allclose(permuted, h, rtol=0, atol=1e-9)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), angle=st.floats(-np.pi, np.pi),
+           scale=st.floats(0.01, 100.0), shift=st.tuples(st.floats(-1e3, 1e3),
+                                                         st.floats(-1e3, 1e3)))
+    def test_image_similarity(self, seed, angle, scale, shift):
+        _, world, image = self.noisy_correspondences(seed)
+        similarity = np.array([
+            [scale * np.cos(angle), -scale * np.sin(angle), shift[0]],
+            [scale * np.sin(angle), scale * np.cos(angle), shift[1]],
+            [0.0, 0.0, 1.0],
+        ])
+        h = estimate_homography(world, image).matrix
+        moved = estimate_homography(world, apply_h(similarity, image)).matrix
+        np.testing.assert_allclose(moved, canonicalize(similarity @ h), rtol=0, atol=1e-9)
 
 
 class TestCanonicalize:

@@ -3,21 +3,25 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focuscal import solver
 from focuscal.calibrate import (
     IntrinsicSet,
+    ScaleSource,
     _Problem,
     calibrate_baseline,
+    calibrate_proposed,
     extrinsics_from_homography,
     intrinsics_from_homographies,
 )
 from focuscal.core import Distortion
-from focuscal.errors import FocusCalError, NonConvergence
+from focuscal.errors import FocusCalError
 from focuscal.homography import estimate_homography
+from focuscal.lens import CurveFit
 from focuscal.solver import (
     BlockJacobian,
-    SolverOptions,
     _gradient,
     _NormalEquations,
     finite_difference_jacobian,
@@ -70,12 +74,8 @@ class TestRosenbrock:
         assert with_jac.objective < 1e-12
 
     def test_non_convergence_carries_partial_result(self):
-        opts = SolverOptions(max_iterations=2)
-        with pytest.raises(NonConvergence) as excinfo:
-            levenberg_marquardt(self.residual, np.array([-1.2, 1.0]), opts)
-        partial = excinfo.value.result
-        assert partial is not None
-        assert partial.termination == "max_iterations"
+        partial = levenberg_marquardt(self.residual, np.array([-1.2, 1.0]), max_iterations=2)
+        assert (partial.iterations, partial.termination) == (2, "max_iterations")
         assert partial.objective <= np.sum(self.residual(np.array([-1.2, 1.0])) ** 2)
 
 
@@ -142,10 +142,85 @@ class TestFiniteDifferenceJacobian:
         np.testing.assert_allclose(result.params, [2.0, -1.0], atol=1e-9)
 
 
-class TestSolverOptions:
+class TestIterationBudget:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(max_iterations=0)
+        def residual(x):
+            raise AssertionError("no work before the budget is checked")
+
+        for count in (0, -3):
+            for call in (
+                lambda: levenberg_marquardt(residual, np.zeros(2), max_iterations=count),
+                lambda: calibrate_baseline(None, max_iterations=count),
+                lambda: calibrate_proposed(None, None, max_iterations=count),
+            ):
+                with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+                    call()
+
+
+def random_smooth_problem(seed):
+    """Residual, analytic Jacobian and start of a small nonlinear least-squares
+    problem: r(x) = y + c y^2 - b with y = A x, rows >= parameters."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    a = rng.normal(size=(n + int(rng.integers(0, 4)), n))
+    b = rng.normal(size=len(a))
+    c = rng.normal(size=len(a)) * rng.choice([0.0, 0.1, 1.0])
+
+    def residual(x):
+        y = a @ x
+        return y + c * y**2 - b
+
+    def jacobian(x):
+        return (1.0 + 2.0 * c * (a @ x))[:, None] * a
+
+    return residual, jacobian, rng.normal(size=n)
+
+
+class TestTerminationProperties:
+    """How a run ends, on random small problems with budgets of 1-6 iterations."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 6))
+    def test_termination_says_how_the_run_ended(self, seed, budget):
+        residual, jacobian, x0 = random_smooth_problem(seed)
+        out = levenberg_marquardt(residual, x0, jacobian, max_iterations=budget)
+        more = levenberg_marquardt(residual, x0, jacobian, max_iterations=budget + 20)
+        assert out.termination in ("gradient", "step", "max_iterations")
+        if out.termination == "max_iterations":
+            # the budget, not a tolerance, ended the run: given more, it goes on
+            assert out.iterations == budget
+            assert more.iterations > budget
+        else:
+            # a tolerance ended it: the same run whatever the budget
+            assert out.iterations <= budget
+            assert (more.iterations, more.termination) == (out.iterations, out.termination)
+            np.testing.assert_array_equal(more.params, out.params)
+        if out.termination == "gradient":
+            grad = jacobian(out.params).T @ residual(out.params)
+            assert np.max(np.abs(grad)) < 1e-10
+        history = np.array(out.objective_history)
+        assert np.all(np.diff(history) < 0)
+        assert history[0] == float(residual(x0) @ residual(x0))
+        assert history[-1] == out.objective
+
+    # Noise-free views: the refinements meet a tolerance after 7-10 iterations,
+    # so budgets of 1-12 end both ways.
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 1000), budget=st.integers(1, 12),
+           method=st.sampled_from(["baseline", "proposed"]))
+    def test_calibration_converged_unless_budget_ran_out(self, seed, budget, method):
+        views = generate_dataset(ROBOTIQ, TemplateSpec(5, 7, 12.0), np.linspace(300, 900, 6),
+                                 FOCUS_FIXED, 0.0, seed)
+        if method == "baseline":
+            result = calibrate_baseline(views, max_iterations=budget)
+        else:
+            intr = ROBOTIQ.intrinsics
+            source = ScaleSource(alpha_curve=CurveFit(k_f=0.0, value0=intr.alpha),
+                                 beta_curve=CurveFit(k_f=0.0, value0=intr.beta))
+            result = calibrate_proposed(views, source, max_iterations=budget)
+        assert result.converged is (result.termination != "max_iterations")
+        assert result.iterations <= budget
+        assert result.converged or result.iterations == budget
 
 
 def random_block_problem(rng, k, sizes, b=6):

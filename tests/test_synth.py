@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from focuscal.calibrate import calibrate_baseline
-from focuscal.core import Pose
+from focuscal.core import Pose, perspective_pixels, undistort_points
 from focuscal.errors import FocusCalError, FormatError
 from focuscal.scale import scale_factors, segment_zones
 from focuscal.synth import (
@@ -154,6 +154,43 @@ class TestParallelStack:
         assert views[0].distance_mm == 120.0
         # world points are exact pitch multiples, so grids can be rebuilt
         assert np.all(np.abs(views[0].world[:, 0] / 8.0 - np.rint(views[0].world[:, 0] / 8.0)) < 1e-12)
+
+    @pytest.mark.parametrize("name, distances", [
+        ("eosens12cxp", np.arange(18.0, 28.0)),  # steep correction near the margin
+        ("robotiq", [3.0, 4.0, 5.0]),  # k2 < 0 caps the corrected radius
+    ])
+    def test_only_points_without_an_inverse_in_the_image_are_dropped(self, name, distances):
+        preset = load_preset(name)
+        template = TemplateSpec(10, 14, 8.0)
+        (w, h), dist = preset.image_size, preset.distortion
+        world = generate_template(template)
+        stack = generate_parallel_stack(preset, template, distances, 0.0, seed=6)
+        for view in stack:
+            intr = preset.effective_intrinsics(view.distance_mm, FOCUS_VARYING)
+            ideal = perspective_pixels(
+                world + (np.array([0.0, 0.0, view.distance_mm]) - world.mean(axis=0)), intr
+            )
+            points = view.points.reshape(-1, 2)
+            kept = np.isfinite(points[:, 0])
+            np.testing.assert_allclose(
+                undistort_points(points[kept], intr, dist), ideal[kept], atol=1e-9
+            )
+            # The exact inverse keeps the offset's direction from the principal
+            # point and takes the first normalized radius at which the radial
+            # map r (1 + k1 r^2 + k2 r^4) reaches the ideal one; scan for it.
+            # Up to its first maximum the map stays above r / 2 for both
+            # presets, so a radius that exists is below twice the ideal one.
+            offset = ideal - (intr.u0, intr.v0)
+            radius = np.hypot(offset[:, 0] / intr.alpha, offset[:, 1] / intr.beta)
+            grid = np.linspace(0.0, 2.0 * radius.max(), 200_001)
+            mapped = grid * (1.0 + dist.k1 * grid**2 + dist.k2 * grid**4)
+            for i in np.flatnonzero(~kept):
+                reached = np.flatnonzero(mapped >= radius[i])
+                if reached.size:
+                    pixel = (intr.u0, intr.v0) + offset[i] * (grid[reached[0]] / radius[i])
+                    assert not np.all((pixel >= 0.0) & (pixel <= (w, h)))
+        if name == "robotiq":
+            assert all(np.isnan(view.points).all() for view in stack)
 
 
 class TestBiasReport:

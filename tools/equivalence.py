@@ -1,0 +1,176 @@
+"""Check that this checkout produces the same outputs as another commit.
+
+    python tools/equivalence.py --against REF
+
+REF is checked out with ``git worktree`` in a temporary directory. One fixed
+corpus then runs at both trees, each with ``python -W error`` and only its
+own ``src/`` on the path:
+
+- the README command-line walkthrough at seeds 1, 42 and 73, plus, on each
+  seed's files, ``calibrate --max-iterations 1`` for both methods (exit 1
+  with a partial file), ``--no-distortion`` and ``--scale-curve``;
+- ``scale-factors --fit`` on a 22-row stack (45:155:5 mm) that has no
+  plateau in the suggested noise band (exit 1, table written) and on a
+  221-row stack (45:155:0.5 mm);
+- library calibrations, both methods, written as canonical calibration JSON,
+  at the calib-s geometry (README quick start, seeds 0-5) and the calib-m
+  geometry (60 views x 192 points, seeds 1-2).
+
+Every output file, and each step's stdout, stderr and exit code, is hashed.
+Steps run in their own directory with relative paths, so the two trees see
+the same arguments; the tree's own path is masked in stdout and stderr.
+Prints ``same <item>`` or ``DIFF <item>`` per item, then a SHA-256 of this
+tree's sorted item table, and exits 1 when any item differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+WALKTHROUGH = [
+    "simulate --preset robotiq --views 15 --mode varying --noise 0.25 --seed {seed} "
+    "--pitch 8 --distance-range 120:145 --out zone1.json",
+    "simulate --preset robotiq --parallel-stack 45:175:5 --pitch 8 --rows 10 --cols 14 "
+    "--noise 0 --seed {seed} --out stack.json",
+    "scale-factors --dataset stack.json --out-table table.csv --out-zones zones.json "
+    "--fit --out-curve curve.json",
+    "calibrate --dataset zone1.json --method baseline --out base.json",
+    "calibrate --dataset zone1.json --method proposed --scale-table table.csv --out prop.json",
+    "report --dataset zone1.json --calib base.json --calib prop.json --out-csv bias.csv "
+    "--out-compare compare.json",
+    "lens-curve --preset robotiq --from 20 --to 5000 --count 200 --log --out focal_curve.csv",
+    "calibrate --dataset zone1.json --method baseline --max-iterations 1 --out base_it1.json",
+    "calibrate --dataset zone1.json --method proposed --scale-table table.csv "
+    "--max-iterations 1 --out prop_it1.json",
+    "calibrate --dataset zone1.json --method baseline --no-distortion --out base_nodist.json",
+    "calibrate --dataset zone1.json --method proposed --scale-curve curve.json "
+    "--out prop_curve.json",
+]
+# The README's older 45:155:5 stack has no plateau in the suggested band:
+# exit 1, with the scale table written.
+SHORT_STACK = [
+    "simulate --preset robotiq --parallel-stack 45:155:5 --pitch 8 --rows 10 --cols 14 "
+    "--noise 0 --seed 73 --out stack.json",
+    "scale-factors --dataset stack.json --out-table table.csv --out-zones zones.json "
+    "--fit --out-curve curve.json",
+]
+DENSE_STACK = [
+    "simulate --preset robotiq --parallel-stack 45:155:0.5 --pitch 8 --rows 10 --cols 14 "
+    "--noise 0 --seed 73 --out dense.json",
+    "scale-factors --dataset dense.json --out-table dense_table.csv "
+    "--out-zones dense_zones.json --fit --out-curve dense_curve.json",
+]
+# Run as ``python -c LIBRARY GEOMETRY SEED``; uses only calls that every
+# commit of the corpus's era has.
+LIBRARY = """
+import sys
+import numpy as np
+import focuscal as fc
+from focuscal.io import calibration_to_dict, canonical_dumps
+
+robotiq = fc.load_preset("robotiq")
+stack = fc.generate_parallel_stack(
+    robotiq, fc.TemplateSpec(10, 14, 8.0), np.arange(45.0, 155.0, 5.0), 0.0, seed=73
+)
+table = fc.scale_factors(stack)
+geometry, seed = sys.argv[1], int(sys.argv[2])
+if geometry == "calib-s":
+    template, distances = fc.TemplateSpec(6, 9, 8.0), np.r_[50.0, np.linspace(130, 145, 14)]
+else:
+    template, distances = fc.TemplateSpec(12, 16, 3.0), np.linspace(80, 145, 60)
+views = fc.generate_dataset(robotiq, template, distances, fc.FOCUS_VARYING,
+                            noise_px=0.25, seed=seed)
+results = {
+    "baseline.json": fc.calibrate_baseline(views),
+    "proposed.json": fc.calibrate_proposed(views, table, image_size=robotiq.image_size),
+}
+for name, result in results.items():
+    with open(name, "w", encoding="utf-8", newline="\\n") as out:
+        out.write(canonical_dumps(calibration_to_dict(result, {})))
+"""
+
+
+def corpus() -> dict[str, list[list[str]]]:
+    """Case name -> its steps, each the arguments after ``python -W error``."""
+    cases = {
+        f"seed{seed}": [["-m", "focuscal", *step.format(seed=seed).split()]
+                        for step in WALKTHROUGH]
+        for seed in (1, 42, 73)
+    }
+    for case, steps in (("short-stack", SHORT_STACK), ("dense-stack", DENSE_STACK)):
+        cases[case] = [["-m", "focuscal", *step.split()] for step in steps]
+    for geometry, seeds in (("calib-s", range(6)), ("calib-m", (1, 2))):
+        for seed in seeds:
+            cases[f"{geometry}-seed{seed}"] = [["-c", LIBRARY, geometry, str(seed)]]
+    return cases
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_corpus(tree: Path, work: Path) -> dict[str, str]:
+    """Item -> SHA-256 of its bytes, for the corpus run at ``tree``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(tree / "src")
+    mask = str(tree).encode()
+    items = {}
+    for case, steps in corpus().items():
+        cwd = work / case
+        cwd.mkdir(parents=True)
+        for i, args in enumerate(steps):
+            proc = subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
+                                  capture_output=True, timeout=600)
+            label = f"{case}/step{i:02d}-{args[2] if args[0] == '-m' else 'library'}"
+            items[f"{label}.exit"] = _digest(str(proc.returncode).encode())
+            items[f"{label}.stdout"] = _digest(proc.stdout.replace(mask, b"TREE"))
+            items[f"{label}.stderr"] = _digest(proc.stderr.replace(mask, b"TREE"))
+        for path in sorted(cwd.iterdir()):
+            items[f"{case}/{path.name}"] = _digest(path.read_bytes())
+    return items
+
+
+def table_digest(items: dict[str, str]) -> str:
+    return _digest("".join(f"{k} {v}\n" for k, v in sorted(items.items())).encode())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REF",
+                        help="git commit to compare this checkout with")
+    args = parser.parse_args(argv)
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                          f"{args.against}^{{commit}}"], capture_output=True, text=True)
+    if rev.returncode != 0:
+        print(f"equivalence: {args.against!r} is not a commit", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="focuscal-equivalence-") as tmp:
+        ref_tree = Path(tmp) / "ref"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
+                        str(ref_tree), rev.stdout.strip()], check=True)
+        try:
+            ref = run_corpus(ref_tree, Path(tmp) / "ref-run")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(ref_tree)], check=True)
+        ours = run_corpus(ROOT, Path(tmp) / "this-run")
+    differ = 0
+    for item in sorted(ref.keys() | ours.keys()):
+        same = ref.get(item) == ours.get(item)
+        differ += not same
+        print(f"{'same' if same else 'DIFF'} {item}")
+    print(f"table {table_digest(ours)}")
+    print(f"{len(ref.keys() | ours.keys())} items, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
