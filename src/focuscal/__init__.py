@@ -7,6 +7,7 @@ frozen, alongside a classic single-focal-length baseline and a ray-optics
 simulator that generates ground-truth datasets for comparing the two.
 """
 
+from . import _parallel  # noqa: F401  (unused; perfbench/tracing.py looks it up)
 from .calibrate import (
     CalibrationResult,
     CalibrationView,

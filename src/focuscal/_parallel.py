@@ -1,8 +1,10 @@
-"""Ordered map over per-view work.
+"""Ordered map over per-view work, no longer used by the pipelines.
 
-The pipelines map their per-view homography work through ``map_ordered``,
-so the per-view stage can be timed by name. It runs serially: each view
-costs well under a millisecond with the thin SVD.
+The pipelines now batch their per-view homography, pose and statistics work
+over all views, so nothing in the package calls ``map_ordered``. The module
+stays imported (``focuscal/__init__.py``) only because the benchmark's
+tracer, ``perfbench/tracing.py``, looks it up by name; it goes once the
+tracer no longer does.
 """
 
 from __future__ import annotations

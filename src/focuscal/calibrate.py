@@ -11,8 +11,9 @@ errors hide in the translations.
 
 The refinement residual pairs each observation, corrected by the closed-form
 radial model, with the pin-hole projection of its template point. That model
-and its analytic Jacobian live in ``core.reprojection_residuals``; this module
-only stacks the views, packs the parameters and calls it.
+and its analytic Jacobian live in ``core.Reprojection``; this module only
+stacks the views, packs the parameters and calls it. The per-view setup
+(homographies, pose starts and statistics) runs batched over all views.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .core import (
     Distortion,
     Intrinsics,
     Pose,
-    reprojection_residuals,
-    rodrigues_from_rotation,
+    Reprojection,
+    _norms,
+    rodrigues_from_rotations,
 )
-from .errors import FocusCalError
-from .homography import Homography, estimate_homography
+from .errors import FocusCalError, raise_first
+from .homography import Homography, estimate_homographies
 from .lens import CurveFit, eval_focal_curve
 from .scale import ScaleTable
 from .solver import BlockJacobian, _check_budget, levenberg_marquardt
@@ -151,18 +152,68 @@ class CalibrationResult:
 # extrinsics from a homography
 
 
+def _nearest_rotations(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest rotations (m, 3, 3) of finite matrices q (m, 3, 3), and which are singular."""
+    u, s, vt = np.linalg.svd(q)
+    flip = np.linalg.det(u @ vt) < 0
+    u[flip, :, -1] = -u[flip, :, -1]
+    return u @ vt, s[:, -1] <= 1e-13 * s[:, 0]
+
+
 def orthogonalize_rotation(q) -> np.ndarray:
     """Nearest rotation in Frobenius norm, determinant forced to +1."""
     q = np.asarray(q, dtype=float)
     if q.shape != (3, 3) or not np.all(np.isfinite(q)):
         raise FocusCalError("input must be a finite 3x3 matrix")
-    u, s, vt = np.linalg.svd(q)
-    if s[-1] <= 1e-13 * s[0]:
+    rot, singular = _nearest_rotations(q[None])
+    if singular[0]:
         raise FocusCalError("matrix is singular")
-    if np.linalg.det(u @ vt) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-    return u @ vt
+    return rot[0]
+
+
+def _poses_from_homographies(homs, intrinsic_matrices, labels=None) -> list[Pose]:
+    """Decompose plane homographies (m, 3, 3) into poses, one batched pass.
+
+    View ``i`` is decomposed with ``intrinsic_matrices[i]``. The scale is
+    fixed so the first two rotation columns have unit norm, with its sign
+    chosen to place the template in front of the camera; the rotation is the
+    nearest one to the scaled columns. Every pose is bit for bit the one its
+    view gives alone. When a view is rejected, the first such view's error is
+    raised, as ``"view <label>: <reason>"`` when ``labels`` names the views.
+    """
+    m = np.array(homs, dtype=float).reshape(-1, 3, 3)
+    a = np.array(intrinsic_matrices, dtype=float).reshape(-1, 3, 3)
+    failures: dict = {}
+
+    def check(bad, reason):
+        for i in np.flatnonzero(bad):
+            failures.setdefault(int(i), FocusCalError(reason))
+        return bad
+
+    # A rejected view continues with the identity, so the batch stays finite.
+    bad = check(~np.all(np.isfinite(a), axis=(1, 2)),
+                "intrinsic matrix must be a finite 3x3 matrix")
+    a[bad] = np.eye(3)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2))) ** 3
+    bad = check(np.abs(np.linalg.det(a)) < 1e-12 * scale, "intrinsic matrix is not invertible")
+    a[bad] = np.eye(3)
+    b = np.linalg.solve(a, m)
+    norm1 = _norms(b[:, :, 0])
+    vanishes = check(norm1 == 0.0, "homography first column vanishes under the intrinsics")
+    rho = 1.0 / np.where(vanishes, 1.0, norm1)
+    t = rho[:, None] * b[:, :, 2]
+    behind = t[:, 2] < 0
+    rho[behind], t[behind] = -rho[behind], -t[behind]
+    check(~(t[:, 2] > 0), "no scale sign puts the template in front of the camera")
+    r1 = rho[:, None] * b[:, :, 0]
+    r2 = rho[:, None] * b[:, :, 1]
+    q = np.stack([r1, r2, np.cross(r1, r2)], axis=2)
+    bad = check(~np.all(np.isfinite(q), axis=(1, 2)), "input must be a finite 3x3 matrix")
+    q[bad] = np.eye(3)
+    rot, singular = _nearest_rotations(q)
+    check(singular, "matrix is singular")
+    raise_first(failures, labels)
+    return [Pose(r, ti) for r, ti in zip(rodrigues_from_rotations(rot), t)]
 
 
 def extrinsics_from_homography(h, intrinsic_matrix) -> Pose:
@@ -172,41 +223,27 @@ def extrinsics_from_homography(h, intrinsic_matrix) -> Pose:
     its sign chosen to place the template in front of the camera.
     """
     a = np.asarray(intrinsic_matrix, dtype=float)
-    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
+    if a.shape != (3, 3):
         raise FocusCalError("intrinsic matrix must be a finite 3x3 matrix")
-    if abs(np.linalg.det(a)) < 1e-12 * max(1.0, float(np.abs(a).max()) ** 3):
-        raise FocusCalError("intrinsic matrix is not invertible")
     m = h.matrix if isinstance(h, Homography) else np.asarray(h, dtype=float)
-    b = np.linalg.solve(a, m)
-    norm1 = float(np.linalg.norm(b[:, 0]))
-    if norm1 == 0.0:
-        raise FocusCalError("homography first column vanishes under the intrinsics")
-    rho = 1.0 / norm1
-    t = rho * b[:, 2]
-    if t[2] < 0:
-        rho = -rho
-        t = -t
-    if not t[2] > 0:
-        raise FocusCalError("no scale sign puts the template in front of the camera")
-    r1 = rho * b[:, 0]
-    r2 = rho * b[:, 1]
-    rot = orthogonalize_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return Pose(rodrigues_from_rotation(rot), t)
+    return _poses_from_homographies(m[None], a[None])[0]
 
 
 # closed-form intrinsics
 
 
-def _conic_row(m: np.ndarray, i: int, j: int) -> np.ndarray:
-    return np.array(
+def _conic_rows(hi: np.ndarray, hj: np.ndarray) -> np.ndarray:
+    """Rows (m, 6) of the conic constraint h_i^T B h_j for columns (m, 3)."""
+    return np.stack(
         [
-            m[0, i] * m[0, j],
-            m[0, i] * m[1, j] + m[1, i] * m[0, j],
-            m[1, i] * m[1, j],
-            m[2, i] * m[0, j] + m[0, i] * m[2, j],
-            m[2, i] * m[1, j] + m[1, i] * m[2, j],
-            m[2, i] * m[2, j],
-        ]
+            hi[:, 0] * hj[:, 0],
+            hi[:, 0] * hj[:, 1] + hi[:, 1] * hj[:, 0],
+            hi[:, 1] * hj[:, 1],
+            hi[:, 2] * hj[:, 0] + hi[:, 0] * hj[:, 2],
+            hi[:, 2] * hj[:, 1] + hi[:, 1] * hj[:, 2],
+            hi[:, 2] * hj[:, 2],
+        ],
+        axis=1,
     )
 
 
@@ -223,10 +260,10 @@ def intrinsics_from_homographies(homographies) -> Intrinsics:
     ]
     if len(matrices) < 3:
         raise FocusCalError("need at least three views for the closed form")
-    rows = np.zeros((2 * len(matrices), 6))
-    for k, m in enumerate(matrices):
-        rows[2 * k] = _conic_row(m, 0, 1)
-        rows[2 * k + 1] = _conic_row(m, 0, 0) - _conic_row(m, 1, 1)
+    h = np.array(matrices)
+    rows = np.empty((2 * len(h), 6))
+    rows[0::2] = _conic_rows(h[:, :, 0], h[:, :, 1])
+    rows[1::2] = _conic_rows(h[:, :, 0], h[:, :, 0]) - _conic_rows(h[:, :, 1], h[:, :, 1])
     _, sing, vt = np.linalg.svd(rows, full_matrices=False)
     if sing[4] <= 1e-10 * sing[0]:
         raise FocusCalError("view orientations do not constrain the intrinsics")
@@ -277,6 +314,7 @@ class _Problem:
         self.columns = {name: j for j, name in enumerate(names)}
         self.n_intr = len(names)
         self.n_params = self.n_intr + 6 * self.n_views
+        self._last = None  # (point, pass) of the latest residual
 
     def pack(self, intr_set: IntrinsicSet, dist: Distortion, poses) -> np.ndarray:
         alpha, beta = intr_set.scales[0]
@@ -288,7 +326,7 @@ class _Problem:
         return x
 
     def _model_args(self, x) -> dict:
-        """Keyword arguments of ``reprojection_residuals`` at parameters ``x``."""
+        """Keyword arguments of ``Reprojection`` at parameters ``x``."""
         x = np.asarray(x, dtype=float)
         args = {"k1": 0.0, "k2": 0.0}
         args.update((name, x[j]) for name, j in self.columns.items())
@@ -308,22 +346,28 @@ class _Problem:
         dist = Distortion(float(m["k1"]), float(m["k2"]))
         return intr, dist, tuple(Pose(r, t) for r, t in zip(m["rvecs"], m["tvecs"]))
 
+    def _model(self, x) -> Reprojection:
+        return Reprojection(self.world, self.image, self.view, **self._model_args(x))
+
     def residual(self, x) -> np.ndarray:
-        return reprojection_residuals(
-            self.world, self.image, self.view, **self._model_args(x)
-        ).ravel()
+        model = self._model(x)
+        # Kept for a Jacobian at the same point: the solver asks for one
+        # right after the trial residual it accepts.
+        self._last = (np.array(x, dtype=float), model)
+        return model.residuals.ravel()
 
     def view_residuals(self, x) -> list[np.ndarray]:
         """Signed (du, dv) residuals at parameters ``x``, one (n_i, 2) array per view."""
         return np.split(self.residual(x).reshape(-1, 2), self.starts[1:] // 2)
 
     def jacobian(self, x) -> BlockJacobian:
+        x = np.asarray(x, dtype=float)
+        last = self._last
+        # Compared bitwise, so -0.0 and 0.0 are different points.
+        model = last[1] if last and last[0].tobytes() == x.tobytes() else self._model(x)
         rows = 2 * len(self.view)
         jac = BlockJacobian(np.empty((rows, self.n_intr)), np.empty((rows, 6)), self.starts)
-        reprojection_residuals(
-            self.world, self.image, self.view, **self._model_args(x),
-            jacobian=(jac.shared, jac.pose), columns=self.columns,
-        )
+        model.fill_jacobian(jac.shared, jac.pose, self.columns)
         return jac
 
 
@@ -380,25 +424,28 @@ def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
 
 
 def _stats_from_residuals(residuals, view_ids) -> ReprojectionStats:
-    pooled = np.concatenate([r.ravel() for r in residuals])
-    per_view = tuple(
-        PerViewStats(
-            view_id=view_ids[i],
-            mean_abs_px=float(np.linalg.norm(residuals[i], axis=1).mean()),
-            rms_px=float(np.sqrt(np.mean(residuals[i] ** 2))),
-            n_points=len(residuals[i]),
-        )
-        for i in range(len(residuals))
-    )
+    stacked = np.concatenate(residuals)
+    dist = np.linalg.norm(stacked, axis=1)
+    counts = np.array([len(r) for r in residuals])
+    starts = np.r_[0, np.cumsum(counts)[:-1]]
+    mean_abs, rms = np.empty(len(counts)), np.empty(len(counts))
+    # Views of one point count take one reduction, over the same axes as one view alone.
+    for n in np.unique(counts):
+        index = np.flatnonzero(counts == n)
+        rows = starts[index, None] + np.arange(n)
+        mean_abs[index] = dist[rows].mean(axis=1)
+        rms[index] = np.sqrt(np.mean(stacked[rows] ** 2, axis=(1, 2)))
+    pooled = stacked.ravel()
     return ReprojectionStats(
         mean_px=float(pooled.mean()),
         median_px=float(np.median(pooled)),
         std_px=float(pooled.std()),
         rms_px=float(np.sqrt(np.mean(pooled**2))),
-        mean_abs_px=float(
-            np.concatenate([np.linalg.norm(r, axis=1) for r in residuals]).mean()
+        mean_abs_px=float(dist.mean()),
+        per_view=tuple(
+            PerViewStats(view_ids[i], float(mean_abs[i]), float(rms[i]), int(counts[i]))
+            for i in range(len(counts))
         ),
-        per_view=per_view,
     )
 
 
@@ -416,6 +463,11 @@ def reprojection_stats(result_or_solution, views) -> ReprojectionStats:
 # pipelines
 
 
+def _homographies(views) -> list[Homography]:
+    return estimate_homographies([v.world for v in views], [v.image for v in views],
+                                 [v.view_id for v in views])
+
+
 def _calibrate(
     views, homs, start: IntrinsicSet, method: str, max_iterations: int,
     estimate_distortion: bool,
@@ -430,13 +482,13 @@ def _calibrate(
                 for alpha, beta in start.scales]
     if start.shared:
         matrices *= len(homs)
-    poses0 = [extrinsics_from_homography(h, a) for h, a in zip(homs, matrices)]
+    view_ids = tuple(v.view_id for v in views)
+    poses0 = _poses_from_homographies([h.matrix for h in homs], matrices, view_ids)
     problem = _Problem(views, None if start.shared else start.scales, estimate_distortion)
     x0 = problem.pack(start, Distortion(), poses0)
     lm = levenberg_marquardt(
         problem.residual, x0, problem.jacobian, max_iterations=max_iterations
     )
-    view_ids = tuple(v.view_id for v in views)
     solutions = []
     for x in (x0, lm.params):
         intr, dist, poses = problem.unpack(x)
@@ -464,7 +516,7 @@ def calibrate_baseline(
     views = list(views)
     if len(views) < 3:
         raise FocusCalError("need at least three views")
-    homs = map_ordered(lambda v: estimate_homography(v.world, v.image), views)
+    homs = _homographies(views)
     start = IntrinsicSet.from_single(intrinsics_from_homographies(homs))
     return _calibrate(views, homs, start, "baseline", max_iterations, estimate_distortion)
 
@@ -498,6 +550,6 @@ def calibrate_proposed(
         low = pixels.min(axis=0)
         high = pixels.max(axis=0)
         centre = (float((low[0] + high[0]) / 2.0), float((low[1] + high[1]) / 2.0))
-    homs = map_ordered(lambda v: estimate_homography(v.world, v.image), views)
+    homs = _homographies(views)
     start = IntrinsicSet(centre[0], centre[1], 0.0, frozen, False)
     return _calibrate(views, homs, start, "proposed", max_iterations, estimate_distortion)

@@ -8,8 +8,9 @@ the camera frame via ``x_cam = R @ x_world + t`` with the optical axis along
 The camera model (Zhang, "A flexible new technique for camera calibration",
 PAMI 2000) is written once, here: batched Rodrigues rotations and their left
 Jacobians (``_rodrigues``), the pin-hole projection (``_pinhole``) and the
-radial correction (``_radial``). ``reprojection_residuals`` evaluates it over
-the stacked points of every view, with the analytic Jacobian on request. A
+radial correction (``_radial``). ``Reprojection`` evaluates it over the
+stacked points of every view in one forward pass and fills the analytic
+Jacobian from what that pass kept, on request. A
 rotated point's derivative by the axis-angle vector takes the closed form
 d(R w)/dr = -[R w]x J_l(r) (Gallego & Yezzi, "A compact formula for the
 derivative of a 3-D rotation in exponential coordinates", JMIV 2015).
@@ -29,6 +30,7 @@ __all__ = [
     "Distortion",
     "rotation_from_rodrigues",
     "rodrigues_from_rotation",
+    "rodrigues_from_rotations",
     "rotation_derivatives",
     "project",
     "project_points",
@@ -37,7 +39,7 @@ __all__ = [
     "distort_points",
     "undistort",
     "undistort_points",
-    "reprojection_residuals",
+    "Reprojection",
 ]
 
 # Angle below which sin/cos ratios switch to their Taylor expansions.
@@ -110,14 +112,19 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return k
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms of the rows of ``v`` (m, k), each as ``sqrt(v_i . v_i)`` like
+    ``np.linalg.norm`` of one vector, so a batch matches it to the last bit."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def _rodrigues(rvecs, derivatives: bool = False) -> tuple:
     """Rotations (m, 3, 3) of axis-angle vectors (m, 3), and on request their
     left Jacobians (m, 3, 3): rotation j moves by ``[J_l[j] dr]x R`` when its
     vector moves by ``dr``."""
     r = np.asarray(rvecs, dtype=float).reshape(-1, 3)
-    # One dot product per vector, as np.linalg.norm takes for a single vector:
-    # simulated datasets depend on these rotations to the last bit.
-    theta = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    # Simulated datasets depend on these rotations to the last bit.
+    theta = _norms(r)
     t2 = theta * theta
     small = theta < _SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
@@ -140,28 +147,39 @@ def rotation_from_rodrigues(rvec) -> np.ndarray:
     return _rodrigues(_as_vec(rvec, 3))[0][0]
 
 
+def rodrigues_from_rotations(rots) -> np.ndarray:
+    """Axis-angle vectors (m, 3) of rotation matrices (m, 3, 3), stable near 0 and pi."""
+    rot = np.asarray(rots, dtype=float).reshape(-1, 3, 3)
+    w = np.stack(
+        [rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]],
+        axis=1,
+    )
+    s = 0.5 * _norms(w)  # |sin(theta)|
+    c = 0.5 * (np.trace(rot, axis1=1, axis2=2) - 1.0)
+    theta = np.arctan2(s, c)
+    small = theta < _SMALL_ANGLE
+    near_pi = ~small & ~(np.pi - theta > 1e-4)
+    general = ~small & ~near_pi
+    out = 0.5 * w
+    out[general] = (theta[general] / (2.0 * s[general]))[:, None] * w[general]
+    if near_pi.any():
+        # Near pi the skew part vanishes; recover the axis from the symmetric part.
+        r, c_pi = rot[near_pi], c[near_pi, None, None]
+        outer = (0.5 * (r + r.transpose(0, 2, 1)) - c_pi * np.eye(3)) / (1.0 - c_pi)
+        rows = np.arange(len(r))
+        k = np.argmax(np.diagonal(outer, axis1=1, axis2=2), axis=1)
+        pivot = np.maximum(outer[rows, k, k], np.finfo(float).tiny)
+        axis = outer[rows, :, k] / np.sqrt(pivot)[:, None]
+        axis /= _norms(axis)[:, None]
+        dots = np.matmul(axis[:, None, :], w[near_pi][:, :, None])[:, 0, 0]
+        axis = np.where((dots < 0.0)[:, None], -axis, axis)
+        out[near_pi] = theta[near_pi, None] * axis
+    return out
+
+
 def rodrigues_from_rotation(rot) -> np.ndarray:
     """Axis-angle vector of a rotation matrix, stable near 0 and pi."""
-    rot = np.asarray(rot, dtype=float)
-    w = np.array(
-        [rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]
-    )
-    s = 0.5 * float(np.linalg.norm(w))  # |sin(theta)|
-    c = 0.5 * (float(np.trace(rot)) - 1.0)
-    theta = float(np.arctan2(s, c))
-    if theta < _SMALL_ANGLE:
-        return 0.5 * w
-    if np.pi - theta > 1e-4:
-        return (theta / (2.0 * s)) * w
-    # Near pi the skew part vanishes; recover the axis from the symmetric part.
-    sym = 0.5 * (rot + rot.T)
-    outer = (sym - c * np.eye(3)) / (1.0 - c)
-    k = int(np.argmax(np.diag(outer)))
-    axis = outer[:, k] / np.sqrt(max(outer[k, k], np.finfo(float).tiny))
-    axis /= np.linalg.norm(axis)
-    if axis @ w < 0.0:
-        axis = -axis
-    return theta * axis
+    return rodrigues_from_rotations(np.asarray(rot, dtype=float)[None])[0]
 
 
 def rotation_derivatives(rvec) -> np.ndarray:
@@ -313,70 +331,75 @@ def distort(ideal, intr: Intrinsics, dist: Distortion) -> np.ndarray:
 # the camera model over all views
 
 
-def reprojection_residuals(
-    world, image, view, rvecs, tvecs, alpha, beta, gamma, u0, v0, k1=0.0, k2=0.0,
-    *, jacobian: tuple | None = None, columns: dict | None = None,
-) -> np.ndarray:
-    """Residuals (n, 2) of the stacked points of every view in one pass.
+class Reprojection:
+    """One pass of the camera model over the stacked points of every view.
 
     Point ``j`` has template coordinates ``world[j]``, observed pixels
     ``image[j]`` and view ``view[j]``, an index into the per-view axis-angle
     vectors ``rvecs`` (m, 3) and translations ``tvecs`` (m, 3). ``alpha`` and
     ``beta`` are shared scalars or per-view arrays (m,); the other parameters
-    are shared. A residual is the observation after the radial correction
-    minus the pin-hole projection. Every residual of a view with a point at
-    or behind the camera plane, or a non-positive scale factor, is infinite.
-
-    Given ``jacobian``, a pair of caller-allocated arrays ``(shared, pose)``,
-    the analytic derivatives of the flattened residuals are written into them
-    in place. ``shared`` (2n, k) takes the derivatives by the free shared
-    parameters at the columns ``columns`` maps them to ("alpha", "beta",
-    "gamma", "u0", "v0", "k1", "k2"); ``pose`` (2n, 6) takes each row's
-    derivatives by its own view's pose, rotation vector first. Every entry of
-    ``pose`` and of the mapped columns is written.
+    are shared. ``residuals`` (n, 2) is the observation after the radial
+    correction minus the pin-hole projection. Every residual of a view with a
+    point at or behind the camera plane, or a non-positive scale factor, is
+    infinite. The pass keeps the rotated points, camera coordinates and
+    radial terms that ``fill_jacobian`` reuses.
     """
-    world = np.asarray(world, dtype=float)
-    image = np.asarray(image, dtype=float)
-    view = np.asarray(view, dtype=np.intp)
-    rot, jl = _rodrigues(rvecs, derivatives=jacobian is not None)
-    rw = np.einsum("nab,nb->na", rot[view], world)
-    cam = rw + np.asarray(tvecs, float)[view]
-    x, y, z = cam.T
-    alpha, beta = (np.asarray(p, dtype=float) for p in (alpha, beta))
-    alpha, beta = (p[view] if p.ndim else p for p in (alpha, beta))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u_hat, v_hat = _pinhole(x, y, z, alpha, beta, gamma, u0, v0)
-        du = image[:, 0] - u0
-        dv = image[:, 1] - v0
-        xb, yb, r2, g = _radial(du, dv, alpha, beta, k1, k2)
-        u, v = image[:, 0] + du * g - u_hat, image[:, 1] + dv * g - v_hat
-        res = np.column_stack([u, v])
-    bad = (z <= _MIN_DEPTH) | (alpha <= 0) | (beta <= 0)
-    if bad.any():
-        res[np.isin(view, view[bad])] = np.inf
-    if jacobian is None:
-        return res
-    shared, pose = jacobian
-    gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
-    ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
-    derivatives = {  # built on demand, one column pair at a time
-        "alpha": lambda: (-du * ex * xb - x / z, -dv * ex * xb),
-        "beta": lambda: (-du * ey * yb, -dv * ey * yb - y / z),
-        "gamma": lambda: (-y / z, 0.0),
-        "u0": lambda: (-g - du * ex - 1.0, -dv * ex),
-        "v0": lambda: (-du * ey, -g - dv * ey - 1.0),
-        "k1": lambda: (du * r2, dv * r2),
-        "k2": lambda: (du * r2 * r2, dv * r2 * r2),
-    }
-    for name, col in (columns or {}).items():
-        shared[0::2, col], shared[1::2, col] = derivatives[name]()
-    # pose block: residual = corrected - projected, so -d(projection), and
-    # d(cam)/dr = -[rw]x J_l turns -grad . d(cam)/dr into (grad x rw) J_l
-    grad_u = np.column_stack([alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z)])
-    grad_v = np.column_stack([np.zeros_like(z), beta / z, -beta * y / (z * z)])
-    jl = jl[view]
-    pose[0::2, :3] = np.einsum("na,nab->nb", np.cross(grad_u, rw), jl)
-    pose[1::2, :3] = np.einsum("na,nab->nb", np.cross(grad_v, rw), jl)
-    pose[0::2, 3:] = -grad_u
-    pose[1::2, 3:] = -grad_v
-    return res
+
+    def __init__(self, world, image, view, rvecs, tvecs, alpha, beta, gamma, u0, v0,
+                 k1=0.0, k2=0.0):
+        image = np.asarray(image, dtype=float)
+        self.view = view = np.asarray(view, dtype=np.intp)
+        self.rvecs = np.array(rvecs, dtype=float)  # a copy: the caller may reuse its array
+        rot = _rodrigues(self.rvecs)[0]
+        self.rw = np.einsum("nab,nb->na", rot[view], np.asarray(world, dtype=float))
+        self.cam = self.rw + np.asarray(tvecs, float)[view]
+        x, y, z = self.cam.T
+        alpha, beta = (np.asarray(p, dtype=float) for p in (alpha, beta))
+        self.alpha, self.beta = alpha, beta = [p[view] if p.ndim else p for p in (alpha, beta)]
+        self.gamma, self.k1, self.k2 = gamma, k1, k2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u_hat, v_hat = _pinhole(x, y, z, alpha, beta, gamma, u0, v0)
+            self.du = du = image[:, 0] - u0
+            self.dv = dv = image[:, 1] - v0
+            radial = _radial(du, dv, alpha, beta, k1, k2)
+            self.xb, self.yb, self.r2, self.g = xb, yb, r2, g = radial
+            u, v = image[:, 0] + du * g - u_hat, image[:, 1] + dv * g - v_hat
+            self.residuals = np.column_stack([u, v])
+        bad = (z <= _MIN_DEPTH) | (alpha <= 0) | (beta <= 0)
+        if bad.any():
+            self.residuals[np.isin(view, view[bad])] = np.inf
+
+    def fill_jacobian(self, shared, pose, columns: dict | None = None) -> None:
+        """Write the analytic derivatives of the flattened residuals in place.
+
+        ``shared`` (2n, k) takes the derivatives by the free shared
+        parameters at the columns ``columns`` maps them to ("alpha", "beta",
+        "gamma", "u0", "v0", "k1", "k2"); ``pose`` (2n, 6) takes each row's
+        derivatives by its own view's pose, rotation vector first. Every
+        entry of ``pose`` and of the mapped columns is written.
+        """
+        x, y, z = self.cam.T
+        alpha, beta, gamma, k1, k2 = self.alpha, self.beta, self.gamma, self.k1, self.k2
+        du, dv, xb, yb, r2, g = self.du, self.dv, self.xb, self.yb, self.r2, self.g
+        gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
+        ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
+        derivatives = {  # built on demand, one column pair at a time
+            "alpha": lambda: (-du * ex * xb - x / z, -dv * ex * xb),
+            "beta": lambda: (-du * ey * yb, -dv * ey * yb - y / z),
+            "gamma": lambda: (-y / z, 0.0),
+            "u0": lambda: (-g - du * ex - 1.0, -dv * ex),
+            "v0": lambda: (-du * ey, -g - dv * ey - 1.0),
+            "k1": lambda: (du * r2, dv * r2),
+            "k2": lambda: (du * r2 * r2, dv * r2 * r2),
+        }
+        for name, col in (columns or {}).items():
+            shared[0::2, col], shared[1::2, col] = derivatives[name]()
+        # pose block: residual = corrected - projected, so -d(projection), and
+        # d(cam)/dr = -[rw]x J_l turns -grad . d(cam)/dr into (grad x rw) J_l
+        grad_u = np.column_stack([alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z)])
+        grad_v = np.column_stack([np.zeros_like(z), beta / z, -beta * y / (z * z)])
+        jl = _rodrigues(self.rvecs, derivatives=True)[1][self.view]
+        pose[0::2, :3] = np.einsum("na,nab->nb", np.cross(grad_u, self.rw), jl)
+        pose[1::2, :3] = np.einsum("na,nab->nb", np.cross(grad_v, self.rw), jl)
+        pose[0::2, 3:] = -grad_u
+        pose[1::2, 3:] = -grad_v

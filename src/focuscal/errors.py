@@ -4,7 +4,8 @@ Every error that callers are expected to catch derives from
 :class:`FocusCalError`, so CLI-level handling can map the whole family to a
 single exit code. Geometric, numeric and missing-data failures are raised as
 :class:`FocusCalError` itself, told apart by their messages; a subclass exists
-only for a failure that a caller handles differently.
+only for a failure that a caller handles differently. ``raise_first`` reports
+the first rejected view of a batch of views.
 """
 
 from __future__ import annotations
@@ -31,3 +32,19 @@ class NoPlateauFound(FocusCalError):
 
     Passing a wider noise band is the usual remedy.
     """
+
+
+def raise_first(failures: dict, labels=None) -> None:
+    """Raise the failure of the lowest-numbered view, if any.
+
+    ``failures`` maps a view's index to the first error found for it. With
+    ``labels``, the error is re-raised as ``"view <label>: <message>"``, so a
+    batch of views names the one at fault; without, it is raised as it is.
+    """
+    if not failures:
+        return
+    index = min(failures)
+    error = failures[index]
+    if labels is None:
+        raise error
+    raise type(error)(f"view {labels[index]}: {error}")

@@ -13,8 +13,10 @@ own ``src/`` on the path:
   plateau in the suggested noise band (exit 1, table written) and on a
   221-row stack (45:155:0.5 mm);
 - library calibrations, both methods, written as canonical calibration JSON,
-  at the calib-s geometry (README quick start, seeds 0-5) and the calib-m
-  geometry (60 views x 192 points, seeds 1-2).
+  at the calib-s geometry (README quick start, seeds 0-5), the calib-m
+  geometry (60 views x 192 points, seeds 1-2) and calib-s-cut, the calib-s
+  geometry with one view cut to 4 points and one to 5 (seeds 0-1), so views
+  of several point counts, and the 4-point DLT, are covered.
 
 Every output file, and each step's stdout, stderr and exit code, is hashed.
 Steps run in their own directory with relative paths, so the two trees see
@@ -82,12 +84,26 @@ stack = fc.generate_parallel_stack(
 )
 table = fc.scale_factors(stack)
 geometry, seed = sys.argv[1], int(sys.argv[2])
-if geometry == "calib-s":
+if geometry.startswith("calib-s"):
     template, distances = fc.TemplateSpec(6, 9, 8.0), np.r_[50.0, np.linspace(130, 145, 14)]
 else:
     template, distances = fc.TemplateSpec(12, 16, 3.0), np.linspace(80, 145, 60)
 views = fc.generate_dataset(robotiq, template, distances, fc.FOCUS_VARYING,
                             noise_px=0.25, seed=seed)
+
+
+# a view reduced to its four extreme template points, then the central one
+def cut(view, count):
+    w = view.world[:, :2]
+    keep = [int(np.argmin(w.sum(1))), int(np.argmax(w.sum(1))),
+            int(np.argmin(w[:, 0] - w[:, 1])), int(np.argmax(w[:, 0] - w[:, 1])),
+            int(np.argmin(np.linalg.norm(w - w.mean(0), axis=1)))][:count]
+    return fc.CalibrationView(view.view_id, view.distance_mm, view.world[keep],
+                              view.image[keep], view.gt_pose)
+
+
+if geometry == "calib-s-cut":
+    views[3], views[7] = cut(views[3], 4), cut(views[7], 5)
 results = {
     "baseline.json": fc.calibrate_baseline(views),
     "proposed.json": fc.calibrate_proposed(views, table, image_size=robotiq.image_size),
@@ -107,7 +123,8 @@ def corpus() -> dict[str, list[list[str]]]:
     }
     for case, steps in (("short-stack", SHORT_STACK), ("dense-stack", DENSE_STACK)):
         cases[case] = [["-m", "focuscal", *step.split()] for step in steps]
-    for geometry, seeds in (("calib-s", range(6)), ("calib-m", (1, 2))):
+    for geometry, seeds in (("calib-s", range(6)), ("calib-m", (1, 2)),
+                            ("calib-s-cut", (0, 1))):
         for seed in seeds:
             cases[f"{geometry}-seed{seed}"] = [["-c", LIBRARY, geometry, str(seed)]]
     return cases
