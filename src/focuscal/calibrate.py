@@ -12,8 +12,9 @@ errors hide in the translations.
 The refinement residual pairs each observation, corrected by the closed-form
 radial model, with the pin-hole projection of its template point. That model
 and its analytic Jacobian live in ``core.Reprojection``; this module only
-stacks the views, packs the parameters and calls it. The per-view setup
-(homographies, pose starts and statistics) runs batched over all views.
+stacks the views, packs the parameters, calls it and forms the normal
+equations from its rows. The per-view setup (homographies, pose starts and
+statistics) runs batched over all views.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import FocusCalError, raise_first
 from .homography import Homography, estimate_homographies
 from .lens import CurveFit, eval_focal_curve
 from .scale import ScaleTable
-from .solver import BlockJacobian, _check_budget, levenberg_marquardt
+from .solver import _check_budget, levenberg_marquardt
 
 __all__ = [
     "CalibrationView",
@@ -289,20 +290,32 @@ def intrinsics_from_homographies(homographies) -> Intrinsics:
 
 
 class _Problem:
-    """Residuals and analytic Jacobian for the joint refinement.
+    """Residuals and analytic normal equations for the joint refinement.
 
     Parameter order: intrinsic block, then six pose parameters per view.
     Baseline intrinsic block is (alpha, beta, gamma, u0, v0[, k1, k2]); the
-    frozen-scale block is (u0, v0, gamma[, k1, k2]). The Jacobian comes as
-    a block-arrow :class:`BlockJacobian`: the intrinsic columns, and each
-    view's six pose columns over that view's contiguous rows.
+    frozen-scale block is (u0, v0, gamma[, k1, k2]). Points are held with
+    the views grouped by point count, as ``estimate_homographies`` groups
+    them; ``view`` gives each point's view. ``residual`` returns the
+    residuals in view order all the same.
+
+    One buffer, allocated once, holds [J | r] transposed: two columns per
+    point, each with the k intrinsic derivatives, the six of the point's own
+    view's pose and the residual, so every parameter's derivatives are one
+    contiguous row. A group's columns are one (views, k + 7, 2n) block of
+    it, and ``normal`` takes every block of the normal equations and the
+    gradient from one batched product [J | r]^T [J | r] per group.
     """
 
     def __init__(self, views, frozen_scales, estimate_distortion: bool):
-        counts = [len(v) for v in views]
-        self.world = np.vstack([v.world for v in views])
-        self.image = np.vstack([v.image for v in views])
-        self.view = np.repeat(np.arange(len(views)), counts)
+        counts = np.array([len(v) for v in views])
+        order = np.argsort(counts, kind="stable")
+        self.world = np.vstack([views[i].world for i in order])
+        self.image = np.vstack([views[i].image for i in order])
+        self.view = np.repeat(order, counts[order])
+        # where each point goes in view order, unless the views are already in order
+        in_order = np.all(np.diff(order) > 0)
+        self._unsort = None if in_order else np.argsort(self.view, kind="stable")
         self.starts = 2 * np.r_[0, np.cumsum(counts)[:-1]]  # first residual row of each view
         self.frozen = frozen_scales  # None for baseline
         self.n_views = len(views)
@@ -314,6 +327,15 @@ class _Problem:
         self.columns = {name: j for j, name in enumerate(names)}
         self.n_intr = len(names)
         self.n_params = self.n_intr + 6 * self.n_views
+        self._rows = np.empty((self.n_intr + 7, 2 * len(self.view)))
+        self.groups, self._blocks, start = [], [], 0
+        for n in np.unique(counts):
+            members = order[counts[order] == n]
+            end = start + 2 * n * len(members)
+            self.groups.append((members, int(n)))
+            block = self._rows[:, start:end].reshape(-1, len(members), 2 * n)
+            self._blocks.append(block.transpose(1, 0, 2))
+            start = end
         self._last = None  # (point, pass) of the latest residual
 
     def pack(self, intr_set: IntrinsicSet, dist: Distortion, poses) -> np.ndarray:
@@ -350,25 +372,45 @@ class _Problem:
         return Reprojection(self.world, self.image, self.view, **self._model_args(x))
 
     def residual(self, x) -> np.ndarray:
+        # The latest pass is kept for a Jacobian at the same point: the solver
+        # asks for one right after the trial residual it accepts. The one
+        # before is dropped first, so two passes are never held at once.
+        self._last = None
         model = self._model(x)
-        # Kept for a Jacobian at the same point: the solver asks for one
-        # right after the trial residual it accepts.
         self._last = (np.array(x, dtype=float), model)
-        return model.residuals.ravel()
+        r = model.residuals if self._unsort is None else model.residuals[self._unsort]
+        return r.ravel()
 
     def view_residuals(self, x) -> list[np.ndarray]:
         """Signed (du, dv) residuals at parameters ``x``, one (n_i, 2) array per view."""
         return np.split(self.residual(x).reshape(-1, 2), self.starts[1:] // 2)
 
-    def jacobian(self, x) -> BlockJacobian:
+    def jacobian(self, x) -> np.ndarray:
+        """Fill the buffer at ``x``; returns its Jacobian, (rows, k + 6).
+
+        The array is a view of the buffer, valid until the next call, with
+        rows in the held point order.
+        """
         x = np.asarray(x, dtype=float)
         last = self._last
         # Compared bitwise, so -0.0 and 0.0 are different points.
         model = last[1] if last and last[0].tobytes() == x.tobytes() else self._model(x)
-        rows = 2 * len(self.view)
-        jac = BlockJacobian(np.empty((rows, self.n_intr)), np.empty((rows, 6)), self.starts)
-        model.fill_jacobian(jac.shared, jac.pose, self.columns)
-        return jac
+        model.fill_jacobian(self._rows, self.columns, self.groups)
+        self._rows[-1] = model.residuals.ravel()
+        return self._rows[:-1].T
+
+    def normal(self, x) -> tuple:
+        """Blocks U, W, V and the gradient of the normal equations at ``x``."""
+        self.jacobian(x)
+        k, m = self.n_intr, self.n_views
+        u, g = np.zeros((k, k)), np.zeros(k)
+        w, v, gp = np.empty((m, k, 6)), np.empty((m, 6, 6)), np.empty((m, 6))
+        for (members, _), block in zip(self.groups, self._blocks):
+            p = np.matmul(block, block.transpose(0, 2, 1))
+            u += p[:, :k, :k].sum(axis=0)
+            g += p[:, :k, -1].sum(axis=0)
+            w[members], v[members], gp[members] = p[:, :k, k:-1], p[:, k:-1, k:-1], p[:, k:-1, -1]
+        return u, w, v, np.concatenate([g, gp.ravel()])
 
 
 # scale-factor sources for the constrained pipeline
@@ -487,7 +529,7 @@ def _calibrate(
     problem = _Problem(views, None if start.shared else start.scales, estimate_distortion)
     x0 = problem.pack(start, Distortion(), poses0)
     lm = levenberg_marquardt(
-        problem.residual, x0, problem.jacobian, max_iterations=max_iterations
+        problem.residual, x0, problem.normal, max_iterations=max_iterations
     )
     solutions = []
     for x in (x0, lm.params):

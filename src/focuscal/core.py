@@ -10,8 +10,8 @@ PAMI 2000) is written once, here: batched Rodrigues rotations and their left
 Jacobians (``_rodrigues``), the pin-hole projection (``_pinhole``) and the
 radial correction (``_radial``). ``Reprojection`` evaluates it over the
 stacked points of every view in one forward pass and fills the analytic
-Jacobian from what that pass kept, on request. A
-rotated point's derivative by the axis-angle vector takes the closed form
+Jacobian, transposed, from what that pass kept, on request. A rotated
+point's derivative by the axis-angle vector takes the closed form
 d(R w)/dr = -[R w]x J_l(r) (Gallego & Yezzi, "A compact formula for the
 derivative of a 3-D rotation in exponential coordinates", JMIV 2015).
 """
@@ -348,7 +348,7 @@ class Reprojection:
     def __init__(self, world, image, view, rvecs, tvecs, alpha, beta, gamma, u0, v0,
                  k1=0.0, k2=0.0):
         image = np.asarray(image, dtype=float)
-        self.view = view = np.asarray(view, dtype=np.intp)
+        view = np.asarray(view, dtype=np.intp)
         self.rvecs = np.array(rvecs, dtype=float)  # a copy: the caller may reuse its array
         rot = _rodrigues(self.rvecs)[0]
         self.rw = np.einsum("nab,nb->na", rot[view], np.asarray(world, dtype=float))
@@ -369,21 +369,24 @@ class Reprojection:
         if bad.any():
             self.residuals[np.isin(view, view[bad])] = np.inf
 
-    def fill_jacobian(self, shared, pose, columns: dict | None = None) -> None:
-        """Write the analytic derivatives of the flattened residuals in place.
+    def fill_jacobian(self, jt, columns: dict, groups) -> None:
+        """Write the analytic Jacobian of the flattened residuals, transposed, into ``jt``.
 
-        ``shared`` (2n, k) takes the derivatives by the free shared
-        parameters at the columns ``columns`` maps them to ("alpha", "beta",
-        "gamma", "u0", "v0", "k1", "k2"); ``pose`` (2n, 6) takes each row's
-        derivatives by its own view's pose, rotation vector first. Every
-        entry of ``pose`` and of the mapped columns is written.
+        Columns 2j and 2j + 1 of ``jt`` are point j's u and v residuals, so
+        the derivatives by one parameter are one row. The rows ``columns``
+        maps the free shared parameters to ("alpha", "beta", "gamma", "u0",
+        "v0", "k1", "k2") take the derivatives by them, and the six rows
+        after them the derivatives by each residual's own view's pose,
+        rotation vector first. ``groups`` lists the views in point order as
+        runs (view indices, points per view); each view's rotation rows are
+        one (3, 3) @ (3, n) product. Every entry of those rows is written.
         """
         x, y, z = self.cam.T
         alpha, beta, gamma, k1, k2 = self.alpha, self.beta, self.gamma, self.k1, self.k2
         du, dv, xb, yb, r2, g = self.du, self.dv, self.xb, self.yb, self.r2, self.g
         gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
         ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
-        derivatives = {  # built on demand, one column pair at a time
+        derivatives = {  # built on demand, one row pair at a time
             "alpha": lambda: (-du * ex * xb - x / z, -dv * ex * xb),
             "beta": lambda: (-du * ey * yb, -dv * ey * yb - y / z),
             "gamma": lambda: (-y / z, 0.0),
@@ -392,14 +395,22 @@ class Reprojection:
             "k1": lambda: (du * r2, dv * r2),
             "k2": lambda: (du * r2 * r2, dv * r2 * r2),
         }
-        for name, col in (columns or {}).items():
-            shared[0::2, col], shared[1::2, col] = derivatives[name]()
-        # pose block: residual = corrected - projected, so -d(projection), and
+        for name, row in columns.items():
+            jt[row, 0::2], jt[row, 1::2] = derivatives[name]()
+        # pose rows: residual = corrected - projected, so -d(projection), and
         # d(cam)/dr = -[rw]x J_l turns -grad . d(cam)/dr into (grad x rw) J_l
-        grad_u = np.column_stack([alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z)])
-        grad_v = np.column_stack([np.zeros_like(z), beta / z, -beta * y / (z * z)])
-        jl = _rodrigues(self.rvecs, derivatives=True)[1][self.view]
-        pose[0::2, :3] = np.einsum("na,nab->nb", np.cross(grad_u, self.rw), jl)
-        pose[1::2, :3] = np.einsum("na,nab->nb", np.cross(grad_v, self.rw), jl)
-        pose[0::2, 3:] = -grad_u
-        pose[1::2, 3:] = -grad_v
+        k = len(columns)
+        w0, w1, w2 = self.rw.T
+        jl_t = _rodrigues(self.rvecs, derivatives=True)[1].transpose(0, 2, 1)
+        grad_u = (alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z))
+        grad_v = (np.zeros_like(z), beta / z, -beta * y / (z * z))
+        for parity, (g0, g1, g2) in enumerate((grad_u, grad_v)):
+            cross = np.array([g1 * w2 - g2 * w1, g2 * w0 - g0 * w2, g0 * w1 - g1 * w0])
+            start = 0
+            for views, n in groups:
+                end = start + len(views) * n
+                block = cross[:, start:end].reshape(3, len(views), n).transpose(1, 0, 2)
+                rot = np.matmul(jl_t[views], block).transpose(1, 0, 2).reshape(3, -1)
+                jt[k : k + 3, 2 * start + parity : 2 * end : 2] = rot
+                start = end
+            jt[k + 3 : k + 6, parity::2] = -g0, -g1, -g2

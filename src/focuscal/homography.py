@@ -131,6 +131,8 @@ def _correspondences(world, image) -> tuple[np.ndarray, np.ndarray]:
         raise FocusCalError(f"need at least 4 correspondences, got {wp.shape[0]}")
     if ip.shape[1] != 2:
         raise FocusCalError("need at least two 2D points")
+    if not (np.all(np.isfinite(wp)) and np.all(np.isfinite(ip))):
+        raise FocusCalError("correspondences must be finite")
     return wp, ip
 
 

@@ -1,15 +1,14 @@
-"""Levenberg-Marquardt for least-squares problems with a block-arrow Jacobian.
+"""Levenberg-Marquardt for least-squares problems with block-arrow normal equations.
 
 In a calibration every residual row depends on a few shared parameters and
 on the parameters of its own view only, so the Jacobian is block-arrow
 shaped: a dense shared block of ``k`` columns beside one ``b``-column block
-per group of rows. The solver never forms the dense Jacobian or its normal
-matrix. It sums the normal matrix's blocks over each group of rows, U
-(k x k), V_i (b x b) and W_i (k x b), eliminates the group parameters,
+per group of rows. The solver never sees that Jacobian. The problem hands it
+the blocks of the normal matrix, U (k x k), V_i (b x b) and W_i (k x b) for
+every group, with the gradient. The solver eliminates the group parameters,
 solves the k x k reduced (Schur complement) system and back-substitutes
 (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000, section 6).
-Memory per step is linear in the number of rows, not in rows x parameters.
-A plain 2-D Jacobian takes the same path, as a shared block with no groups.
+A problem without groups hands U = J^T J with no W_i or V_i.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ import numpy as np
 
 from .errors import FocusCalError
 
-__all__ = [
-    "LMResult",
-    "BlockJacobian",
-    "levenberg_marquardt",
-    "finite_difference_jacobian",
-]
+__all__ = ["LMResult", "levenberg_marquardt"]
 
 logger = logging.getLogger(__name__)
 
@@ -56,61 +50,18 @@ class LMResult:
     objective_history: list = field(default_factory=list)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockJacobian:
-    """A block-arrow Jacobian stored as its two nonzero blocks.
-
-    Parameters are ``k`` shared ones followed by ``b`` per group. ``shared``
-    (rows, k) holds every row's derivatives by the shared parameters and
-    ``pose`` (rows, b) its derivatives by its own group's parameters. Group
-    ``i`` owns the rows from ``starts[i]`` to the next start (the last group
-    runs to the end); the first start is 0 and no group is empty.
-    """
-
-    shared: np.ndarray
-    pose: np.ndarray
-    starts: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        rows, k = self.shared.shape
-        return rows, k + self.pose.shape[1] * len(self.starts)
-
-
-def _as_blocks(jac) -> BlockJacobian:
-    if isinstance(jac, BlockJacobian):
-        return jac
-    jac = np.asarray(jac, dtype=float)
-    return BlockJacobian(jac, np.empty((len(jac), 0)), np.empty(0, dtype=np.intp))
-
-
-def _row_groups(jac: BlockJacobian) -> list[slice]:
-    ends = np.r_[jac.starts[1:], len(jac.shared)]
-    return [slice(start, end) for start, end in zip(jac.starts, ends)]
-
-
-def _gradient(jac: BlockJacobian, r: np.ndarray) -> np.ndarray:
-    """``J.T @ r`` in parameter order."""
-    local = [jac.pose[g].T @ r[g] for g in _row_groups(jac)]
-    return np.concatenate([jac.shared.T @ r, *local])
-
-
 class _NormalEquations:
-    """Column-scaled normal equations of a block-arrow Jacobian.
+    """Column-scaled normal equations of a block-arrow problem.
 
-    Columns are scaled to unit norm (with a floor for null columns), which
-    makes the damping ``lam * I`` of ``step`` scale-invariant across mixed
-    units. Holds the blocks of the scaled normal matrix, not the Jacobian.
+    Built from the blocks U (k, k), W (m, k, b), V (m, b, b) and the gradient
+    (k + m b). Columns are scaled to unit norm (with a floor for null
+    columns), which makes the damping ``lam * I`` of ``step`` scale-invariant
+    across mixed units.
     """
 
-    def __init__(self, jac: BlockJacobian, grad: np.ndarray):
-        shared, pose, groups = jac.shared, jac.pose, _row_groups(jac)
-        k, b, m = shared.shape[1], pose.shape[1], len(groups)
-        # One matrix product per group of rows: summing per-row outer
-        # products with np.add.reduceat took ten times as long at 60 x 384.
-        u = shared.T @ shared
-        w = np.array([shared[g].T @ pose[g] for g in groups]).reshape(m, k, b)
-        v = np.array([pose[g].T @ pose[g] for g in groups]).reshape(m, b, b)
+    def __init__(self, u, w, v, grad):
+        k, (m, b) = len(u), v.shape[:2]
+        self.gradient_max = float(np.max(np.abs(grad), initial=0.0))
         diag = np.concatenate([np.diag(u), np.diagonal(v, axis1=1, axis2=2).ravel()])
         scale = np.sqrt(diag)
         floor = max(float(scale.max(initial=0.0)), 1.0) * 1e-14
@@ -147,49 +98,29 @@ def _more_damping(lam: float) -> float:
     return lam
 
 
-def finite_difference_jacobian(residual, params, scale: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, step scaled per parameter magnitude."""
-    x = np.asarray(params, dtype=float)
-    r0 = np.asarray(residual(x), dtype=float)
-    jac = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        step = scale * max(1.0, abs(x[j]))
-        forward = x.copy()
-        forward[j] += step
-        backward = x.copy()
-        backward[j] -= step
-        jac[:, j] = (
-            np.asarray(residual(forward), dtype=float)
-            - np.asarray(residual(backward), dtype=float)
-        ) / (2.0 * step)
-    return jac
-
-
 def levenberg_marquardt(
     residual,
     x0,
-    jacobian=None,
+    normal,
     *,
     max_iterations: int = 200,
 ) -> LMResult:
     """Minimize the sum of squared residuals starting from ``x0``.
 
-    ``jacobian(x)`` must return the residual Jacobian, as a 2-D array or a
-    :class:`BlockJacobian`; when omitted a central-difference approximation
-    is used. Damping is applied through the diagonal of the normal matrix
-    (columns are rescaled to unit norm before solving, which makes the
-    damping scale-invariant across mixed units). Accepted steps strictly
-    decrease the objective. Running out of the ``max_iterations`` budget is
-    a result, with termination ``"max_iterations"`` and the best parameters
-    found, not an error; :class:`FocusCalError` is raised when the damped
-    system cannot be solved at any damping level. Only one Jacobian is held
-    at a time: it is released once the normal matrix's blocks are summed,
-    before ``jacobian`` is called again.
+    ``normal(x)`` returns the normal-equation blocks at ``x`` as a tuple
+    ``(u, w, v, grad)``: U = J_s^T J_s (k, k) of the shared columns, W_i =
+    J_s^T J_i (m, k, b) and V_i = J_i^T J_i (m, b, b) of each group's
+    columns, and the gradient J^T r in parameter order, shared first. Damping
+    is applied through the diagonal of the normal matrix (columns are
+    rescaled to unit norm before solving, which makes the damping
+    scale-invariant across mixed units). Accepted steps strictly decrease the
+    objective. Running out of the ``max_iterations`` budget is a result, with
+    termination ``"max_iterations"`` and the best parameters found, not an
+    error; :class:`FocusCalError` is raised when the damped system cannot be
+    solved at any damping level. The blocks of one call are released before
+    ``normal`` is called again.
     """
     _check_budget(max_iterations)
-    jac_fn = jacobian if jacobian is not None else (
-        lambda x: finite_difference_jacobian(residual, x)
-    )
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
     if not np.all(np.isfinite(r)):
@@ -199,17 +130,13 @@ def levenberg_marquardt(
     lam = _DAMPING_INIT
     iterations = 0
     accepted = 0
-    need_jacobian = True
+    normal_eq = None
 
     while True:
-        if need_jacobian:
-            jac = _as_blocks(jac_fn(x))
-            grad = _gradient(jac, r)
-            if float(np.max(np.abs(grad), initial=0.0)) < _GRADIENT_TOL:
+        if normal_eq is None:
+            normal_eq = _NormalEquations(*normal(x))
+            if normal_eq.gradient_max < _GRADIENT_TOL:
                 return LMResult(x, obj, iterations, accepted, "gradient", history)
-            normal = _NormalEquations(jac, grad)
-            del jac
-            need_jacobian = False
 
         if iterations >= max_iterations:
             return LMResult(x, obj, iterations, accepted, "max_iterations", history)
@@ -217,7 +144,7 @@ def levenberg_marquardt(
 
         while True:
             try:
-                step = normal.step(lam)
+                step = normal_eq.step(lam)
                 if np.all(np.isfinite(step)):
                     break
             except np.linalg.LinAlgError:
@@ -239,12 +166,11 @@ def levenberg_marquardt(
         small_step = step_norm < _STEP_TOL * (float(np.linalg.norm(x)) + _STEP_TOL)
         if ok:
             x = trial
-            r = r_trial
             obj = obj_trial
             history.append(obj)
             accepted += 1
             lam = max(lam * _DAMPING_DECREASE, 1e-14)
-            need_jacobian = True
+            normal_eq = None
         else:
             lam = _more_damping(lam)
         if small_step:

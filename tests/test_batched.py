@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focuscal import cli
+from focuscal import cli, homography
 from focuscal.calibrate import (
     CalibrationView,
     IntrinsicSet,
@@ -190,6 +190,35 @@ class TestBatchedHomographies:
             estimate_homography(worlds[2], images[2])
         assert str(exc.value) == "correspondences do not determine a homography"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_names_its_view(self, monkeypatch, bad):
+        rng = np.random.default_rng(7)
+        views = [random_view(rng, n) for n in (9, 6, 9, 9)]
+        worlds = [w for w, _ in views]
+        images = [i.copy() for _, i in views]
+        images[2][4, 1] = bad  # the DLT of its 9-point group would fail for all three
+        batches = []
+        dlt = homography._dlt
+
+        def spy(wp, ip):
+            batches.append(dlt(wp, ip))
+            return batches[-1]
+
+        monkeypatch.setattr(homography, "_dlt", spy)
+        with pytest.raises(FocusCalError) as exc:
+            estimate_homographies(worlds, images, ["a", "b", "c", "d"])
+        assert str(exc.value) == "view c: correspondences must be finite"
+        # the bad view left its group; the others were estimated as alone
+        got = [m for matrices, _, _ in batches for m in matrices]
+        assert len(got) == 3
+        alone = [estimate_homography(worlds[i], images[i]).matrix for i in (0, 3, 1)]
+        for g, a in zip(got, alone):
+            assert same(g, a)
+        world = worlds[1].copy()
+        world[0, 0] = bad
+        with pytest.raises(FocusCalError, match="^correspondences must be finite$"):
+            estimate_homography(world, images[1])
+
 
 class TestBatchedPoses:
     @settings(max_examples=40, deadline=None)
@@ -324,7 +353,8 @@ class TestJacobianReuse:
 
     @staticmethod
     def blocks(jac):
-        return jac.shared.tobytes(), jac.pose.tobytes(), jac.starts.tobytes()
+        """A snapshot of the whole buffer, the residual row included."""
+        return jac.base.tobytes()
 
     def test_same_after_any_residual(self, points):
         views, x, y = points

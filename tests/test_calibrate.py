@@ -30,7 +30,7 @@ from focuscal.errors import FocusCalError
 from focuscal.lens import CurveFit
 from focuscal.scale import ScaleTable
 from focuscal.homography import estimate_homography
-from focuscal.solver import finite_difference_jacobian, levenberg_marquardt
+from focuscal.solver import levenberg_marquardt
 from focuscal.synth import (
     FOCUS_FIXED,
     FOCUS_VARYING,
@@ -39,7 +39,7 @@ from focuscal.synth import (
     load_preset,
 )
 
-from blocks import dense
+from blocks import blocks, dense, dense_normal, finite_difference_jacobian
 
 ROBOTIQ = load_preset("robotiq")
 
@@ -164,7 +164,54 @@ def make_views(preset, template, distances, mode, noise, seed, tilt=(5.0, 30.0))
                             tilt_range_deg=tilt)
 
 
+def cut_views(seed):
+    """The README quick-start geometry with view 3 cut to 4 points and view 7 to 5."""
+    views = make_views(ROBOTIQ, TemplateSpec(6, 9, 8.0), np.r_[50.0, np.linspace(130, 145, 14)],
+                       FOCUS_VARYING, 0.25, seed)
+    for i, count in ((3, 4), (7, 5)):
+        v = views[i]
+        keep = [0, 8, 45, 53, 22][:count]  # the corners, then a central point
+        views[i] = CalibrationView(v.view_id, v.distance_mm, v.world[keep], v.image[keep],
+                                   v.gt_pose)
+    return views
+
+
 class TestJacobian:
+    @pytest.mark.parametrize("method", ["baseline", "proposed"])
+    def test_normal_blocks_match_dense_products(self, method):
+        views = cut_views(0)
+        assert sorted({len(v) for v in views}) == [4, 5, 26, 54]
+        truth = ROBOTIQ.intrinsics
+        if method == "baseline":
+            frozen = None
+            scales = ((1.01 * truth.alpha, 0.99 * truth.beta),)
+            intr = IntrinsicSet(645.0, 355.0, 0.3, scales, True)
+        else:
+            frozen = [(truth.alpha * (1 + 1e-3 * i), truth.beta * (1 - 1e-3 * i))
+                      for i in range(len(views))]
+            intr = IntrinsicSet(645.0, 355.0, 0.3, tuple(frozen), False)
+        rng = np.random.default_rng(56)
+        poses = [Pose(v.gt_pose.rodrigues + rng.normal(scale=0.01, size=3),
+                      v.gt_pose.translation * rng.uniform(0.98, 1.02)) for v in views]
+        problem = _Problem(views, frozen, estimate_distortion=True)
+        x = problem.pack(intr, Distortion(0.01, -0.02), poses)
+        k, r = problem.n_intr, problem.residual(x)
+        u, w, v, grad = problem.normal(x)
+        assert (u.shape, w.shape, v.shape, grad.shape) == (
+            (k, k), (len(views), k, 6), (len(views), 6, 6), (problem.n_params,))
+        fd = finite_difference_jacobian(problem.residual, x)
+        for jac, tol in ((dense(problem, x), 1e-12), (fd, 1e-6)):
+            expected = blocks(jac, r, k, 6)
+            # each entry against its Cauchy-Schwarz bound sqrt(N_ii N_jj)
+            norms = np.sqrt(np.sum(jac * jac, axis=0))
+            su, sp = norms[:k], norms[k:].reshape(-1, 6)
+            for got, want, bound in zip(
+                (u, w, v, grad), expected,
+                (np.outer(su, su), su[:, None] * sp[:, None, :],
+                 sp[:, :, None] * sp[:, None, :], norms * np.linalg.norm(r)),
+            ):
+                assert np.all(np.abs(got - want) <= tol * bound)
+
     def test_analytic_matches_central_differences(self):
         template = TemplateSpec(4, 5, 20.0)
         views = make_views(ROBOTIQ, template, [300.0, 420.0], FOCUS_FIXED, 0.3, 35)
@@ -190,7 +237,7 @@ class TestJacobian:
                     for v in views
                 ]
                 x = problem.pack(intr, dist, poses)
-                analytic = dense(problem.jacobian(x))
+                analytic = dense(problem, x)
                 fd = np.empty_like(analytic)
                 for j in range(x.size):
                     step = 1e-6 * max(1.0, abs(x[j]))
@@ -236,7 +283,7 @@ class TestJacobian:
             np.testing.assert_array_equal(
                 problem.residual(x), np.concatenate(per_view).ravel()
             )
-            analytic = dense(problem.jacobian(x))
+            analytic = dense(problem, x)
             fd = finite_difference_jacobian(problem.residual, x)
             scale = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - fd).max() / scale < 1e-5
@@ -368,9 +415,7 @@ class TestRefinementBehaviour:
         problem = _Problem(views, None, estimate_distortion=True)
         truth = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
         x0 = problem.pack(truth, ROBOTIQ.distortion, [v.gt_pose for v in views])
-        from focuscal.solver import levenberg_marquardt
-
-        result = levenberg_marquardt(problem.residual, x0, jacobian=problem.jacobian)
+        result = levenberg_marquardt(problem.residual, x0, problem.normal)
         assert result.accepted == 0
         assert result.objective < 1e-18
         np.testing.assert_array_equal(result.params, x0)
@@ -419,8 +464,9 @@ class TestRefinementBehaviour:
         poses0 = [extrinsics_from_homography(h, intr0.matrix) for h in homs]
         problem = _Problem(views, None, estimate_distortion=True)
         x0 = problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0)
-        a = levenberg_marquardt(problem.residual, x0, jacobian=problem.jacobian)
-        b = levenberg_marquardt(problem.residual, x0)
+        a = levenberg_marquardt(problem.residual, x0, problem.normal)
+        b = levenberg_marquardt(problem.residual, x0,
+                                dense_normal(problem.residual, None, problem.n_intr, 6))
         assert a.params[0] == pytest.approx(b.params[0], rel=1e-6)
 
     def test_view_behind_camera_is_infinite(self):

@@ -20,31 +20,36 @@ from focuscal.core import Distortion
 from focuscal.errors import FocusCalError
 from focuscal.homography import estimate_homography
 from focuscal.lens import CurveFit
-from focuscal.solver import (
-    BlockJacobian,
-    _gradient,
-    _NormalEquations,
-    finite_difference_jacobian,
-    levenberg_marquardt,
+from focuscal.solver import _NormalEquations, levenberg_marquardt
+from focuscal.synth import (
+    FOCUS_FIXED,
+    FOCUS_VARYING,
+    TemplateSpec,
+    generate_dataset,
+    load_preset,
 )
-from focuscal.synth import FOCUS_FIXED, TemplateSpec, generate_dataset, load_preset
 
-from blocks import dense
+from blocks import blocks, dense, dense_normal, finite_difference_jacobian
 
 ROBOTIQ = load_preset("robotiq")
+
+
+def lm(residual, x0, jacobian=None, **kwargs):
+    """``levenberg_marquardt`` on the dense blocks of ``jacobian``, or of central differences."""
+    return levenberg_marquardt(residual, x0, dense_normal(residual, jacobian), **kwargs)
 
 
 class TestLinearResidual:
     def test_converges_immediately(self):
         target = np.array([1.5, -2.0, 0.25])
-        result = levenberg_marquardt(lambda x: x - target, np.zeros(3))
+        result = lm(lambda x: x - target, np.zeros(3))
         np.testing.assert_allclose(result.params, target, atol=1e-10)
         assert result.iterations <= 6
         assert result.termination in ("gradient", "step")
 
     def test_zero_residual_start(self):
         target = np.array([3.0, 4.0])
-        result = levenberg_marquardt(lambda x: x - target, target.copy())
+        result = lm(lambda x: x - target, target.copy())
         assert result.accepted == 0
         assert result.iterations == 0
         assert result.termination == "gradient"
@@ -57,12 +62,12 @@ class TestRosenbrock:
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
     def test_reaches_minimum(self):
-        result = levenberg_marquardt(self.residual, np.array([-1.2, 1.0]))
+        result = lm(self.residual, np.array([-1.2, 1.0]))
         assert result.objective < 1e-12
         np.testing.assert_allclose(result.params, [1.0, 1.0], atol=1e-6)
 
     def test_objective_monotone_over_accepted_steps(self):
-        result = levenberg_marquardt(self.residual, np.array([-1.2, 1.0]))
+        result = lm(self.residual, np.array([-1.2, 1.0]))
         history = np.array(result.objective_history)
         assert np.all(np.diff(history) <= 0)
 
@@ -70,11 +75,11 @@ class TestRosenbrock:
         def jac(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        with_jac = levenberg_marquardt(self.residual, np.array([-1.2, 1.0]), jacobian=jac)
+        with_jac = lm(self.residual, np.array([-1.2, 1.0]), jacobian=jac)
         assert with_jac.objective < 1e-12
 
     def test_non_convergence_carries_partial_result(self):
-        partial = levenberg_marquardt(self.residual, np.array([-1.2, 1.0]), max_iterations=2)
+        partial = lm(self.residual, np.array([-1.2, 1.0]), max_iterations=2)
         assert (partial.iterations, partial.termination) == (2, "max_iterations")
         assert partial.objective <= np.sum(self.residual(np.array([-1.2, 1.0])) ** 2)
 
@@ -82,7 +87,7 @@ class TestRosenbrock:
 class TestDiagnostics:
     def test_log_line_format(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="focuscal.solver"):
-            levenberg_marquardt(lambda x: x - 1.0, np.zeros(2))
+            lm(lambda x: x - 1.0, np.zeros(2))
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LM ")]
         assert lines
         for line in lines:
@@ -95,31 +100,33 @@ class TestDiagnostics:
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(FocusCalError, match="residual is not finite at the starting point"):
-            levenberg_marquardt(lambda x: np.array([np.nan]), np.zeros(1))
+            lm(lambda x: np.array([np.nan]), np.zeros(1))
 
     def test_rejected_steps_do_not_move_params(self):
         # A function whose minimum is at the start: every trial is rejected.
         target = np.zeros(2)
-        result = levenberg_marquardt(lambda x: x - target, target.copy())
+        result = lm(lambda x: x - target, target.copy())
         np.testing.assert_array_equal(result.params, target)
 
 
 class TestJacobianLifetime:
     def test_previous_jacobian_released_before_next_call(self):
+        # The solver keeps the scaled normal equations, not the blocks it was handed.
         def residual(x):
             return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
         previous = []
         still_alive = []
 
-        def jacobian(x):
+        def normal(x):
             if previous:
-                still_alive.append(previous[-1]() is not None)
+                still_alive.append(any(ref() is not None for ref in previous[-1]))
             jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-            previous.append(weakref.ref(jac))
-            return jac
+            out = blocks(jac, residual(x))
+            previous.append([weakref.ref(a) for a in out])
+            return out
 
-        result = levenberg_marquardt(residual, np.array([-1.2, 1.0]), jacobian=jacobian)
+        result = levenberg_marquardt(residual, np.array([-1.2, 1.0]), normal)
         assert result.objective < 1e-12
         assert len(still_alive) > 2
         assert not any(still_alive)
@@ -136,9 +143,7 @@ class TestFiniteDifferenceJacobian:
         assert np.abs(fd - analytic).max() < 1e-8
 
     def test_used_when_jacobian_omitted(self):
-        result = levenberg_marquardt(
-            lambda x: np.array([x[0] - 2.0, (x[1] + 1.0) * 3.0]), np.zeros(2)
-        )
+        result = lm(lambda x: np.array([x[0] - 2.0, (x[1] + 1.0) * 3.0]), np.zeros(2))
         np.testing.assert_allclose(result.params, [2.0, -1.0], atol=1e-9)
 
 
@@ -149,7 +154,8 @@ class TestIterationBudget:
 
         for count in (0, -3):
             for call in (
-                lambda: levenberg_marquardt(residual, np.zeros(2), max_iterations=count),
+                lambda: levenberg_marquardt(residual, np.zeros(2), residual,
+                                            max_iterations=count),
                 lambda: calibrate_baseline(None, max_iterations=count),
                 lambda: calibrate_proposed(None, None, max_iterations=count),
             ):
@@ -183,8 +189,8 @@ class TestTerminationProperties:
     @given(seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 6))
     def test_termination_says_how_the_run_ended(self, seed, budget):
         residual, jacobian, x0 = random_smooth_problem(seed)
-        out = levenberg_marquardt(residual, x0, jacobian, max_iterations=budget)
-        more = levenberg_marquardt(residual, x0, jacobian, max_iterations=budget + 20)
+        out = lm(residual, x0, jacobian, max_iterations=budget)
+        more = lm(residual, x0, jacobian, max_iterations=budget + 20)
         assert out.termination in ("gradient", "step", "max_iterations")
         if out.termination == "max_iterations":
             # the budget, not a tolerance, ended the run: given more, it goes on
@@ -224,14 +230,13 @@ class TestTerminationProperties:
 
 
 def random_block_problem(rng, k, sizes, b=6):
-    """Random block-arrow Jacobian with groups of ``sizes`` rows, its residual."""
+    """Random dense block-arrow Jacobian with groups of ``sizes`` rows, its residual."""
     rows = sum(sizes)
-    starts = np.cumsum([0, *sizes[:-1]])
-    jac = BlockJacobian(
-        rng.normal(size=(rows, k)) * rng.uniform(0.1, 100.0, size=k),
-        rng.normal(size=(rows, b)) * rng.uniform(0.1, 100.0, size=b),
-        starts,
-    )
+    jac = np.zeros((rows, k + b * len(sizes)))
+    jac[:, :k] = rng.normal(size=(rows, k)) * rng.uniform(0.1, 100.0, size=k)
+    pose = rng.normal(size=(rows, b)) * rng.uniform(0.1, 100.0, size=b)
+    for i, (start, end) in enumerate(zip(np.cumsum([0, *sizes[:-1]]), np.cumsum(sizes))):
+        jac[start:end, k + b * i : k + b * (i + 1)] = pose[start:end]
     return jac, rng.normal(size=rows)
 
 
@@ -241,16 +246,14 @@ class TestBlockArrowStep:
     def test_schur_step_matches_dense_solve(self, k, lam):
         rng = np.random.default_rng(100 + k)
         for sizes in ([9, 1, 14, 7], [30, 12, 1], [1, 40]):
-            jac, r = random_block_problem(rng, k, sizes)
-            full = dense(jac)
+            full, r = random_block_problem(rng, k, sizes)
             grad = full.T @ r
-            np.testing.assert_allclose(_gradient(jac, r), grad, rtol=1e-12, atol=0)
             normal = full.T @ full
             scale = np.sqrt(np.diag(normal))
             scaled = normal / np.outer(scale, scale) + lam * np.eye(len(scale))
             rhs = -grad / scale
             expected = np.linalg.solve(scaled, rhs)
-            step = _NormalEquations(jac, grad).step(lam) * scale
+            step = _NormalEquations(*blocks(full, r, k, 6)).step(lam) * scale
             # the Schur step solves the dense system ...
             assert np.linalg.norm(scaled @ step - rhs) <= 1e-12 * np.linalg.norm(rhs)
             # ... and so agrees with its dense solution up to its condition
@@ -262,15 +265,16 @@ class TestBlockArrowStep:
         # A one-row group whose six pose columns are equal: its scaled V_i + lam I
         # is exactly singular in floating point until lam reaches about 1e-16.
         rng = np.random.default_rng(111)
-        jac, target = random_block_problem(rng, 3, [1, 20, 15])
-        jac.pose[0] = 1.0
-        full = dense(jac)
+        full, target = random_block_problem(rng, 3, [1, 20, 15])
+        full[0, 3:9] = 1.0
+
+        def residual(x):
+            return full @ x - target
+
         monkeypatch.setattr(solver, "_DAMPING_INIT", 1e-30)
         with caplog.at_level(logging.DEBUG, logger="focuscal.solver"):
-            result = levenberg_marquardt(
-                lambda x: full @ x - target, np.zeros(full.shape[1]),
-                jacobian=lambda x: jac,
-            )
+            result = levenberg_marquardt(residual, np.zeros(full.shape[1]),
+                                         dense_normal(residual, lambda x: full, 3, 6))
         lambdas = [float(r.getMessage().split("lambda=")[1].split()[0])
                    for r in caplog.records if r.getMessage().startswith("LM ")]
         assert lambdas[0] >= 1e-16
@@ -286,11 +290,20 @@ class TestBlockArrowStep:
                          [v.gt_pose for v in views])
         jac = problem.jacobian(x)
         rows, k = 2 * len(problem.view), problem.n_intr
-        assert jac.shape == (rows, problem.n_params)
-        held = {id(b): b.nbytes for b in (a if a.base is None else a.base
-                                          for a in (jac.shared, jac.pose))}
-        assert sum(held.values()) <= 8 * rows * (k + 6)
-        assert jac.starts is problem.starts  # built once per problem, not per call
+        assert jac.shape == (rows, k + 6)
+        assert jac.base.nbytes == 8 * rows * (k + 7)  # with the residual column
+        # one buffer per problem, refilled by each call
+        problem.normal(x)
+        x[0] += 1.0
+        again = problem.jacobian(x)
+        assert again.base is jac.base
+        assert np.shares_memory(again, jac)
+        # The quick start's 50 mm view has fewer points, and is first: the points are
+        # held in view order, so no residual call permutes them.
+        quick = generate_dataset(ROBOTIQ, TemplateSpec(6, 9, 8.0),
+                                 np.r_[50.0, np.linspace(130, 145, 14)], FOCUS_VARYING, 0.25, 42)
+        assert len({len(v) for v in quick}) == 2
+        assert np.all(np.diff(_Problem(quick, None, True).view) >= 0)
 
 
 def test_baseline_agrees_with_scipy_least_squares():
@@ -304,7 +317,7 @@ def test_baseline_agrees_with_scipy_least_squares():
     problem = _Problem(views, None, estimate_distortion=True)
     x0 = problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0)
     oracle = optimize.least_squares(
-        problem.residual, x0, jac=lambda x: dense(problem.jacobian(x)), method="lm",
+        problem.residual, x0, jac=lambda x: dense(problem, x), method="lm",
         x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15,
     )
     alpha, beta = calibrate_baseline(views).refined.intrinsics.scales[0]

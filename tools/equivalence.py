@@ -18,18 +18,28 @@ own ``src/`` on the path:
   geometry with one view cut to 4 points and one to 5 (seeds 0-1), so views
   of several point counts, and the 4-point DLT, are covered.
 
-Every output file, and each step's stdout, stderr and exit code, is hashed.
+Every output file, and each step's stdout, stderr and exit code, is kept.
 Steps run in their own directory with relative paths, so the two trees see
 the same arguments; the tree's own path is masked in stdout and stderr.
-Prints ``same <item>`` or ``DIFF <item>`` per item, then a SHA-256 of this
-tree's sorted item table, and exits 1 when any item differs.
+
+Items are compared byte for byte, with two exceptions for changes that move
+only the last bits of a refinement. A calibration document (the command
+line's ``base*.json`` and ``prop*.json``, the library's ``baseline.json``
+and ``proposed.json``) whose bytes differ is ``near`` when alpha, beta, u0,
+v0, gamma, k1 and k2 agree within 1e-9 relative; a ``compare.json`` is
+``near`` when its translation errors and their ratio agree to 4 digits
+(1e-4 relative). Prints ``same``, ``near`` (with any change of iterations or
+termination written out) or ``DIFF`` per item, then a SHA-256 of this
+tree's sorted item table, and exits 1 when any item differs beyond that.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -134,8 +144,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_corpus(tree: Path, work: Path) -> dict[str, str]:
-    """Item -> SHA-256 of its bytes, for the corpus run at ``tree``."""
+def run_corpus(tree: Path, work: Path) -> dict[str, bytes]:
+    """Item -> its bytes, for the corpus run at ``tree``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(tree / "src")
     mask = str(tree).encode()
@@ -147,16 +157,67 @@ def run_corpus(tree: Path, work: Path) -> dict[str, str]:
             proc = subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
                                   capture_output=True, timeout=600)
             label = f"{case}/step{i:02d}-{args[2] if args[0] == '-m' else 'library'}"
-            items[f"{label}.exit"] = _digest(str(proc.returncode).encode())
-            items[f"{label}.stdout"] = _digest(proc.stdout.replace(mask, b"TREE"))
-            items[f"{label}.stderr"] = _digest(proc.stderr.replace(mask, b"TREE"))
+            items[f"{label}.exit"] = str(proc.returncode).encode()
+            items[f"{label}.stdout"] = proc.stdout.replace(mask, b"TREE")
+            items[f"{label}.stderr"] = proc.stderr.replace(mask, b"TREE")
         for path in sorted(cwd.iterdir()):
-            items[f"{case}/{path.name}"] = _digest(path.read_bytes())
+            items[f"{case}/{path.name}"] = path.read_bytes()
     return items
 
 
-def table_digest(items: dict[str, str]) -> str:
-    return _digest("".join(f"{k} {v}\n" for k, v in sorted(items.items())).encode())
+def table_digest(items: dict[str, bytes]) -> str:
+    return _digest("".join(f"{k} {_digest(v)}\n" for k, v in sorted(items.items())).encode())
+
+
+CALIBRATION = re.compile(r"(base|prop)[^/]*\.json|baseline\.json|proposed\.json")
+
+
+def _agree(a: float, b: float, rel: float) -> bool:
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def _calibration_near(ref: dict, ours: dict) -> str | None:
+    """The iteration and termination changes of two calibrations that agree, else None."""
+    def parameters(doc):
+        intr, dist = doc["intrinsics"], doc["distortion"]
+        values = [intr["u0_px"], intr["v0_px"], intr["gamma"], dist["k1"], dist["k2"]]
+        values += [s[key] for s in intr["scales"] for key in ("alpha_px", "beta_px")]
+        return (doc["schema"], doc["method"], intr["shared"],
+                [p["view_id"] for p in doc["poses"]]), values
+
+    (ref_kind, ref_values), (our_kind, our_values) = parameters(ref), parameters(ours)
+    if ref_kind != our_kind or len(ref_values) != len(our_values):
+        return None
+    if not all(_agree(a, b, 1e-9) for a, b in zip(ref_values, our_values)):
+        return None
+    return ", ".join(f"{key} {ref[key]} -> {ours[key]}"
+                     for key in ("iterations", "termination") if ref[key] != ours[key])
+
+
+def _compare_near(ref: dict, ours: dict) -> str | None:
+    values = [(ref["translation_error_ratio"], ours["translation_error_ratio"]),
+              *zip(ref["mean_translation_error_mm"], ours["mean_translation_error_mm"])]
+    if ref["schema"] != ours["schema"] or len(values) != 3:
+        return None
+    return "" if all(_agree(a, b, 1e-4) for a, b in values) else None
+
+
+def compare(item: str, ref: bytes | None, ours: bytes | None) -> str:
+    """``same``, ``near`` or ``DIFF`` and the item, as the report prints it."""
+    if ref == ours:
+        return f"same {item}"
+    name = item.rsplit("/", 1)[-1]
+    check = (_calibration_near if CALIBRATION.fullmatch(name)
+             else _compare_near if name == "compare.json" else None)
+    note = None
+    if check and ref is not None and ours is not None:
+        try:
+            note = check(json.loads(ref), json.loads(ours))
+        except (ValueError, KeyError, TypeError):
+            note = None
+    if note is None:
+        return f"DIFF {item}"
+    return f"near {item} ({note})" if note else f"near {item}"
 
 
 def main(argv=None) -> int:
@@ -179,13 +240,12 @@ def main(argv=None) -> int:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(ref_tree)], check=True)
         ours = run_corpus(ROOT, Path(tmp) / "this-run")
-    differ = 0
-    for item in sorted(ref.keys() | ours.keys()):
-        same = ref.get(item) == ours.get(item)
-        differ += not same
-        print(f"{'same' if same else 'DIFF'} {item}")
+    lines = [compare(item, ref.get(item), ours.get(item))
+             for item in sorted(ref.keys() | ours.keys())]
+    print("\n".join(lines))
     print(f"table {table_digest(ours)}")
-    print(f"{len(ref.keys() | ours.keys())} items, {differ} differ")
+    near, differ = (sum(line.startswith(word) for line in lines) for word in ("near", "DIFF"))
+    print(f"{len(lines)} items, {near} near, {differ} differ")
     return 1 if differ else 0
 
 
