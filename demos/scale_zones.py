@@ -16,7 +16,6 @@ from focuscal import (
     fit_focal_curve,
     generate_parallel_stack,
     load_preset,
-    plateau_scale,
     scale_factors,
     segment_zones,
     suggest_noise_band,
@@ -35,11 +34,11 @@ for i in range(0, len(table), 5):
 
 band = suggest_noise_band(stack)
 seg = segment_zones(table, band)
-alpha, beta = plateau_scale(table, seg)
 print(f"\nnoise band from gap scatter: {band:.2f} px")
 print(f"zone 1 ends at {seg.zone1_end_mm:.0f} mm (preset hyperfocal: {preset.hyperfocal_mm:.0f} mm)")
 print(f"zone 2 ends at {seg.zone2_end_mm:.0f} mm (end of sampled range)")
-print(f"plateau scale factors: alpha = {alpha:.2f} px, beta = {beta:.2f} px")
+print(f"plateau scale factors: alpha = {seg.plateau_alpha_px:.2f} px, "
+      f"beta = {seg.plateau_beta_px:.2f} px")
 print(f"preset plateau values: alpha = {preset.intrinsics.alpha} px, "
       f"beta = {preset.intrinsics.beta} px")
 

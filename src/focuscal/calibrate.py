@@ -45,7 +45,6 @@ __all__ = [
     "Solution",
     "CalibrationResult",
     "ScaleSource",
-    "orthogonalize_rotation",
     "extrinsics_from_homography",
     "intrinsics_from_homographies",
     "calibrate_baseline",
@@ -159,17 +158,6 @@ def _nearest_rotations(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flip = np.linalg.det(u @ vt) < 0
     u[flip, :, -1] = -u[flip, :, -1]
     return u @ vt, s[:, -1] <= 1e-13 * s[:, 0]
-
-
-def orthogonalize_rotation(q) -> np.ndarray:
-    """Nearest rotation in Frobenius norm, determinant forced to +1."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3) or not np.all(np.isfinite(q)):
-        raise FocusCalError("input must be a finite 3x3 matrix")
-    rot, singular = _nearest_rotations(q[None])
-    if singular[0]:
-        raise FocusCalError("matrix is singular")
-    return rot[0]
 
 
 def _poses_from_homographies(homs, intrinsic_matrices, labels=None) -> list[Pose]:
@@ -423,7 +411,8 @@ class ScaleSource:
     """Where per-view scale factors come from: table rows, fitted curves, or both.
 
     A view distance matches a table row within 10% of the distance; otherwise
-    the fitted curves are evaluated.
+    the fitted curves are evaluated. A pair that is not positive and finite
+    is rejected.
     """
 
     table: ScaleTable | None = None
@@ -431,20 +420,28 @@ class ScaleSource:
     beta_curve: CurveFit | None = None
 
     def lookup(self, distance_mm: float) -> tuple[float, float]:
+        pair = None
         if self.table is not None and len(self.table) > 0:
             idx = int(np.argmin(np.abs(self.table.distances - distance_mm)))
             if abs(self.table.distances[idx] - distance_mm) <= _TABLE_TOLERANCE * distance_mm:
-                return float(self.table.alpha[idx]), float(self.table.beta[idx])
-        if self.alpha_curve is not None:
+                pair = float(self.table.alpha[idx]), float(self.table.beta[idx])
+        if pair is None and self.alpha_curve is not None:
             beta_curve = self.beta_curve or self.alpha_curve
-            return (
+            pair = (
                 float(eval_focal_curve(self.alpha_curve, distance_mm)),
                 float(eval_focal_curve(beta_curve, distance_mm)),
             )
-        raise FocusCalError(
-            f"no scale-table row within {_TABLE_TOLERANCE:.0%} of {distance_mm} mm "
-            "and no fitted curve available"
-        )
+        if pair is None:
+            raise FocusCalError(
+                f"no scale-table row within {_TABLE_TOLERANCE:.0%} of {distance_mm} mm "
+                "and no fitted curve available"
+            )
+        if not (np.all(np.isfinite(pair)) and min(pair) > 0):
+            raise FocusCalError(
+                f"scale factors at {distance_mm} mm must be positive and finite, "
+                f"got alpha={pair[0]:.6g}, beta={pair[1]:.6g}"
+            )
+        return pair
 
 
 def _coerce_scale_source(source) -> ScaleSource:

@@ -263,6 +263,10 @@ def _ordered_views(views, view_ids):
 
 
 def cmd_report(args) -> int:
+    if len(args.calib) > 2:
+        raise UsageError("at most two calibration files can be compared")
+    if len(args.calib) == 1 and (args.out_csv_b or args.out_compare):
+        raise UsageError("--out-csv-b and --out-compare need a second --calib")
     _, views, _ = dataset_from_dict(_load_json(args.dataset, "dataset"))
     results = [calibration_from_dict(_load_json(p, "calibration")) for p in args.calib]
     reports = []
@@ -418,8 +422,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     json_errors = getattr(args, "json_errors", False)
     try:
-        if len(getattr(args, "calib", []) or []) > 2:
-            raise UsageError("at most two calibration files can be compared")
         return args.func(args)
     except (UsageError, ValueError) as exc:
         # The library rejects out-of-range argument values with ValueError;

@@ -31,7 +31,6 @@ __all__ = [
     "rotation_from_rodrigues",
     "rodrigues_from_rotation",
     "rodrigues_from_rotations",
-    "rotation_derivatives",
     "project",
     "project_points",
     "perspective_pixels",
@@ -39,7 +38,6 @@ __all__ = [
     "distort_points",
     "undistort",
     "undistort_points",
-    "Reprojection",
 ]
 
 # Angle below which sin/cos ratios switch to their Taylor expansions.
@@ -182,16 +180,6 @@ def rodrigues_from_rotation(rot) -> np.ndarray:
     return rodrigues_from_rotations(np.asarray(rot, dtype=float)[None])[0]
 
 
-def rotation_derivatives(rvec) -> np.ndarray:
-    """Partial derivatives of the rotation matrix, shape (3, 3, 3).
-
-    Entry ``[i]`` is the derivative of ``rotation_from_rodrigues(rvec)`` with
-    respect to component ``i`` of the axis-angle vector.
-    """
-    rot, jl = _rodrigues(_as_vec(rvec, 3), derivatives=True)
-    return _skew(jl[0].T) @ rot[0]  # d(R)/d(r_i) = [J_l e_i]x R
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid world-to-camera transform: axis-angle rotation plus translation."""
@@ -213,15 +201,6 @@ class Pose:
     def matrix(self) -> np.ndarray:
         """3x3 rotation matrix view of the axis-angle parameters."""
         return rotation_from_rodrigues(self.rodrigues)
-
-    @classmethod
-    def from_matrix(cls, rot, t) -> "Pose":
-        rot = np.asarray(rot, dtype=float)
-        if rot.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if np.linalg.norm(rot.T @ rot - np.eye(3)) > 1e-8 or np.linalg.det(rot) < 0:
-            raise ValueError("matrix is not a proper rotation")
-        return cls(rodrigues_from_rotation(rot), _as_vec(t, 3))
 
     def transform(self, points) -> np.ndarray:
         """Map world points (n, 3) into the camera frame."""

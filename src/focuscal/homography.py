@@ -9,15 +9,7 @@ import numpy as np
 from .core import _norms
 from .errors import FocusCalError, raise_first
 
-__all__ = [
-    "Homography",
-    "HomographyResiduals",
-    "normalize_points",
-    "canonicalize",
-    "estimate_homography",
-    "estimate_homographies",
-    "homography_residuals",
-]
+__all__ = ["Homography", "canonicalize", "estimate_homography", "estimate_homographies"]
 
 _RANK_TOL = 1e-9
 
@@ -41,16 +33,6 @@ class Homography:
             raise ValueError("homography entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, world_xy) -> np.ndarray:
-        """Map plane points (n, 2) to pixels (n, 2)."""
-        pts = np.atleast_2d(np.asarray(world_xy, dtype=float))
-        h = np.column_stack([pts, np.ones(len(pts))]) @ self.matrix.T
-        w = h[:, 2]
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if np.any(np.abs(w) < 1e-15 * scale):
-            raise FocusCalError("plane point maps to zero third coordinate")
-        return h[:, :2] / w[:, None]
 
 
 def _canonical(m: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -78,10 +60,11 @@ def canonicalize(matrix) -> np.ndarray:
 
 
 def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``normalize_points`` over point sets (g, n, 2) of one size.
+    """Translate and scale point sets (g, n, 2) to zero centroid and mean radius sqrt(2).
 
-    Also returns which sets have all their points identical; their similarity
-    is left finite and meaningless.
+    Returns the normalized sets, the 3x3 similarity applied to each, and which
+    sets have all their points identical; their similarity is left finite and
+    meaningless.
     """
     centroid = pts.mean(axis=1)
     centered = pts - centroid[:, None, :]
@@ -93,21 +76,6 @@ def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     transform[:, :2, 2] = -s[:, None] * centroid
     transform[:, 2, 2] = 1.0
     return centered * s[:, None, None], transform, identical
-
-
-def normalize_points(points) -> tuple[np.ndarray, np.ndarray]:
-    """Translate and scale points to zero centroid and mean radius sqrt(2).
-
-    Returns the transformed points and the 3x3 similarity applied to them, so
-    callers can compose the inverse afterwards.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 2 or pts.shape[1] != 2:
-        raise FocusCalError("need at least two 2D points")
-    normed, transform, identical = _normalize(pts[None])
-    if identical[0]:
-        raise FocusCalError("all points identical")
-    return normed[0], transform[0]
 
 
 def _plane_coords(world) -> np.ndarray:
@@ -214,22 +182,3 @@ def estimate_homography(world, image) -> Homography:
     right singular vectors are computed (a thin SVD).
     """
     return estimate_homographies([world], [image])[0]
-
-
-@dataclass(frozen=True, eq=False)
-class HomographyResiduals:
-    """Per-correspondence transfer errors in pixels with summary statistics."""
-
-    errors: np.ndarray
-    mean: float
-    std: float
-
-
-def homography_residuals(h, world, image) -> HomographyResiduals:
-    """Pixel distance between observed points and mapped plane points."""
-    matrix = h.matrix if isinstance(h, Homography) else np.asarray(h, dtype=float)
-    wp = _plane_coords(world)
-    ip = np.atleast_2d(np.asarray(image, dtype=float))
-    mapped = Homography(canonicalize(matrix)).apply(wp)
-    errors = np.linalg.norm(ip - mapped, axis=1)
-    return HomographyResiduals(errors, float(errors.mean()), float(errors.std()))

@@ -21,7 +21,6 @@ __all__ = [
     "LensSpec",
     "CurveFit",
     "FocalCurve",
-    "incoming_angle",
     "sharp_focal_length",
     "focal_length_limit",
     "focal_sweep",
@@ -84,16 +83,6 @@ class FocalCurve:
         v.flags.writeable = False
         object.__setattr__(self, "distances", d)
         object.__setattr__(self, "values", v)
-
-
-def incoming_angle(lens: LensSpec, d: float) -> float:
-    """Angle of the ray from a probe point at distance d to the lens edge."""
-    if not d > 0:
-        raise ValueError("distance must be positive")
-    span = lens.radius_mm - lens.axis_offset_mm
-    if span == 0.0:
-        raise FocusCalError("probe point at the lens edge")
-    return float(np.arctan(d / span))
 
 
 def _sweep(lens: LensSpec, d: np.ndarray) -> np.ndarray:

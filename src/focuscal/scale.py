@@ -24,7 +24,6 @@ __all__ = [
     "central_increments",
     "scale_factors",
     "segment_zones",
-    "plateau_scale",
     "suggest_noise_band",
 ]
 
@@ -190,16 +189,6 @@ def segment_zones(table: ScaleTable, noise_band: float) -> ZoneSegmentation:
         plateau_alpha_px=float(values[i : j + 1].mean()),
         plateau_beta_px=float(table.beta[i : j + 1].mean()),
     )
-
-
-def plateau_scale(table: ScaleTable, seg: ZoneSegmentation) -> tuple[float, float]:
-    """Mean scale factors over the rows inside zone 2."""
-    mask = (table.distances >= seg.zone1_end_mm) & (
-        table.distances <= seg.zone2_end_mm
-    )
-    if not np.any(mask):
-        raise FocusCalError("no table rows between the zone boundaries")
-    return float(table.alpha[mask].mean()), float(table.beta[mask].mean())
 
 
 def suggest_noise_band(

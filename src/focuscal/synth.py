@@ -26,9 +26,12 @@ from .core import (
     Distortion,
     Intrinsics,
     Pose,
+    _norms,
+    _rodrigues,
     distort_points,
     perspective_pixels,
     rodrigues_from_rotation,
+    rodrigues_from_rotations,
     rotation_from_rodrigues,
 )
 from .errors import FocusCalError, FormatError
@@ -45,6 +48,7 @@ __all__ = [
     "generate_view",
     "generate_dataset",
     "generate_parallel_stack",
+    "parallel_stack_dataset",
     "sample_pose",
     "bias_report",
     "load_preset",
@@ -121,28 +125,6 @@ class CameraPreset:
         return Intrinsics(
             base.alpha * ratio, base.beta * ratio, base.gamma, base.u0, base.v0
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "name": self.name,
-            "image_size_px": list(self.image_size),
-            "intrinsics": {
-                "alpha_px": self.intrinsics.alpha,
-                "beta_px": self.intrinsics.beta,
-                "gamma": self.intrinsics.gamma,
-                "u0_px": self.intrinsics.u0,
-                "v0_px": self.intrinsics.v0,
-            },
-            "lens": {
-                "radius_mm": self.lens.radius_mm,
-                "angle_ratio": self.lens.angle_ratio,
-                "axis_offset_mm": self.lens.axis_offset_mm,
-            },
-            "hyperfocal_mm": self.hyperfocal_mm,
-            "pixels_per_mm": self.pixels_per_mm,
-            "distortion": {"k1": self.distortion.k1, "k2": self.distortion.k2},
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CameraPreset":
@@ -409,24 +391,12 @@ def bias_report(result: CalibrationResult, views) -> BiasReport:
         raise ValueError("view count does not match the calibration result")
     if any(v.gt_pose is None for v in views):
         raise FocusCalError("every view needs a ground-truth pose")
-    dt = np.array(
-        [
-            result.refined.poses[i].translation - views[i].gt_pose.translation
-            for i in range(len(views))
-        ]
-    )
-    rot_err = np.array(
-        [
-            float(
-                np.linalg.norm(
-                    rodrigues_from_rotation(
-                        result.refined.poses[i].matrix @ views[i].gt_pose.matrix.T
-                    )
-                )
-            )
-            for i in range(len(views))
-        ]
-    )
+    poses = [*result.refined.poses, *(v.gt_pose for v in views)]
+    rot = _rodrigues(np.array([p.rodrigues for p in poses]))[0]
+    t = np.array([p.translation for p in poses])
+    m = len(views)
+    dt = t[:m] - t[m:]
+    rot_err = _norms(rodrigues_from_rotations(rot[:m] @ rot[m:].transpose(0, 2, 1)))
     return BiasReport(
         view_ids=tuple(v.view_id for v in views),
         translation_errors_mm=dt,

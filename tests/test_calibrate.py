@@ -8,12 +8,12 @@ from focuscal.calibrate import (
     IntrinsicSet,
     ScaleSource,
     Solution,
+    _nearest_rotations,
     _Problem,
     calibrate_baseline,
     calibrate_proposed,
     extrinsics_from_homography,
     intrinsics_from_homographies,
-    orthogonalize_rotation,
     reprojection_stats,
     solution_residuals,
 )
@@ -48,22 +48,29 @@ def rotation_angle(rot_a, rot_b):
     return np.linalg.norm(rodrigues_from_rotation(rot_a @ rot_b.T))
 
 
+def nearest_rotation(q):
+    rot, singular = _nearest_rotations(np.asarray(q, dtype=float)[None])
+    return rot[0], singular[0]
+
+
 class TestOrthogonalizeRotation:
+    """The nearest-rotation kernel of the pose decomposition, one matrix at a time."""
+
     def test_rotation_unchanged(self):
         rng = np.random.default_rng(30)
         for _ in range(50):
             rot = rotation_from_rodrigues(rng.normal(size=3))
-            np.testing.assert_allclose(orthogonalize_rotation(rot), rot, atol=1e-12)
+            np.testing.assert_allclose(nearest_rotation(rot)[0], rot, atol=1e-12)
 
     def test_scaling_removed(self):
-        np.testing.assert_allclose(orthogonalize_rotation(2.0 * np.eye(3)), np.eye(3))
+        np.testing.assert_allclose(nearest_rotation(2.0 * np.eye(3))[0], np.eye(3))
 
     def test_nearest_rotation_beats_local_search(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             rot = rotation_from_rodrigues(rng.normal(size=3))
             noisy = rot + rng.normal(scale=1e-3, size=(3, 3))
-            best = orthogonalize_rotation(noisy)
+            best = nearest_rotation(noisy)[0]
             base = np.linalg.norm(best - noisy)
             # dense local search over small rotation perturbations
             for _ in range(500):
@@ -72,12 +79,12 @@ class TestOrthogonalizeRotation:
 
     def test_determinant_forced_positive(self):
         flip = np.diag([1.0, 1.0, -1.0])
-        out = orthogonalize_rotation(flip)
+        out = nearest_rotation(flip)[0]
         assert np.linalg.det(out) > 0.999999
 
     def test_singular_input(self):
-        with pytest.raises(FocusCalError, match="matrix is singular"):
-            orthogonalize_rotation(np.zeros((3, 3)))
+        assert nearest_rotation(np.zeros((3, 3)))[1]
+        assert not nearest_rotation(np.eye(3))[1]
 
 
 def homography_from_pose(intr, pose):
@@ -388,6 +395,21 @@ class TestCalibrateProposed:
         )
         result = calibrate_proposed(views, source, image_size=ROBOTIQ.image_size)
         assert result.converged
+
+    @pytest.mark.parametrize("source", [
+        ScaleSource(table=ScaleTable([100.0], [-1370.0], [1373.0])),
+        ScaleSource(table=ScaleTable([100.0], [1370.0], [0.0])),
+        ScaleSource(alpha_curve=CurveFit(k_f=3e9, value0=1000.0)),
+        ScaleSource(alpha_curve=CurveFit(k_f=0.0, value0=1370.0),
+                    beta_curve=CurveFit(k_f=3e9, value0=1000.0)),
+    ])
+    def test_non_positive_scale_rejected(self, source):
+        with pytest.raises(FocusCalError, match="scale factors at 100.0 mm must be positive"):
+            source.lookup(100.0)
+        template = TemplateSpec(5, 7, 10.0)
+        views = make_views(ROBOTIQ, template, [100.0], FOCUS_VARYING, 0.0, 43)
+        with pytest.raises(FocusCalError, match="must be positive"):
+            calibrate_proposed(views, source, image_size=ROBOTIQ.image_size)
 
     def test_bare_curve_is_not_a_scale_source(self):
         template = TemplateSpec(5, 7, 10.0)

@@ -297,6 +297,43 @@ class TestCalibrateAndReport:
         )
         assert proc.returncode == 1
 
+    def test_second_report_output_without_second_calib_exits_2(self, artifacts, tmp_path):
+        _, dataset, _ = artifacts
+        calib = tmp_path / "base.json"
+        proc = run(
+            "calibrate", "--dataset", str(dataset), "--method", "baseline",
+            "--out", str(calib),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for flag in ("--out-compare", "--out-csv-b"):
+            outs = [tmp_path / "bias.csv", tmp_path / "second.out"]
+            proc = run(
+                "report", "--dataset", str(dataset), "--calib", str(calib),
+                "--out-csv", str(outs[0]), flag, str(outs[1]), "--json-errors",
+            )
+            assert proc.returncode == 2
+            payload = json.loads(proc.stderr.strip())
+            assert payload["error"] == "UsageError"
+            assert flag in payload["message"]
+            assert not any(path.exists() for path in outs)
+
+    def test_non_positive_curve_scale_exits_1(self, artifacts, tmp_path):
+        _, dataset, _ = artifacts
+        curve = tmp_path / "curve.json"
+        fit = {"k_f": 3e9, "value0": 1000.0}
+        curve.write_text(canonical_dumps({"schema": 1, "alpha_fit": fit, "beta_fit": fit}))
+        out = tmp_path / "never.json"
+        proc = run(
+            "calibrate", "--dataset", str(dataset), "--method", "proposed",
+            "--scale-curve", str(curve), "--out", str(out), "--json-errors",
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr.strip())
+        assert payload["error"] == "FocusCalError"
+        first = float(json.loads(dataset.read_text())["views"][0]["distance_mm"])
+        assert f"scale factors at {first} mm must be positive" in payload["message"]
+        assert not out.exists()
+
     def test_nonconvergence_writes_partial_and_exits_1(self, artifacts):
         tmp, dataset, _ = artifacts
         out = tmp / "partial.json"

@@ -76,3 +76,15 @@ def test_compare_ratio_agrees_to_four_digits():
     assert equivalence.compare(
         item, compare_doc(ratio), compare_doc(ratio, (2.0, np.nextafter(1.0, 2.0)))) == (
         f"near {item}")
+
+
+def test_demo_items(tmp_path, monkeypatch):
+    demos = equivalence.corpus()["demos"]
+    assert [equivalence.step_name(args) for args in demos] == [
+        "bias_experiment", "lens_focus_curve", "projection_basics", "scale_zones"]
+    monkeypatch.setattr(equivalence, "corpus", lambda: {"demos": [["demos/projection_basics.py"]]})
+    items = equivalence.run_corpus(equivalence.ROOT, tmp_path)
+    label = "demos/step00-projection_basics"
+    assert sorted(items) == [f"{label}.exit", f"{label}.stderr", f"{label}.stdout"]
+    assert items[f"{label}.exit"] == b"0"
+    assert b"homography condition estimate" in items[f"{label}.stdout"]

@@ -10,7 +10,6 @@ from focuscal.lens import (
     fit_focal_curve,
     focal_length_limit,
     focal_sweep,
-    incoming_angle,
     sharp_focal_length,
 )
 
@@ -22,22 +21,32 @@ def intersect_lines(slope_a, offset_a, slope_b, offset_b):
 
 
 class TestIncomingAngle:
+    """The incoming ray angle arctan(d / (radius - offset)), through the focal length it sets."""
+
+    @staticmethod
+    def focal_from_angle(lens, d, angle):
+        outgoing = lens.angle_ratio * angle
+        return lens.radius_mm / (np.tan(np.pi / 2 - outgoing) - lens.axis_offset_mm / d)
+
     def test_unit_ratio_gives_quarter_pi(self):
         lens = LensSpec(radius_mm=9.0, angle_ratio=0.5, axis_offset_mm=0.0)
-        assert incoming_angle(lens, 9.0) == pytest.approx(np.pi / 4, abs=1e-15)
+        want = self.focal_from_angle(lens, 9.0, np.pi / 4)
+        assert sharp_focal_length(lens, 9.0) == pytest.approx(want, rel=1e-14)
 
     def test_far_asymptote(self):
         lens = LensSpec(radius_mm=9.0, angle_ratio=0.5, axis_offset_mm=0.0)
-        assert abs(incoming_angle(lens, 9.0e9) - np.pi / 2) < 1e-8
+        limit = focal_length_limit(lens)
+        assert sharp_focal_length(lens, 9.0e9) == pytest.approx(limit, rel=1e-8)
 
     def test_scalar_oracle(self):
         lens = LensSpec(radius_mm=9.0, angle_ratio=0.5, axis_offset_mm=3.0)
-        assert incoming_angle(lens, 12.0) == pytest.approx(np.arctan(2.0), abs=1e-15)
+        want = self.focal_from_angle(lens, 12.0, np.arctan(2.0))
+        assert sharp_focal_length(lens, 12.0) == pytest.approx(want, rel=1e-14)
 
     def test_degenerate_offset(self):
         lens = LensSpec(radius_mm=3.0, angle_ratio=0.5, axis_offset_mm=3.0)
         with pytest.raises(FocusCalError, match="probe point at the lens edge"):
-            incoming_angle(lens, 10.0)
+            sharp_focal_length(lens, 10.0)
 
 
 class TestSharpFocalLength:

@@ -8,9 +8,7 @@ from focuscal.errors import FocusCalError, NoPlateauFound
 from focuscal.scale import (
     ParallelView,
     ScaleTable,
-    ZoneSegmentation,
     central_increments,
-    plateau_scale,
     scale_factors,
     segment_zones,
     suggest_noise_band,
@@ -253,26 +251,22 @@ class TestSegmentZones:
 
 
 class TestPlateauScale:
+    """The plateau values ``segment_zones`` reports: the mean of the plateau rows."""
+
     def test_exact_plateau_value(self):
         d = np.linspace(100, 900, 9)
         table = ScaleTable(d, np.full(9, 1370.8), np.full(9, 1373.8))
         seg = segment_zones(table, 0.5)
-        alpha, beta = plateau_scale(table, seg)
-        assert alpha == pytest.approx(1370.8)
-        assert beta == pytest.approx(1373.8)
+        assert seg.plateau_alpha_px == pytest.approx(1370.8)
+        assert seg.plateau_beta_px == pytest.approx(1373.8)
 
     def test_mean_of_two(self):
-        d = np.array([100.0, 200.0, 300.0, 400.0, 500.0])
-        alpha = np.array([1000.0, 1100.0, 1370.0, 1372.0, 1500.0])
-        table = ScaleTable(d, alpha, alpha)
-        seg = ZoneSegmentation(250.0, 450.0, 0.0, 0.0)
-        a, _ = plateau_scale(table, seg)
-        assert a == pytest.approx(1371.0)
-
-    def test_empty_zone(self):
-        table = ScaleTable([100.0, 200.0, 300.0, 400.0, 500.0], np.ones(5), np.ones(5))
-        with pytest.raises(FocusCalError, match="no table rows between the zone boundaries"):
-            plateau_scale(table, ZoneSegmentation(600.0, 700.0, 0.0, 0.0))
+        d = np.linspace(100.0, 600.0, 6)
+        alpha = np.array([1000.0, 1100.0, 1370.0, 1372.0, 1370.0, 1372.0])
+        seg = segment_zones(ScaleTable(d, alpha, alpha + 3.0), 1.5)
+        assert (seg.zone1_end_mm, seg.zone2_end_mm) == (300.0, 600.0)
+        assert seg.plateau_alpha_px == pytest.approx(1371.0)
+        assert seg.plateau_beta_px == pytest.approx(1374.0)
 
     def test_monte_carlo_band(self):
         rng = np.random.default_rng(21)
@@ -281,8 +275,8 @@ class TestPlateauScale:
         for _ in range(100):
             alpha = 1370.0 + rng.normal(0, sigma, n)
             table = ScaleTable(np.linspace(200, 1100, n), alpha, alpha)
-            seg = ZoneSegmentation(150.0, 1200.0, 0.0, 0.0)
-            a, _ = plateau_scale(table, seg)
+            # a band this wide makes every row part of the plateau
+            a = segment_zones(table, 20 * sigma).plateau_alpha_px
             if abs(a - 1370.0) <= 3 * sigma / np.sqrt(n):
                 hits += 1
         assert hits >= 95

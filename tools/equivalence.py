@@ -16,7 +16,8 @@ own ``src/`` on the path:
   at the calib-s geometry (README quick start, seeds 0-5), the calib-m
   geometry (60 views x 192 points, seeds 1-2) and calib-s-cut, the calib-s
   geometry with one view cut to 4 points and one to 5 (seeds 0-1), so views
-  of several point counts, and the 4-point DLT, are covered.
+  of several point counts, and the 4-point DLT, are covered;
+- every ``demos/*.py`` script of this checkout, each tree running its own copy.
 
 Every output file, and each step's stdout, stderr and exit code, is kept.
 Steps run in their own directory with relative paths, so the two trees see
@@ -137,7 +138,16 @@ def corpus() -> dict[str, list[list[str]]]:
                             ("calib-s-cut", (0, 1))):
         for seed in seeds:
             cases[f"{geometry}-seed{seed}"] = [["-c", LIBRARY, geometry, str(seed)]]
+    # a script path relative to the tree, which run_corpus resolves
+    cases["demos"] = [[f"demos/{path.name}"] for path in sorted((ROOT / "demos").glob("*.py"))]
     return cases
+
+
+def step_name(args: list[str]) -> str:
+    """The name a step's items carry: the command, ``library`` or the script."""
+    if args[0] == "-m":
+        return args[2]
+    return "library" if args[0] == "-c" else Path(args[0]).stem
 
 
 def _digest(data: bytes) -> str:
@@ -154,9 +164,10 @@ def run_corpus(tree: Path, work: Path) -> dict[str, bytes]:
         cwd = work / case
         cwd.mkdir(parents=True)
         for i, args in enumerate(steps):
-            proc = subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
+            command = args if args[0].startswith("-") else [str(tree / args[0]), *args[1:]]
+            proc = subprocess.run([sys.executable, "-W", "error", *command], cwd=cwd, env=env,
                                   capture_output=True, timeout=600)
-            label = f"{case}/step{i:02d}-{args[2] if args[0] == '-m' else 'library'}"
+            label = f"{case}/step{i:02d}-{step_name(args)}"
             items[f"{label}.exit"] = str(proc.returncode).encode()
             items[f"{label}.stdout"] = proc.stdout.replace(mask, b"TREE")
             items[f"{label}.stderr"] = proc.stderr.replace(mask, b"TREE")
