@@ -324,7 +324,7 @@ class _Problem:
             block = self._rows[:, start:end].reshape(-1, len(members), 2 * n)
             self._blocks.append(block.transpose(1, 0, 2))
             start = end
-        self._last = None  # (point, pass) of the latest residual
+        self._last = None  # (point, pass) of the latest forward pass
 
     def pack(self, intr_set: IntrinsicSet, dist: Distortion, poses) -> np.ndarray:
         alpha, beta = intr_set.scales[0]
@@ -359,19 +359,28 @@ class _Problem:
     def _model(self, x) -> Reprojection:
         return Reprojection(self.world, self.image, self.view, **self._model_args(x))
 
+    def _pass(self, x) -> Reprojection:
+        """The forward pass at ``x``, reused when ``x`` is bitwise the held one.
+
+        The solver asks for a Jacobian right after the trial residual it
+        accepts, and for its first residual where the algebraic statistics
+        took theirs. The held pass is dropped first, so two are never held.
+        """
+        x = np.array(x, dtype=float)
+        # Compared bitwise, so -0.0 and 0.0 are different points.
+        if self._last is None or self._last[0].tobytes() != x.tobytes():
+            self._last = None
+            self._last = (x, self._model(x))
+        return self._last[1]
+
     def residual(self, x) -> np.ndarray:
-        # The latest pass is kept for a Jacobian at the same point: the solver
-        # asks for one right after the trial residual it accepts. The one
-        # before is dropped first, so two passes are never held at once.
-        self._last = None
-        model = self._model(x)
-        self._last = (np.array(x, dtype=float), model)
+        model = self._pass(x)
         r = model.residuals if self._unsort is None else model.residuals[self._unsort]
         return r.ravel()
 
-    def view_residuals(self, x) -> list[np.ndarray]:
-        """Signed (du, dv) residuals at parameters ``x``, one (n_i, 2) array per view."""
-        return np.split(self.residual(x).reshape(-1, 2), self.starts[1:] // 2)
+    def split(self, r) -> list[np.ndarray]:
+        """Signed (du, dv) residuals ``residual`` returned, one (n_i, 2) array per view."""
+        return np.split(np.reshape(r, (-1, 2)), self.starts[1:] // 2)
 
     def jacobian(self, x) -> np.ndarray:
         """Fill the buffer at ``x``; returns its Jacobian, (rows, k + 6).
@@ -379,10 +388,7 @@ class _Problem:
         The array is a view of the buffer, valid until the next call, with
         rows in the held point order.
         """
-        x = np.asarray(x, dtype=float)
-        last = self._last
-        # Compared bitwise, so -0.0 and 0.0 are different points.
-        model = last[1] if last and last[0].tobytes() == x.tobytes() else self._model(x)
+        model = self._pass(x)
         model.fill_jacobian(self._rows, self.columns, self.groups)
         self._rows[-1] = model.residuals.ravel()
         return self._rows[:-1].T
@@ -459,7 +465,8 @@ def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
     """Signed (du, dv) residuals per view for a stored solution."""
     intr = solution.intrinsics
     problem = _Problem(views, None if intr.shared else intr.scales, estimate_distortion=True)
-    return problem.view_residuals(problem.pack(intr, solution.distortion, solution.poses))
+    x = problem.pack(intr, solution.distortion, solution.poses)
+    return problem.split(problem.residual(x))
 
 
 def _stats_from_residuals(residuals, view_ids) -> ReprojectionStats:
@@ -525,17 +532,20 @@ def _calibrate(
     poses0 = _poses_from_homographies([h.matrix for h in homs], matrices, view_ids)
     problem = _Problem(views, None if start.shared else start.scales, estimate_distortion)
     x0 = problem.pack(start, Distortion(), poses0)
+
+    def solution(x, r) -> Solution:
+        intr, dist, poses = problem.unpack(x)
+        return Solution(intr, poses, dist, _stats_from_residuals(problem.split(r), view_ids))
+
+    # Before the LM, whose first residual reuses this pass at x0.
+    algebraic = solution(x0, problem.residual(x0))
     lm = levenberg_marquardt(
         problem.residual, x0, problem.normal, max_iterations=max_iterations
     )
-    solutions = []
-    for x in (x0, lm.params):
-        intr, dist, poses = problem.unpack(x)
-        stats = _stats_from_residuals(problem.view_residuals(x), view_ids)
-        solutions.append(Solution(intr, poses, dist, stats))
     return CalibrationResult(
-        method, view_ids, *solutions, converged=lm.termination != "max_iterations",
-        iterations=lm.iterations, termination=lm.termination,
+        method, view_ids, algebraic, solution(lm.params, lm.residuals),
+        converged=lm.termination != "max_iterations", iterations=lm.iterations,
+        termination=lm.termination,
     )
 
 

@@ -40,6 +40,7 @@ class LMResult:
 
     ``termination`` is ``"gradient"`` or ``"step"`` when a tolerance was met
     and ``"max_iterations"`` when the iteration budget ran out first.
+    ``residuals`` is the vector ``residual`` returned at ``params``.
     """
 
     params: np.ndarray
@@ -47,6 +48,7 @@ class LMResult:
     iterations: int
     accepted: int
     termination: str
+    residuals: np.ndarray
     objective_history: list = field(default_factory=list)
 
 
@@ -136,10 +138,10 @@ def levenberg_marquardt(
         if normal_eq is None:
             normal_eq = _NormalEquations(*normal(x))
             if normal_eq.gradient_max < _GRADIENT_TOL:
-                return LMResult(x, obj, iterations, accepted, "gradient", history)
+                return LMResult(x, obj, iterations, accepted, "gradient", r, history)
 
         if iterations >= max_iterations:
-            return LMResult(x, obj, iterations, accepted, "max_iterations", history)
+            return LMResult(x, obj, iterations, accepted, "max_iterations", r, history)
         iterations += 1
 
         while True:
@@ -165,7 +167,7 @@ def levenberg_marquardt(
         step_norm = float(np.linalg.norm(step))
         small_step = step_norm < _STEP_TOL * (float(np.linalg.norm(x)) + _STEP_TOL)
         if ok:
-            x = trial
+            x, r = trial, r_trial
             obj = obj_trial
             history.append(obj)
             accepted += 1
@@ -174,4 +176,4 @@ def levenberg_marquardt(
         else:
             lam = _more_damping(lam)
         if small_step:
-            return LMResult(x, obj, iterations, accepted, "step", history)
+            return LMResult(x, obj, iterations, accepted, "step", r, history)

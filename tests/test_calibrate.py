@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -28,7 +29,7 @@ from focuscal.core import (
 )
 from focuscal.errors import FocusCalError
 from focuscal.lens import CurveFit
-from focuscal.scale import ScaleTable
+from focuscal.scale import ScaleTable, scale_factors
 from focuscal.homography import estimate_homography
 from focuscal.solver import levenberg_marquardt
 from focuscal.synth import (
@@ -36,6 +37,7 @@ from focuscal.synth import (
     FOCUS_VARYING,
     TemplateSpec,
     generate_dataset,
+    generate_parallel_stack,
     load_preset,
 )
 
@@ -541,6 +543,33 @@ class TestReprojectionStats:
                 for field in ("mean_px", "median_px", "std_px", "rms_px", "mean_abs_px",
                               "per_view"):
                     assert getattr(again, field) == getattr(stored, field), field
+
+    @pytest.fixture(scope="class")
+    def readme_table(self):
+        stack = generate_parallel_stack(ROBOTIQ, TemplateSpec(10, 14, 8.0),
+                                        np.arange(45.0, 155.0, 5.0), 0.0, seed=73)
+        return scale_factors(stack)
+
+    # The LM's first and last passes feed the statistics; they must be the
+    # statistics a fresh pass at the stored parameters gives, to the bit.
+    @pytest.mark.parametrize("budget", [200, 1])
+    @pytest.mark.parametrize("method", ["baseline", "proposed"])
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_statistics_as_a_fresh_pass(self, readme_table, cut, method, budget):
+        views = cut_views(3) if cut else generate_dataset(
+            ROBOTIQ, TemplateSpec(6, 9, 8.0), np.r_[50.0, np.linspace(130, 145, 14)],
+            FOCUS_VARYING, 0.25, 3)
+        if method == "baseline":
+            result = calibrate_baseline(views, max_iterations=budget)
+        else:
+            result = calibrate_proposed(views, readme_table, image_size=ROBOTIQ.image_size,
+                                        max_iterations=budget)
+        assert (result.termination == "max_iterations") is (budget == 1)
+        assert result.refined.stats.rms_px < result.algebraic.stats.rms_px
+        for solution in (result.algebraic, result.refined):
+            again = reprojection_stats(solution, views)
+            for field in dataclasses.fields(again):
+                assert getattr(again, field.name) == getattr(solution.stats, field.name), field
 
     def test_per_view_breakdown_shape(self):
         template = TemplateSpec(5, 7, 12.0)
