@@ -40,7 +40,7 @@ def test_calibration_documents(calibration, item):
     assert nearby != calibration
     assert equivalence.compare(item, calibration, nearby) == f"near {item}"
     assert equivalence.compare(item, calibration, with_alpha(calibration, 1.0 + 1e-6)) == (
-        f"DIFF {item}")
+        f"DIFF {item} (alpha 1.0e-06 relative)")
 
 
 def test_near_writes_out_iterations_and_termination(calibration):
@@ -50,6 +50,19 @@ def test_near_writes_out_iterations_and_termination(calibration):
     assert equivalence.compare("seed1/base.json", calibration, moved) == (
         f"near seed1/base.json (iterations {doc['iterations']} -> {doc['iterations'] + 1}, "
         f"termination {doc['termination']} -> max_iterations)")
+
+
+def test_diff_writes_out_the_largest_change(calibration):
+    doc = json.loads(calibration)
+    doc["distortion"]["k2"] *= 1.0 - 4e-6
+    moved = with_alpha(json.dumps(doc).encode(), 1.0 + 2e-6, iterations=doc["iterations"] - 3)
+    assert equivalence.compare("calib-m-seed1/baseline.json", calibration, moved) == (
+        "DIFF calib-m-seed1/baseline.json (k2 4.0e-06 relative, "
+        f"iterations {doc['iterations']} -> {doc['iterations'] - 3})")
+    other = json.loads(moved)
+    other["method"] = "proposed"
+    assert equivalence.compare("seed1/base.json", calibration, json.dumps(other).encode()) == (
+        "DIFF seed1/base.json")
 
 
 def test_other_files_keep_the_byte_check(calibration):

@@ -26,8 +26,10 @@ from focuscal.synth import (
     FOCUS_VARYING,
     TemplateSpec,
     generate_dataset,
+    generate_parallel_stack,
     load_preset,
 )
+from focuscal.scale import scale_factors
 
 from blocks import blocks, dense, dense_normal, finite_difference_jacobian
 
@@ -209,7 +211,7 @@ class TestTerminationProperties:
         assert history[0] == float(residual(x0) @ residual(x0))
         assert history[-1] == out.objective
 
-    # Noise-free views: the refinements meet a tolerance after 7-10 iterations,
+    # Noise-free views: the refinements meet a tolerance after 4-6 iterations,
     # so budgets of 1-12 end both ways.
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 1000), budget=st.integers(1, 12),
@@ -227,6 +229,60 @@ class TestTerminationProperties:
         assert result.converged is (result.termination != "max_iterations")
         assert result.iterations <= budget
         assert result.converged or result.iterations == budget
+
+
+@pytest.fixture(scope="module")
+def readme_table():
+    stack = generate_parallel_stack(ROBOTIQ, TemplateSpec(10, 14, 8.0),
+                                    np.arange(45.0, 155.0, 5.0), 0.0, seed=73)
+    return scale_factors(stack)
+
+
+def quick_start(seed):
+    """The README quick-start views (the calib-s geometry)."""
+    return generate_dataset(ROBOTIQ, TemplateSpec(6, 9, 8.0),
+                            np.r_[50.0, np.linspace(130, 145, 14)], FOCUS_VARYING, 0.25, seed)
+
+
+def calibrate(method, views, table):
+    if method == "baseline":
+        return calibrate_baseline(views)
+    return calibrate_proposed(views, table, image_size=ROBOTIQ.image_size)
+
+
+class TestCalibrationRuns:
+    def test_quick_start_iteration_total(self, readme_table):
+        # 188 with the earlier damping start 1e-3 and step tolerance 1e-12
+        results = [calibrate(method, quick_start(seed), readme_table)
+                   for seed in range(8) for method in ("baseline", "proposed")]
+        assert all(r.termination == "step" for r in results)
+        assert sum(r.iterations for r in results) <= 140
+
+    # The end point against six undamped Gauss-Newton steps from it. Over 96
+    # calib-s and calib-m runs the worst gaps were 2.2e-9 relative (scales,
+    # principal point) and 6.4e-8 absolute (gamma, k1, k2).
+    @pytest.mark.parametrize("method", ["baseline", "proposed"])
+    @pytest.mark.parametrize("geometry, seed", [("calib-s", s) for s in range(4)]
+                             + [("calib-m", 1)])
+    def test_ends_at_the_optimum(self, readme_table, method, geometry, seed):
+        if geometry == "calib-s":
+            views = quick_start(seed)
+        else:
+            views = generate_dataset(ROBOTIQ, TemplateSpec(12, 16, 3.0),
+                                     np.linspace(80, 145, 60), FOCUS_VARYING, 0.25, seed)
+        refined = calibrate(method, views, readme_table).refined
+        intr = refined.intrinsics
+        problem = _Problem(views, None if intr.shared else intr.scales, True)
+        x = problem.pack(intr, refined.distortion, refined.poses)
+        for _ in range(6):
+            x = x + _NormalEquations(*problem.normal(x)).step(0.0)
+        polished, dist, _ = problem.unpack(x)
+        for name in ("u0", "v0"):
+            assert getattr(intr, name) == pytest.approx(getattr(polished, name), rel=1e-8)
+        np.testing.assert_allclose(intr.scales, polished.scales, rtol=1e-8, atol=0)
+        assert intr.gamma == pytest.approx(polished.gamma, abs=1e-6)
+        assert refined.distortion.k1 == pytest.approx(dist.k1, abs=1e-6)
+        assert refined.distortion.k2 == pytest.approx(dist.k2, abs=1e-6)
 
 
 def random_block_problem(rng, k, sizes, b=6):

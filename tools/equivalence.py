@@ -29,9 +29,11 @@ line's ``base*.json`` and ``prop*.json``, the library's ``baseline.json``
 and ``proposed.json``) whose bytes differ is ``near`` when alpha, beta, u0,
 v0, gamma, k1 and k2 agree within 1e-9 relative; a ``compare.json`` is
 ``near`` when its translation errors and their ratio agree to 4 digits
-(1e-4 relative). Prints ``same``, ``near`` (with any change of iterations or
-termination written out) or ``DIFF`` per item, then a SHA-256 of this
-tree's sorted item table, and exits 1 when any item differs beyond that.
+(1e-4 relative). Prints ``same``, ``near`` or ``DIFF`` per item, then a
+SHA-256 of this tree's sorted item table, and exits 1 when any item differs
+beyond that. A calibration document that is ``near`` or ``DIFF`` has any
+change of iterations or termination written out, and a ``DIFF`` one also
+its largest relative change among alpha, beta, u0, v0, gamma, k1 and k2.
 """
 
 from __future__ import annotations
@@ -183,34 +185,38 @@ def table_digest(items: dict[str, bytes]) -> str:
 CALIBRATION = re.compile(r"(base|prop)[^/]*\.json|baseline\.json|proposed\.json")
 
 
-def _agree(a: float, b: float, rel: float) -> bool:
-    return abs(a - b) <= rel * max(abs(a), abs(b))
+def _relative(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
 
 
-def _calibration_near(ref: dict, ours: dict) -> str | None:
-    """The iteration and termination changes of two calibrations that agree, else None."""
+def _calibration_change(ref: dict, ours: dict) -> tuple[bool, str] | None:
+    """Whether two calibrations agree, and the note their line carries; None
+    when they are not calibrations of the same views by the same method."""
     def parameters(doc):
         intr, dist = doc["intrinsics"], doc["distortion"]
-        values = [intr["u0_px"], intr["v0_px"], intr["gamma"], dist["k1"], dist["k2"]]
-        values += [s[key] for s in intr["scales"] for key in ("alpha_px", "beta_px")]
+        values = [("u0", intr["u0_px"]), ("v0", intr["v0_px"]), ("gamma", intr["gamma"]),
+                  ("k1", dist["k1"]), ("k2", dist["k2"])]
+        values += [(key[:-3], s[key]) for s in intr["scales"] for key in ("alpha_px", "beta_px")]
         return (doc["schema"], doc["method"], intr["shared"],
                 [p["view_id"] for p in doc["poses"]]), values
 
     (ref_kind, ref_values), (our_kind, our_values) = parameters(ref), parameters(ours)
     if ref_kind != our_kind or len(ref_values) != len(our_values):
         return None
-    if not all(_agree(a, b, 1e-9) for a, b in zip(ref_values, our_values)):
-        return None
-    return ", ".join(f"{key} {ref[key]} -> {ours[key]}"
-                     for key in ("iterations", "termination") if ref[key] != ours[key])
+    change, name = max((_relative(a, b), key) for (key, a), (_, b) in zip(ref_values, our_values))
+    notes = [f"{key} {ref[key]} -> {ours[key]}"
+             for key in ("iterations", "termination") if ref[key] != ours[key]]
+    if change > 1e-9:
+        notes.insert(0, f"{name} {change:.1e} relative")
+    return change <= 1e-9, ", ".join(notes)
 
 
-def _compare_near(ref: dict, ours: dict) -> str | None:
+def _compare_change(ref: dict, ours: dict) -> tuple[bool, str] | None:
     values = [(ref["translation_error_ratio"], ours["translation_error_ratio"]),
               *zip(ref["mean_translation_error_mm"], ours["mean_translation_error_mm"])]
     if ref["schema"] != ours["schema"] or len(values) != 3:
         return None
-    return "" if all(_agree(a, b, 1e-4) for a, b in values) else None
+    return all(_relative(a, b) <= 1e-4 for a, b in values), ""
 
 
 def compare(item: str, ref: bytes | None, ours: bytes | None) -> str:
@@ -218,17 +224,16 @@ def compare(item: str, ref: bytes | None, ours: bytes | None) -> str:
     if ref == ours:
         return f"same {item}"
     name = item.rsplit("/", 1)[-1]
-    check = (_calibration_near if CALIBRATION.fullmatch(name)
-             else _compare_near if name == "compare.json" else None)
-    note = None
+    check = (_calibration_change if CALIBRATION.fullmatch(name)
+             else _compare_change if name == "compare.json" else None)
+    near, note = False, ""
     if check and ref is not None and ours is not None:
         try:
-            note = check(json.loads(ref), json.loads(ours))
+            near, note = check(json.loads(ref), json.loads(ours)) or (False, "")
         except (ValueError, KeyError, TypeError):
-            note = None
-    if note is None:
-        return f"DIFF {item}"
-    return f"near {item} ({note})" if note else f"near {item}"
+            pass
+    word = "near" if near else "DIFF"
+    return f"{word} {item} ({note})" if note else f"{word} {item}"
 
 
 def main(argv=None) -> int:
