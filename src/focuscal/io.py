@@ -65,47 +65,31 @@ def _format_float(value: float) -> str:
     return format(value, ".12g")
 
 
-def _emit(value, out: list) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_format_float(float(value)))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        out.append("[")
-        items = list(value)
-        for i, item in enumerate(items):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError("object keys must be strings")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(value[key], out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+# json.dumps runs this for a str, so strings and keys keep its bytes
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _canonical(value) -> str:
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float(float(value))
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(map(_canonical, value)) + "]"
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("object keys must be strings")
+        return "{" + ",".join(_quote(k) + ":" + _canonical(value[k]) for k in sorted(value)) + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def canonical_dumps(doc) -> str:
     """Serialize a document deterministically; idempotent across round trips."""
-    out: list = []
-    _emit(doc, out)
-    return "".join(out) + "\n"
+    return _canonical(doc) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -173,8 +173,8 @@ def load_preset(name_or_path: str) -> CameraPreset:
                 f"bundled: {', '.join(bundled_preset_names())}"
             )
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid camera preset: {exc}") from exc
     return CameraPreset.from_dict(doc)
 
@@ -186,6 +186,8 @@ def _observe(preset: CameraPreset, intr: Intrinsics, cam, noise_px: float, seed)
     model, perturbed with isotropic Gaussian pixel noise, and detected only if
     they land inside the image.
     """
+    if noise_px < 0:
+        raise ValueError("noise must be non-negative")
     w, h = preset.image_size
     index = np.flatnonzero(cam[:, 2] > 0)
     ideal = perspective_pixels(cam[index], intr)
@@ -243,8 +245,6 @@ def generate_view(
     projected, pushed through the distortion model, perturbed with isotropic
     Gaussian pixel noise, and kept only if they land inside the image.
     """
-    if noise_px < 0:
-        raise ValueError("noise must be non-negative")
     world = generate_template(template)
     rot = pose.matrix
     cam = world @ rot.T + pose.translation

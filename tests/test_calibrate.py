@@ -501,21 +501,24 @@ class TestRefinementBehaviour:
             views[1].world[:-5], views[1].image[:-5], views[1].gt_pose,
         )
         owner = np.repeat([0, 1, 2], [2 * len(v) for v in views])
-        pose = views[1].gt_pose
-        depth = pose.transform(views[1].world)[:, 2]
-        for moved in (
-            Pose(pose.rodrigues, pose.translation * [1.0, 1.0, -1.0]),  # all behind
-            Pose(pose.rodrigues, pose.translation - [0.0, 0.0, np.median(depth)]),  # half
-        ):
-            poses = [views[0].gt_pose, moved, views[2].gt_pose]
-            for frozen in (None, [(1370.8, 1373.8)] * 3):
-                problem = _Problem(views, frozen, estimate_distortion=True)
-                intr = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
-                if frozen is not None:
-                    intr = IntrinsicSet(intr.u0, intr.v0, intr.gamma, tuple(frozen), False)
-                rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion, poses))
-                assert np.all(np.isinf(rows[owner == 1]))
-                assert np.all(np.isfinite(rows[owner != 1]))
+        # view 1 is alone in its point-count group; view 0 shares one with view 2
+        for which in (1, 0):
+            pose = views[which].gt_pose
+            depth = pose.transform(views[which].world)[:, 2]
+            for moved in (
+                Pose(pose.rodrigues, pose.translation * [1.0, 1.0, -1.0]),  # all behind
+                Pose(pose.rodrigues, pose.translation - [0.0, 0.0, np.median(depth)]),  # half
+            ):
+                poses = [v.gt_pose for v in views]
+                poses[which] = moved
+                for frozen in (None, [(1370.8, 1373.8)] * 3):
+                    problem = _Problem(views, frozen, estimate_distortion=True)
+                    intr = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
+                    if frozen is not None:
+                        intr = IntrinsicSet(intr.u0, intr.v0, intr.gamma, tuple(frozen), False)
+                    rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion, poses))
+                    assert np.all(np.isinf(rows[owner == which]))
+                    assert np.all(np.isfinite(rows[owner != which]))
 
 
 class TestReprojectionStats:

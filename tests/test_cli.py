@@ -364,6 +364,8 @@ REJECTED_ARGUMENT_VALUES = {
     "simulate-rows": ("simulate --preset robotiq --rows 1 --out {out}", "2 rows"),
     "simulate-pitch": ("simulate --preset robotiq --pitch 0 --out {out}", "pitch"),
     "simulate-noise": ("simulate --preset robotiq --noise -1 --out {out}", "noise"),
+    "simulate-stack-noise": ("simulate --preset robotiq --parallel-stack 45:60:5 --noise -1 "
+                             "--out {out}", "noise"),
     "scale-factors-noise-band": ("scale-factors --dataset {stack} --out-table {out} "
                                  "--out-zones {out}.json --noise-band -1", "noise band"),
     "scale-factors-four-views": ("scale-factors --dataset {stack4} --out-table {out} "

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,48 @@ class TestCanonicalJson:
         once = canonical_dumps(doc)
         again = canonical_dumps(json.loads(once))
         assert once == again
+
+    def test_exact_bytes_of_every_value_type(self):
+        doc = {
+            "f32": np.float32(0.1),
+            "i64": np.int64(-9007199254740993),
+            "array": np.array([[1.5, -0.0], [2.0, 1e-300]]),
+            "tuple": (1, 2.5, "x"),
+            "flags": [True, False, None],
+            "neg_zero": -0.0,
+            "tiny": 1e-300,
+            "big": 1.25e17,
+            "text": "tab\t \"quote\" back\\slash\nnew \u00e9 \u00fc \U0001f642 \x01",
+            "nested": {"b": [], "a": {}},
+        }
+        assert canonical_dumps(doc) == (
+            '{"array":[[1.5,0],[2,1e-300]],"big":1.25e+17,"f32":0.10000000149,'
+            '"flags":[true,false,null],"i64":-9007199254740993,"neg_zero":0,'
+            '"nested":{"a":{},"b":[]},'
+            '"text":"tab\\t \\"quote\\" back\\\\slash\\nnew \\u00e9 \\u00fc '
+            '\\ud83d\\ude42 \\u0001",'
+            '"tiny":1e-300,"tuple":[1,2.5,"x"]}\n'
+        )
+
+    @pytest.mark.parametrize("doc, message", [
+        ({1: 2}, "object keys must be strings"),
+        ({"a": {1, 2}}, "cannot serialize set"),
+    ])
+    def test_unserializable_rejected(self, doc, message):
+        with pytest.raises(TypeError, match=message):
+            canonical_dumps(doc)
+
+    def test_peak_memory_stays_near_the_output_size(self):
+        template = TemplateSpec(10, 14, 8.0)
+        views = parallel_stack_dataset(ROBOTIQ, template, np.arange(45.0, 155.0, 2.0))
+        doc = dataset_to_dict(template, views)
+        tracemalloc.start()
+        try:
+            text = canonical_dumps(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
     def test_lf_endings(self, tmp_path):
         path = tmp_path / "doc.json"

@@ -56,6 +56,12 @@ class TestPresets:
         with pytest.raises(FormatError):
             load_preset("nonexistent")
 
+    def test_preset_file_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes("{}".encode("utf-16"))  # starts with the BOM \xff\xfe
+        with pytest.raises(FormatError, match="invalid camera preset"):
+            load_preset(str(path))
+
     def test_plateau_matches_published_values(self):
         assert ROBOTIQ.intrinsics.alpha == 1370.8
         assert ROBOTIQ.intrinsics.beta == 1373.8
@@ -154,6 +160,14 @@ class TestParallelStack:
         assert views[0].distance_mm == 120.0
         # world points are exact pitch multiples, so grids can be rebuilt
         assert np.all(np.abs(views[0].world[:, 0] / 8.0 - np.rint(views[0].world[:, 0] / 8.0)) < 1e-12)
+
+    def test_negative_noise_rejected(self):
+        # both simulators observe through one step, which checks the noise
+        template = TemplateSpec(8, 10, 8.0)
+        with pytest.raises(ValueError, match="noise must be non-negative"):
+            generate_parallel_stack(ROBOTIQ, template, [100.0, 200.0], -1.0)
+        with pytest.raises(ValueError, match="noise must be non-negative"):
+            generate_dataset(ROBOTIQ, template, [400.0], FOCUS_VARYING, -0.5)
 
     @pytest.mark.parametrize("name, distances", [
         ("eosens12cxp", np.arange(18.0, 28.0)),  # steep correction near the margin
