@@ -49,10 +49,9 @@ from .synth import (
     FOCUS_VARYING,
     CameraPreset,
     TemplateSpec,
+    _preset_file,
     bias_report,
-    bundled_preset_names,
     generate_dataset,
-    load_preset,
     parallel_stack_dataset,
 )
 
@@ -79,15 +78,11 @@ def _parse_range(text: str, name: str, parts: int) -> list[float]:
 
 
 def _resolve_preset(name_or_path: str):
-    path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        return CameraPreset.from_dict(_load_json(name_or_path, "preset"))
-    if name_or_path not in bundled_preset_names():
-        raise UsageError(
-            f"unknown preset {name_or_path!r}; bundled presets: "
-            f"{', '.join(bundled_preset_names())}"
-        )
-    return load_preset(name_or_path)
+    try:
+        path = _preset_file(name_or_path)
+    except FormatError as exc:  # an unknown name
+        raise UsageError(str(exc)) from exc
+    return CameraPreset.from_dict(_load_json(path, "preset"))
 
 
 def _read_text(path: str, what: str) -> str:

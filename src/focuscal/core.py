@@ -251,18 +251,18 @@ def project(wp, intr: Intrinsics, pose: Pose) -> np.ndarray:
     return project_points(_as_vec(wp, 3)[None, :], intr, pose)[0]
 
 
-def _correction(points, intr: Intrinsics, dist: Distortion) -> tuple:
+def _correction(points, alpha, beta, u0, v0, dist: Distortion) -> tuple:
     pts = np.asarray(points, dtype=float)
-    du = pts[..., 0] - intr.u0
-    dv = pts[..., 1] - intr.v0
-    g = _radial(du, dv, intr.alpha, intr.beta, dist.k1, dist.k2)[3]
+    du = pts[..., 0] - u0
+    dv = pts[..., 1] - v0
+    g = _radial(du, dv, alpha, beta, dist.k1, dist.k2)[3]
     return du * g, dv * g
 
 
 def undistort_points(observed, intr: Intrinsics, dist: Distortion) -> np.ndarray:
     """Closed-form map from distorted pixels to corrected pixels."""
     pts = np.asarray(observed, dtype=float)
-    cu, cv = _correction(pts, intr, dist)
+    cu, cv = _correction(pts, intr.alpha, intr.beta, intr.u0, intr.v0, dist)
     return np.stack([pts[..., 0] + cu, pts[..., 1] + cv], axis=-1)
 
 
@@ -281,25 +281,41 @@ def distort_points(ideal, intr: Intrinsics, dist: Distortion) -> np.ndarray:
     the point is NaN where there is none. Never raises.
     """
     target = np.asarray(ideal, dtype=float)
+    params = np.array([[intr.alpha, intr.beta, intr.u0, intr.v0]])
+    return _distort_views(target.reshape(1, -1, 2), params, dist).reshape(target.shape)
+
+
+def _distort_views(target, params, dist: Distortion) -> np.ndarray:
+    """``distort_points`` of m views (m, n, 2), view i with (alpha, beta, u0, v0)
+    = ``params[i]`` and its own stopping test. The points left moving are solved
+    in one eigenvalue call over the companion matrices ``np.roots`` would build."""
     if dist.is_zero:
         return target.copy()
     p = target.copy()
+    moving = np.arange(len(p))
     with np.errstate(over="ignore", invalid="ignore"):  # diverging points, replaced below
         for _ in range(_DISTORT_ITERATIONS):
-            cu, cv = _correction(p, intr, dist)
-            new = np.stack([target[..., 0] - cu, target[..., 1] - cv], axis=-1)
-            step = np.abs(new - p)
-            p = new
-            if float(np.max(step, initial=0.0)) < _DISTORT_TOL:
+            cu, cv = _correction(p[moving], *params[moving].T[..., None], dist)
+            new = target[moving] - np.stack([cu, cv], axis=-1)
+            step = np.abs(new - p[moving])
+            p[moving] = new
+            still = ~(np.max(step, axis=(1, 2), initial=0.0) < _DISTORT_TOL)
+            moving, step = moving[still], step[still]
+            if not moving.size:
                 return p
-    lost = ~(np.max(step, axis=-1) < _DISTORT_TOL)
-    offset = target[lost].reshape(-1, 2) - (intr.u0, intr.v0)
-    radius = np.hypot(offset[:, 0] / intr.alpha, offset[:, 1] / intr.beta)
-    for i, r in enumerate(radius):
-        roots = np.roots([dist.k2, 0.0, dist.k1, 0.0, 1.0, -r])
-        real = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
-        offset[i] *= real.min() / r if real.size else np.nan
-    p[lost] = offset + (intr.u0, intr.v0)
+    index, point = np.nonzero(~(np.max(step, axis=-1) < _DISTORT_TOL))  # still moving
+    view = moving[index]
+    alpha, beta, u0, v0 = params[view].T
+    offset = target[view, point] - np.column_stack([u0, v0])
+    radius = np.hypot(offset[:, 0] / alpha, offset[:, 1] / beta)
+    # k2 r^5 + k1 r^3 + r - radius, its leading zero coefficients dropped
+    head = np.array([dist.k2, 0.0, dist.k1, 0.0, 1.0][0 if dist.k2 else 2:])
+    companion = np.tile(np.eye(len(head), k=-1), (len(radius), 1, 1))
+    companion[:, 0, :-1], companion[:, 0, -1] = -head[1:] / head[0], radius / head[0]
+    roots = np.linalg.eigvals(companion)
+    real = np.where((roots.imag == 0.0) & (roots.real > 0.0), roots.real, np.inf).min(axis=1)
+    offset *= np.where(real < np.inf, real / radius, np.nan)[:, None]
+    p[view, point] = offset + np.column_stack([u0, v0])
     return p
 
 

@@ -9,7 +9,9 @@ its ground-truth pose, which makes calibration bias measurable.
 
 All randomness flows from explicit seeds. Multi-view generators derive one
 child seed per view through ``numpy.random.SeedSequence.spawn``, so a dataset
-is a pure function of (preset, template, distances, noise, seed).
+is a pure function of (preset, template, distances, noise, seed). A call
+simulates all its views in one batched pass, each drawing its pose and noise
+from its own child seed as a loop over the views would.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from .core import (
     Distortion,
     Intrinsics,
     Pose,
+    _distort_views,
     _norms,
+    _pinhole,
     _rodrigues,
-    distort_points,
-    perspective_pixels,
-    rodrigues_from_rotation,
     rodrigues_from_rotations,
-    rotation_from_rodrigues,
 )
 from .errors import FocusCalError, FormatError
 from .lens import LensSpec, sharp_focal_length
@@ -162,47 +162,87 @@ def bundled_preset_names() -> list[str]:
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
 
 
+def _preset_file(name_or_path: str):
+    """The file a preset argument names: an existing ``.json`` path is itself,
+    anything else the bundled preset of that name."""
+    path = Path(name_or_path)
+    if path.suffix == ".json" and path.exists():
+        return path
+    path = resources.files("focuscal").joinpath(f"presets/{name_or_path}.json")
+    if not path.is_file():
+        raise FormatError(f"unknown preset {name_or_path!r}; "
+                          f"bundled: {', '.join(bundled_preset_names())}")
+    return path
+
+
 def load_preset(name_or_path: str) -> CameraPreset:
     """Load a bundled preset by name or any preset JSON file by path."""
-    path = Path(name_or_path)
-    if not (path.suffix == ".json" and path.exists()):
-        path = resources.files("focuscal").joinpath(f"presets/{name_or_path}.json")
-        if not path.is_file():
-            raise FormatError(
-                f"unknown preset {name_or_path!r}; "
-                f"bundled: {', '.join(bundled_preset_names())}"
-            )
     try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
+        doc = json.loads(_preset_file(name_or_path).read_bytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid camera preset: {exc}") from exc
     return CameraPreset.from_dict(doc)
 
 
-def _observe(preset: CameraPreset, intr: Intrinsics, cam, noise_px: float, seed) -> np.ndarray:
-    """Detected pixels (n, 2) of camera-frame points (n, 3), NaN where undetected.
+def _observe(preset: CameraPreset, intrs, cam, noise_px: float, seeds) -> tuple:
+    """Detected pixels (m, n, 2) of m views' camera-frame points (m, n, 3), NaN
+    where undetected, and which views have a non-finite point in front of the camera.
 
-    Points in front of the camera are projected, pushed through the distortion
-    model, perturbed with isotropic Gaussian pixel noise, and detected only if
-    they land inside the image.
+    View i is seen with ``intrs[i]``: points in front of the camera are projected,
+    pushed through the distortion model, perturbed with isotropic Gaussian pixel
+    noise from ``default_rng(seeds[i])``, and detected only inside the image.
     """
-    if noise_px < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise_px < np.inf:
+        raise ValueError("noise must be non-negative and finite")
     w, h = preset.image_size
-    index = np.flatnonzero(cam[:, 2] > 0)
-    ideal = perspective_pixels(cam[index], intr)
+    params = np.array([(i.alpha, i.beta, i.u0, i.v0, i.gamma) for i in intrs]).reshape(-1, 5)
+    alpha, beta, u0, v0, gamma = params.T[..., None]
+    front = cam[..., 2] > 0
+    unprojectable = np.any(front[..., None] & ~np.isfinite(cam), axis=(1, 2))
+    depth = np.where(front, cam[..., 2], np.nan)  # NaN pixels behind the camera
+    ideal = np.stack(_pinhole(cam[..., 0], cam[..., 1], depth, alpha, beta, gamma, u0, v0), -1)
     # Points far outside the frame are undetectable and can sit beyond the
     # distortion model's invertible range; cut them before inverting.
     margin = 0.1 * float(np.hypot(w, h))
-    near = np.all((ideal >= -margin) & (ideal <= (w + margin, h + margin)), axis=1)
-    index, detected = index[near], distort_points(ideal[near], intr, preset.distortion)
+    near = np.all((ideal >= -margin) & (ideal <= (w + margin, h + margin)), axis=-1)
+    centre = np.stack([u0, v0], axis=-1)  # a fixed point of the inversion
+    detected = _distort_views(np.where(near[..., None], ideal, centre), params[:, :4],
+                              preset.distortion)
     if noise_px > 0:
-        rng = np.random.default_rng(seed)
-        detected += rng.normal(0.0, noise_px, size=detected.shape)
-    inside = np.all((detected >= 0.0) & (detected <= (w, h)), axis=1)
-    pixels = np.full((len(cam), 2), np.nan)
-    pixels[index[inside]] = detected[inside]
-    return pixels
+        for view, mask, seed in zip(detected, near, seeds):
+            rng = np.random.default_rng(seed)
+            view[mask] += rng.normal(0.0, noise_px, size=(np.count_nonzero(mask), 2))
+    inside = near & np.all((detected >= 0.0) & (detected <= (w, h)), axis=-1)
+    return np.where(inside[..., None], detected, np.nan), unprojectable
+
+
+def _in_order(make, items) -> tuple[list, Exception | None]:
+    """``make`` of each item until one fails, and that failure: raised at once for
+    the first item, else returned for the caller to raise after the earlier errors."""
+    made = []
+    for item in items:
+        try:
+            made.append(make(item))
+        except (ValueError, FocusCalError) as exc:
+            if not made:
+                raise
+            return made, exc
+    return made, None
+
+
+def _sample_poses(rngs, template: TemplateSpec, distances, tilt_range_deg) -> tuple:
+    """Axis-angle vectors and translations (m, 3) of ``sample_pose`` at each
+    distance, view i drawing from ``rngs[i]``."""
+    low, high = tilt_range_deg
+    if not 0.0 <= high - low < np.inf:
+        raise ValueError(f"tilt range needs finite low <= high, got {low}:{high}")
+    limits = np.array([[0.0, low, -np.pi / 12.0], [2.0 * np.pi, high, np.pi / 12.0]])
+    azimuth, tilt, roll = np.array([rng.uniform(*limits) for rng in rngs]).reshape(-1, 3).T
+    zero = np.zeros_like(roll)
+    axis = np.column_stack([np.cos(azimuth), np.sin(azimuth), zero]) * np.radians(tilt)[:, None]
+    rot = _rodrigues(axis)[0] @ _rodrigues(np.column_stack([zero, zero, roll]))[0]
+    t = np.column_stack([zero, zero, distances]) - rot @ generate_template(template).mean(axis=0)
+    return rodrigues_from_rotations(rot), t
 
 
 def sample_pose(
@@ -215,18 +255,39 @@ def sample_pose(
 
     Tilt off fronto-parallel is uniform in the given range about a uniformly
     random in-plane axis, plus a modest roll so multi-view sets stay well
-    conditioned.
+    conditioned. The range must be finite with low <= high.
     """
-    centre = generate_template(template).mean(axis=0)
-    azimuth = rng.uniform(0.0, 2.0 * np.pi)
-    tilt = np.radians(rng.uniform(*tilt_range_deg))
-    roll = rng.uniform(-np.pi / 12.0, np.pi / 12.0)
-    axis = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
-    rot = rotation_from_rodrigues(axis * tilt) @ rotation_from_rodrigues(
-        np.array([0.0, 0.0, roll])
-    )
-    t = np.array([0.0, 0.0, distance_mm]) - rot @ centre
-    return Pose(rodrigues_from_rotation(rot), t)
+    rvecs, tvecs = _sample_poses([rng], template, [distance_mm], tilt_range_deg)
+    return Pose(rvecs[0], tvecs[0])
+
+
+def _tilted_views(preset, template, rvecs, tvecs, focus_mode, noise_px, seeds, view_ids):
+    """``generate_view`` at each pose (rvecs[i], tvecs[i]) in one pass."""
+    world = generate_template(template)
+    cam = world @ _rodrigues(rvecs)[0].transpose(0, 2, 1) + tvecs[:, None, :]
+    depths = cam.mean(axis=1)[:, 2]
+
+    def place(i):
+        pose = Pose(rvecs[i], tvecs[i])
+        if depths[i] <= 0:
+            raise FocusCalError("template centre is behind the camera")
+        return pose, preset.effective_intrinsics(float(depths[i]), focus_mode)
+
+    placed, failure = _in_order(place, range(len(cam)))
+    pixels, unprojectable = _observe(preset, [intr for _, intr in placed],
+                                     cam[: len(placed)], noise_px, seeds)
+    views = []
+    for i, (pose, _) in enumerate(placed):
+        found = np.isfinite(pixels[i, :, 0])
+        if unprojectable[i]:
+            raise FocusCalError("point at or behind the camera plane")
+        if not np.any(found):
+            raise FocusCalError("no template point projects inside the image")
+        views.append(CalibrationView(view_ids[i], float(depths[i]), world[found],
+                                     pixels[i, found], pose))
+    if failure:
+        raise failure
+    return views
 
 
 def generate_view(
@@ -245,24 +306,8 @@ def generate_view(
     projected, pushed through the distortion model, perturbed with isotropic
     Gaussian pixel noise, and kept only if they land inside the image.
     """
-    world = generate_template(template)
-    rot = pose.matrix
-    cam = world @ rot.T + pose.translation
-    distance = float(cam.mean(axis=0)[2])
-    if distance <= 0:
-        raise FocusCalError("template centre is behind the camera")
-    intr = preset.effective_intrinsics(distance, focus_mode)
-    pixels = _observe(preset, intr, cam, noise_px, seed)
-    found = np.isfinite(pixels[:, 0])
-    if not np.any(found):
-        raise FocusCalError("no template point projects inside the image")
-    return CalibrationView(
-        view_id=view_id,
-        distance_mm=distance,
-        world=world[found],
-        image=pixels[found],
-        gt_pose=pose,
-    )
+    return _tilted_views(preset, template, pose.rodrigues[None], pose.translation[None],
+                         focus_mode, noise_px, [seed], [view_id])[0]
 
 
 def generate_dataset(
@@ -276,23 +321,10 @@ def generate_dataset(
 ) -> list[CalibrationView]:
     """Simulate one tilted view per distance with per-view child seeds."""
     distances = [float(d) for d in distances]
-    children = np.random.SeedSequence(seed).spawn(len(distances))
-    views = []
-    for i, (d, child) in enumerate(zip(distances, children)):
-        rng = np.random.default_rng(child)
-        pose = sample_pose(rng, template, d, tilt_range_deg)
-        views.append(
-            generate_view(
-                preset,
-                template,
-                pose,
-                focus_mode,
-                noise_px,
-                seed=rng,
-                view_id=f"view{i:03d}",
-            )
-        )
-    return views
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(len(distances))]
+    rvecs, tvecs = _sample_poses(rngs, template, distances, tilt_range_deg)
+    return _tilted_views(preset, template, rvecs, tvecs, focus_mode, noise_px, rngs,
+                         [f"view{i:03d}" for i in range(len(distances))])
 
 
 def generate_parallel_stack(
@@ -312,21 +344,17 @@ def generate_parallel_stack(
         raise ValueError("distances must be positive")
     world = generate_template(template)
     centre = world.mean(axis=0)
+    intrs, failure = _in_order(lambda d: preset.effective_intrinsics(d, FOCUS_VARYING), distances)
+    shifts = np.column_stack([np.zeros((len(intrs), 2)), distances[: len(intrs)]]) - centre
     children = np.random.SeedSequence(seed).spawn(len(distances))
-    stack = []
-    for d, child in zip(distances, children):
-        t = np.array([0.0, 0.0, d]) - centre
-        intr = preset.effective_intrinsics(d, FOCUS_VARYING)
-        pixels = _observe(preset, intr, world + t, noise_px, child)
-        stack.append(
-            ParallelView(
-                points=pixels.reshape(template.rows, template.cols, 2),
-                distance_mm=d,
-                pitch_mm=template.pitch_mm,
-                image_size=preset.image_size,
-            )
-        )
-    return stack
+    pixels, unprojectable = _observe(preset, intrs, world + shifts[:, None], noise_px, children)
+    if unprojectable.any():
+        raise FocusCalError("point at or behind the camera plane")
+    if failure:
+        raise failure
+    grid = (len(pixels), template.rows, template.cols, 2)
+    return [ParallelView(points, d, template.pitch_mm, preset.image_size)
+            for d, points in zip(distances, pixels.reshape(grid))]
 
 
 def parallel_stack_dataset(
@@ -350,18 +378,9 @@ def parallel_stack_dataset(
         finite = np.all(np.isfinite(pv.points), axis=2)
         if not np.any(finite):
             raise FocusCalError(f"stack view at {pv.distance_mm} mm is empty")
-        pose = Pose(
-            np.zeros(3), np.array([0.0, 0.0, pv.distance_mm]) - centre
-        )
-        views.append(
-            CalibrationView(
-                view_id=f"stack{i:03d}",
-                distance_mm=pv.distance_mm,
-                world=grid_world[finite],
-                image=pv.points[finite],
-                gt_pose=pose,
-            )
-        )
+        pose = Pose(np.zeros(3), np.array([0.0, 0.0, pv.distance_mm]) - centre)
+        views.append(CalibrationView(f"stack{i:03d}", pv.distance_mm, grid_world[finite],
+                                     pv.points[finite], pose))
     return views
 
 

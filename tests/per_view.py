@@ -1,0 +1,133 @@
+"""The simulator one view at a time: the reference the batched simulator matches.
+
+``focuscal.synth`` samples, projects, distorts and perturbs every view of a
+call in one pass, and ``focuscal.core.distort_points`` solves the points its
+fixed point cannot invert with one batched eigenvalue call. This module keeps
+the per-view loop they replace, with one ``np.roots`` call per point, so the
+tests can require equal bits, the same errors and the same error order. It
+takes the noise and tilt range as the per-view loop did, without checking
+that they are finite.
+"""
+
+import numpy as np
+
+from focuscal.calibrate import CalibrationView
+from focuscal.core import (
+    Pose,
+    perspective_pixels,
+    rodrigues_from_rotation,
+    rotation_from_rodrigues,
+)
+from focuscal.errors import FocusCalError
+from focuscal.scale import ParallelView
+from focuscal.synth import FOCUS_VARYING, generate_template
+
+
+def _correction(points, intr, dist):
+    du = points[..., 0] - intr.u0
+    dv = points[..., 1] - intr.v0
+    xb, yb = du / intr.alpha, dv / intr.beta
+    r2 = xb * xb + yb * yb
+    g = dist.k1 * r2 + dist.k2 * r2 * r2
+    return du * g, dv * g
+
+
+def distort_points(ideal, intr, dist):
+    """Fixed point ``p <- ideal - delta(p)`` over all the points, then one
+    ``np.roots`` per point still moving after 50 iterations."""
+    target = np.asarray(ideal, dtype=float)
+    if dist.is_zero:
+        return target.copy()
+    p = target.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(50):
+            cu, cv = _correction(p, intr, dist)
+            new = np.stack([target[..., 0] - cu, target[..., 1] - cv], axis=-1)
+            step = np.abs(new - p)
+            p = new
+            if float(np.max(step, initial=0.0)) < 1e-12:
+                return p
+    lost = ~(np.max(step, axis=-1) < 1e-12)
+    offset = target[lost].reshape(-1, 2) - (intr.u0, intr.v0)
+    radius = np.hypot(offset[:, 0] / intr.alpha, offset[:, 1] / intr.beta)
+    for i, r in enumerate(radius):
+        roots = np.roots([dist.k2, 0.0, dist.k1, 0.0, 1.0, -r])
+        real = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+        offset[i] *= real.min() / r if real.size else np.nan
+    p[lost] = offset + (intr.u0, intr.v0)
+    return p
+
+
+def observe(preset, intr, cam, noise_px, seed):
+    """Detected pixels (n, 2) of camera-frame points (n, 3), NaN where undetected."""
+    if noise_px < 0:
+        raise ValueError("noise must be non-negative")
+    w, h = preset.image_size
+    index = np.flatnonzero(cam[:, 2] > 0)
+    ideal = perspective_pixels(cam[index], intr)
+    margin = 0.1 * float(np.hypot(w, h))
+    near = np.all((ideal >= -margin) & (ideal <= (w + margin, h + margin)), axis=1)
+    index, detected = index[near], distort_points(ideal[near], intr, preset.distortion)
+    if noise_px > 0:
+        rng = np.random.default_rng(seed)
+        detected += rng.normal(0.0, noise_px, size=detected.shape)
+    inside = np.all((detected >= 0.0) & (detected <= (w, h)), axis=1)
+    pixels = np.full((len(cam), 2), np.nan)
+    pixels[index[inside]] = detected[inside]
+    return pixels
+
+
+def sample_pose(rng, template, distance_mm, tilt_range_deg=(5.0, 30.0)):
+    centre = generate_template(template).mean(axis=0)
+    azimuth = rng.uniform(0.0, 2.0 * np.pi)
+    tilt = np.radians(rng.uniform(*tilt_range_deg))
+    roll = rng.uniform(-np.pi / 12.0, np.pi / 12.0)
+    axis = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+    rot = rotation_from_rodrigues(axis * tilt) @ rotation_from_rodrigues(
+        np.array([0.0, 0.0, roll])
+    )
+    t = np.array([0.0, 0.0, distance_mm]) - rot @ centre
+    return Pose(rodrigues_from_rotation(rot), t)
+
+
+def generate_view(preset, template, pose, focus_mode=FOCUS_VARYING, noise_px=0.0, seed=0,
+                  view_id="view"):
+    world = generate_template(template)
+    cam = world @ pose.matrix.T + pose.translation
+    distance = float(cam.mean(axis=0)[2])
+    if distance <= 0:
+        raise FocusCalError("template centre is behind the camera")
+    intr = preset.effective_intrinsics(distance, focus_mode)
+    pixels = observe(preset, intr, cam, noise_px, seed)
+    found = np.isfinite(pixels[:, 0])
+    if not np.any(found):
+        raise FocusCalError("no template point projects inside the image")
+    return CalibrationView(view_id, distance, world[found], pixels[found], pose)
+
+
+def generate_dataset(preset, template, distances, focus_mode=FOCUS_VARYING, noise_px=0.0,
+                     seed=0, tilt_range_deg=(5.0, 30.0)):
+    distances = [float(d) for d in distances]
+    views = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(distances))):
+        rng = np.random.default_rng(child)
+        pose = sample_pose(rng, template, distances[i], tilt_range_deg)
+        views.append(generate_view(preset, template, pose, focus_mode, noise_px, seed=rng,
+                                   view_id=f"view{i:03d}"))
+    return views
+
+
+def generate_parallel_stack(preset, template, distances, noise_px=0.0, seed=0):
+    distances = [float(d) for d in distances]
+    if any(d <= 0 for d in distances):
+        raise ValueError("distances must be positive")
+    world = generate_template(template)
+    centre = world.mean(axis=0)
+    stack = []
+    for d, child in zip(distances, np.random.SeedSequence(seed).spawn(len(distances))):
+        t = np.array([0.0, 0.0, d]) - centre
+        intr = preset.effective_intrinsics(d, FOCUS_VARYING)
+        pixels = observe(preset, intr, world + t, noise_px, child)
+        stack.append(ParallelView(pixels.reshape(template.rows, template.cols, 2), d,
+                                  template.pitch_mm, preset.image_size))
+    return stack

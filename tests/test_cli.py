@@ -366,6 +366,12 @@ REJECTED_ARGUMENT_VALUES = {
     "simulate-noise": ("simulate --preset robotiq --noise -1 --out {out}", "noise"),
     "simulate-stack-noise": ("simulate --preset robotiq --parallel-stack 45:60:5 --noise -1 "
                              "--out {out}", "noise"),
+    "simulate-noise-nan": ("simulate --preset robotiq --noise nan --out {out}", "noise"),
+    "simulate-noise-inf": ("simulate --preset robotiq --noise inf --out {out}", "noise"),
+    "simulate-tilt-nan": ("simulate --preset robotiq --views 4 --tilt=5:nan --out {out}", "tilt"),
+    "simulate-tilt-inf": ("simulate --preset robotiq --views 4 --tilt=5:inf --out {out}", "tilt"),
+    "simulate-tilt-reversed": ("simulate --preset robotiq --views 4 --tilt=30:5 --out {out}",
+                               "tilt range"),
     "scale-factors-noise-band": ("scale-factors --dataset {stack} --out-table {out} "
                                  "--out-zones {out}.json --noise-band -1", "noise band"),
     "scale-factors-four-views": ("scale-factors --dataset {stack4} --out-table {out} "

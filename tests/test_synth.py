@@ -1,9 +1,13 @@
 import numpy as np
+import per_view
 import pytest
 
 from focuscal.calibrate import calibrate_baseline
 from focuscal.core import (
+    Distortion,
+    Intrinsics,
     Pose,
+    distort_points,
     perspective_pixels,
     rodrigues_from_rotation,
     rotation_from_rodrigues,
@@ -115,6 +119,14 @@ class TestGenerateView:
         with pytest.raises(FocusCalError, match="template centre is behind the camera"):
             generate_view(ROBOTIQ, template, pose, FOCUS_FIXED, 0.0, seed=0)
 
+    @pytest.mark.parametrize("tilt", [(5.0, np.nan), (5.0, np.inf), (30.0, 5.0), (-1e308, 1e308)])
+    def test_tilt_range_must_be_finite_and_ordered(self, tilt):
+        template = TemplateSpec(6, 9, 8.0)
+        with pytest.raises(ValueError, match="tilt range needs finite low <= high"):
+            generate_dataset(ROBOTIQ, template, [300.0, 400.0], tilt_range_deg=tilt)
+        with pytest.raises(ValueError, match="tilt range needs finite low <= high"):
+            sample_pose(np.random.default_rng(0), template, 300.0, tilt)
+
     def test_distance_is_centre_depth(self):
         template = TemplateSpec(6, 9, 8.0)
         view = generate_view(ROBOTIQ, template, self.pose_at(412.5), FOCUS_FIXED, 0.0, seed=0)
@@ -168,6 +180,14 @@ class TestParallelStack:
             generate_parallel_stack(ROBOTIQ, template, [100.0, 200.0], -1.0)
         with pytest.raises(ValueError, match="noise must be non-negative"):
             generate_dataset(ROBOTIQ, template, [400.0], FOCUS_VARYING, -0.5)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        template = TemplateSpec(8, 10, 8.0)
+        with pytest.raises(ValueError, match="noise must be non-negative and finite"):
+            generate_parallel_stack(ROBOTIQ, template, [100.0, 200.0], noise)
+        with pytest.raises(ValueError, match="noise must be non-negative and finite"):
+            generate_dataset(ROBOTIQ, template, [400.0], FOCUS_VARYING, noise)
 
     @pytest.mark.parametrize("name, distances", [
         ("eosens12cxp", np.arange(18.0, 28.0)),  # steep correction near the margin
@@ -305,3 +325,94 @@ class TestSelfConsistency:
                 result.refined.poses[i].translation - view.gt_pose.translation
             ) / np.linalg.norm(view.gt_pose.translation)
             assert rel < 1e-6
+
+
+GEOMETRIES = {
+    "quick-start": (TemplateSpec(6, 9, 8.0), np.concatenate([[50.0], np.linspace(130, 145, 14)])),
+    "calib-m": (TemplateSpec(12, 16, 3.0), np.linspace(80, 145, 60)),
+    "six-view": (TemplateSpec(5, 7, 12.0), np.linspace(300, 900, 6)),
+}
+
+
+def view_bytes(views):
+    """Everything a list of calibration views holds, as bytes."""
+    return [(v.view_id, v.distance_mm, v.world.tobytes(), v.image.tobytes(),
+             v.gt_pose.rodrigues.tobytes(), v.gt_pose.translation.tobytes()) for v in views]
+
+
+def outcome(make):
+    """What ``make()`` returns, or the type and message of what it raises."""
+    try:
+        return make()
+    except (ValueError, FocusCalError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesPerViewReference:
+    """The batched simulator against the per-view loop of ``per_view``, bit for bit."""
+
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    @pytest.mark.parametrize("mode", [FOCUS_FIXED, FOCUS_VARYING])
+    @pytest.mark.parametrize("name", ["robotiq", "eosens12cxp"])
+    def test_datasets(self, name, mode, geometry):
+        template, distances = GEOMETRIES[geometry]
+        for noise in (0.0, 0.25, 0.5):
+            for seed in range(6):
+                args = (load_preset(name), template, distances, mode, noise, seed)
+                assert view_bytes(generate_dataset(*args)) == view_bytes(
+                    per_view.generate_dataset(*args))
+
+    @pytest.mark.parametrize("name, distances", [
+        ("robotiq", np.arange(45.0, 155.25, 0.5)),
+        ("eosens12cxp", np.arange(18.0, 28.0)),  # these two reach the root solve
+        ("eosens12cxp", np.arange(1.0, 14.0)),
+    ])
+    def test_stacks(self, monkeypatch, name, distances):
+        solved, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(len(a)) or eigvals(a))
+        args = (load_preset(name), TemplateSpec(10, 14, 8.0), distances)
+        for noise in (0.0, 0.3):
+            ours = generate_parallel_stack(*args, noise, seed=5)
+            ref = per_view.generate_parallel_stack(*args, noise, seed=5)
+            assert [(v.distance_mm, v.points.tobytes()) for v in ours] == [
+                (v.distance_mm, v.points.tobytes()) for v in ref]
+        assert bool(solved) == (name == "eosens12cxp")
+
+    # the first polynomial loses its leading coefficient, the second its k1 term
+    @pytest.mark.parametrize("dist", [Distortion(5.0, 0.0), Distortion(0.0, -5.0),
+                                      Distortion(0.03, -0.1), Distortion()])
+    def test_distort_points(self, dist):
+        intr = Intrinsics(1000.0, 1010.0, 0.5, 640.0, 480.0)
+        ideal = np.random.default_rng(0).uniform(-2000.0, 3000.0, size=(400, 2))
+        for points in (ideal, ideal[7], ideal.reshape(20, 20, 2), np.empty((0, 2))):
+            ours = distort_points(points, intr, dist)
+            ref = per_view.distort_points(points, intr, dist)
+            assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+    def test_one_view_cases(self):
+        template = TemplateSpec(6, 9, 8.0)
+        for seed in range(6):
+            pose = sample_pose(np.random.default_rng(seed), template, 300.0, (0.0, 40.0))
+            ref = per_view.sample_pose(np.random.default_rng(seed), template, 300.0, (0.0, 40.0))
+            assert (pose.rodrigues.tobytes(), pose.translation.tobytes()) == (
+                ref.rodrigues.tobytes(), ref.translation.tobytes())
+            args = (ROBOTIQ, template, pose, FOCUS_VARYING, 0.5, seed, f"v{seed}")
+            assert view_bytes([generate_view(*args)]) == view_bytes([per_view.generate_view(*args)])
+
+    # each list's first failing view raises what a loop over the views raises
+    @pytest.mark.parametrize("distances", [
+        [2.0, -400.0],  # no point in the image, then behind the camera
+        [-400.0, 2.0], [400.0, -400.0], [400.0, np.nan], [2.0, np.nan], [5.0, 2.0], [],
+    ])
+    def test_errors_in_view_order(self, distances):
+        args = (ROBOTIQ, TemplateSpec(6, 9, 8.0), distances)
+        ours = outcome(lambda: view_bytes(generate_dataset(*args)))
+        assert ours == outcome(lambda: view_bytes(per_view.generate_dataset(*args)))
+        if distances[:1] == [2.0]:
+            assert ours == (FocusCalError, "no template point projects inside the image")
+
+    @pytest.mark.parametrize("distances", [[np.inf, np.nan], [1.0, np.nan], [1e-300, 400.0]])
+    def test_stack_errors_in_view_order(self, distances):
+        args = (ROBOTIQ, TemplateSpec(6, 9, 8.0), distances)
+        assert outcome(lambda: generate_parallel_stack(*args)) == outcome(
+            lambda: per_view.generate_parallel_stack(*args))

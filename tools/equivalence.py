@@ -12,6 +12,9 @@ own ``src/`` on the path:
 - ``scale-factors --fit`` on a 22-row stack (45:155:5 mm) that has no
   plateau in the suggested noise band (exit 1, table written) and on a
   221-row stack (45:155:0.5 mm);
+- an eosens12cxp stack at 18:27:1 mm with 0.3 px noise, whose steep
+  distortion near the image margin reaches the distortion inverse's root
+  solve;
 - library calibrations, both methods, written as canonical calibration JSON,
   at the calib-s geometry (README quick start, seeds 0-5), the calib-m
   geometry (60 views x 192 points, seeds 1-2) and calib-s-cut, the calib-s
@@ -83,6 +86,11 @@ DENSE_STACK = [
     "scale-factors --dataset dense.json --out-table dense_table.csv "
     "--out-zones dense_zones.json --fit --out-curve dense_curve.json",
 ]
+# Points of these views sit where the distortion's fixed point diverges.
+STEEP_STACK = [
+    "simulate --preset eosens12cxp --rows 10 --cols 14 --pitch 8 --parallel-stack 18:27:1 "
+    "--noise 0.3 --seed 5 --out steep.json",
+]
 # Run as ``python -c LIBRARY GEOMETRY SEED``; uses only calls that every
 # commit of the corpus's era has.
 LIBRARY = """
@@ -134,7 +142,8 @@ def corpus() -> dict[str, list[list[str]]]:
                         for step in WALKTHROUGH]
         for seed in (1, 42, 73)
     }
-    for case, steps in (("short-stack", SHORT_STACK), ("dense-stack", DENSE_STACK)):
+    for case, steps in (("short-stack", SHORT_STACK), ("dense-stack", DENSE_STACK),
+                        ("steep-stack", STEEP_STACK)):
         cases[case] = [["-m", "focuscal", *step.split()] for step in steps]
     for geometry, seeds in (("calib-s", range(6)), ("calib-m", (1, 2)),
                             ("calib-s-cut", (0, 1))):
