@@ -76,8 +76,8 @@ class CalibrationView:
             raise ValueError("image points must be (n, 2) matching world points")
         if world.shape[0] < 4:
             raise ValueError("a view needs at least 4 correspondences")
-        if not self.distance_mm > 0:
-            raise ValueError("view distance must be positive")
+        if not 0 < self.distance_mm < np.inf:
+            raise ValueError("view distance must be positive and finite")
         if not (np.isfinite(world).all() and np.isfinite(image).all()):
             raise ValueError("correspondences must be finite")
         world.flags.writeable = False

@@ -28,15 +28,9 @@ __all__ = [
     "Intrinsics",
     "Pose",
     "Distortion",
-    "rotation_from_rodrigues",
-    "rodrigues_from_rotation",
     "rodrigues_from_rotations",
-    "project",
     "project_points",
-    "perspective_pixels",
-    "distort",
     "distort_points",
-    "undistort",
     "undistort_points",
 ]
 
@@ -140,11 +134,6 @@ def _rodrigues(rvecs, derivatives: bool = False) -> tuple:
     return rot, np.eye(3) + b[:, None, None] * k + c[:, None, None] * k2
 
 
-def rotation_from_rodrigues(rvec) -> np.ndarray:
-    """Rotation matrix for an axis-angle vector (angle = vector norm)."""
-    return _rodrigues(_as_vec(rvec, 3))[0][0]
-
-
 def rodrigues_from_rotations(rots) -> np.ndarray:
     """Axis-angle vectors (m, 3) of rotation matrices (m, 3, 3), stable near 0 and pi."""
     rot = np.asarray(rots, dtype=float).reshape(-1, 3, 3)
@@ -175,11 +164,6 @@ def rodrigues_from_rotations(rots) -> np.ndarray:
     return out
 
 
-def rodrigues_from_rotation(rot) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix, stable near 0 and pi."""
-    return rodrigues_from_rotations(np.asarray(rot, dtype=float)[None])[0]
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid world-to-camera transform: axis-angle rotation plus translation."""
@@ -200,7 +184,7 @@ class Pose:
     @property
     def matrix(self) -> np.ndarray:
         """3x3 rotation matrix view of the axis-angle parameters."""
-        return rotation_from_rodrigues(self.rodrigues)
+        return _rodrigues(self.rodrigues)[0][0]
 
     def transform(self, points) -> np.ndarray:
         """Map world points (n, 3) into the camera frame."""
@@ -229,26 +213,13 @@ def _radial(du, dv, alpha, beta, k1, k2) -> tuple:
     return xb, yb, r2, k1 * r2 + k2 * r2 * r2
 
 
-def perspective_pixels(camera_points, intr: Intrinsics) -> np.ndarray:
-    """Pixels for camera-frame points (n, 3) with strictly positive depth."""
-    cam = np.atleast_2d(np.asarray(camera_points, dtype=float))
-    z = cam[:, 2]
+def project_points(world, intr: Intrinsics, pose: Pose) -> np.ndarray:
+    """Project world points (n, 3), each strictly in front of the camera, to pixels (n, 2)."""
+    cam = pose.transform(world)
+    x, y, z = cam.T
     if np.any(z <= 0.0) or not np.all(np.isfinite(cam)):
         raise FocusCalError("point at or behind the camera plane")
-    u, v = _pinhole(
-        cam[:, 0], cam[:, 1], z, intr.alpha, intr.beta, intr.gamma, intr.u0, intr.v0
-    )
-    return np.column_stack([u, v])
-
-
-def project_points(world, intr: Intrinsics, pose: Pose) -> np.ndarray:
-    """Project world points (n, 3) to pixels (n, 2)."""
-    return perspective_pixels(pose.transform(world), intr)
-
-
-def project(wp, intr: Intrinsics, pose: Pose) -> np.ndarray:
-    """Project a single world point to inhomogeneous pixel coordinates."""
-    return project_points(_as_vec(wp, 3)[None, :], intr, pose)[0]
+    return np.column_stack(_pinhole(x, y, z, intr.alpha, intr.beta, intr.gamma, intr.u0, intr.v0))
 
 
 def _correction(points, alpha, beta, u0, v0, dist: Distortion) -> tuple:
@@ -264,10 +235,6 @@ def undistort_points(observed, intr: Intrinsics, dist: Distortion) -> np.ndarray
     pts = np.asarray(observed, dtype=float)
     cu, cv = _correction(pts, intr.alpha, intr.beta, intr.u0, intr.v0, dist)
     return np.stack([pts[..., 0] + cu, pts[..., 1] + cv], axis=-1)
-
-
-def undistort(observed, intr: Intrinsics, dist: Distortion) -> np.ndarray:
-    return undistort_points(_as_vec(observed, 2), intr, dist)
 
 
 def distort_points(ideal, intr: Intrinsics, dist: Distortion) -> np.ndarray:
@@ -317,10 +284,6 @@ def _distort_views(target, params, dist: Distortion) -> np.ndarray:
     offset *= np.where(real < np.inf, real / radius, np.nan)[:, None]
     p[view, point] = offset + np.column_stack([u0, v0])
     return p
-
-
-def distort(ideal, intr: Intrinsics, dist: Distortion) -> np.ndarray:
-    return distort_points(_as_vec(ideal, 2), intr, dist)
 
 
 # the camera model over all views

@@ -9,7 +9,7 @@ import numpy as np
 from .core import _norms
 from .errors import FocusCalError, raise_first
 
-__all__ = ["Homography", "canonicalize", "estimate_homography", "estimate_homographies"]
+__all__ = ["Homography", "estimate_homography", "estimate_homographies"]
 
 _RANK_TOL = 1e-9
 
@@ -36,7 +36,12 @@ class Homography:
 
 
 def _canonical(m: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """``canonicalize`` of matrices (g, 3, 3) with nonzero Frobenius norms (g,)."""
+    """Scale matrices (g, 3, 3) with nonzero Frobenius norms ``norm`` (g,) to unit
+    norm with a deterministic sign.
+
+    The sign makes the bottom-right entry positive, falling back to the first
+    entry above a small threshold when that one is near zero.
+    """
     # Skip the division when already unit norm so the map is idempotent.
     m = np.where((np.abs(norm - 1.0) > 1e-14)[:, None, None], m / norm[:, None, None], m)
     flat = m.reshape(len(m), 9)
@@ -44,19 +49,6 @@ def _canonical(m: np.ndarray, norm: np.ndarray) -> np.ndarray:
     fallback = np.where(big.any(axis=1), flat[np.arange(len(m)), np.argmax(big, axis=1)], 1.0)
     pivot = np.where(big[:, 8], flat[:, 8], fallback)
     return np.where((pivot < 0)[:, None, None], -m, m)
-
-
-def canonicalize(matrix) -> np.ndarray:
-    """Scale to unit Frobenius norm with a deterministic sign.
-
-    The sign makes the bottom-right entry positive, falling back to the first
-    entry above a small threshold when that one is near zero.
-    """
-    m = np.asarray(matrix, dtype=float)
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
-        raise ValueError("zero matrix cannot be canonicalized")
-    return _canonical(m[None], np.array([norm]))[0]
 
 
 def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,8 +142,10 @@ def estimate_homographies(worlds, images, labels=None) -> list[Homography]:
     normalized DLT (see ``_dlt``); every homography is bit for bit the one
     its view gives alone. When a view is rejected, the first such view's
     error is raised, as ``"view <label>: <reason>"`` when ``labels`` names
-    the views.
+    the views. ``worlds``, ``images`` and ``labels`` must have the same length.
     """
+    if len(worlds) != len(images) or (labels is not None and len(labels) != len(worlds)):
+        raise ValueError("worlds, images and labels differ in length")
     failures: dict = {}
     groups: dict = {}
     for i, (world, image) in enumerate(zip(worlds, images)):

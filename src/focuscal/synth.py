@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -45,11 +46,9 @@ __all__ = [
     "FOCUS_FIXED",
     "FOCUS_VARYING",
     "generate_template",
-    "generate_view",
     "generate_dataset",
     "generate_parallel_stack",
     "parallel_stack_dataset",
-    "sample_pose",
     "bias_report",
     "load_preset",
     "bundled_preset_names",
@@ -111,9 +110,11 @@ class CameraPreset:
         effective focal length is evaluated at min(distance, hyperfocal).
         """
         d = min(float(distance_mm), self.hyperfocal_mm)
-        return sharp_focal_length(self.lens, d) / sharp_focal_length(
-            self.lens, self.hyperfocal_mm
-        )
+        return sharp_focal_length(self.lens, d) / self._hyperfocal_focal_mm
+
+    @cached_property
+    def _hyperfocal_focal_mm(self) -> float:
+        return sharp_focal_length(self.lens, self.hyperfocal_mm)
 
     def effective_intrinsics(self, distance_mm: float, focus_mode: str) -> Intrinsics:
         if focus_mode == FOCUS_FIXED:
@@ -231,8 +232,10 @@ def _in_order(make, items) -> tuple[list, Exception | None]:
 
 
 def _sample_poses(rngs, template: TemplateSpec, distances, tilt_range_deg) -> tuple:
-    """Axis-angle vectors and translations (m, 3) of ``sample_pose`` at each
-    distance, view i drawing from ``rngs[i]``."""
+    """Axis-angle vectors and translations (m, 3) of random poses, view i drawing
+    from ``rngs[i]``: the template centre on the optical axis at ``distances[i]``,
+    a tilt uniform in ``tilt_range_deg`` (finite, low <= high) about a random
+    in-plane axis, and a modest roll so multi-view sets stay well conditioned."""
     low, high = tilt_range_deg
     if not 0.0 <= high - low < np.inf:
         raise ValueError(f"tilt range needs finite low <= high, got {low}:{high}")
@@ -245,24 +248,9 @@ def _sample_poses(rngs, template: TemplateSpec, distances, tilt_range_deg) -> tu
     return rodrigues_from_rotations(rot), t
 
 
-def sample_pose(
-    rng: np.random.Generator,
-    template: TemplateSpec,
-    distance_mm: float,
-    tilt_range_deg: tuple[float, float] = (5.0, 30.0),
-) -> Pose:
-    """Random view pose with the template centre on the optical axis.
-
-    Tilt off fronto-parallel is uniform in the given range about a uniformly
-    random in-plane axis, plus a modest roll so multi-view sets stay well
-    conditioned. The range must be finite with low <= high.
-    """
-    rvecs, tvecs = _sample_poses([rng], template, [distance_mm], tilt_range_deg)
-    return Pose(rvecs[0], tvecs[0])
-
-
 def _tilted_views(preset, template, rvecs, tvecs, focus_mode, noise_px, seeds, view_ids):
-    """``generate_view`` at each pose (rvecs[i], tvecs[i]) in one pass."""
+    """Views of the template at poses (rvecs[i], tvecs[i]) in one pass, each at the
+    camera-frame depth of the template centre, which selects its scale factors."""
     world = generate_template(template)
     cam = world @ _rodrigues(rvecs)[0].transpose(0, 2, 1) + tvecs[:, None, :]
     depths = cam.mean(axis=1)[:, 2]
@@ -288,26 +276,6 @@ def _tilted_views(preset, template, rvecs, tvecs, focus_mode, noise_px, seeds, v
     if failure:
         raise failure
     return views
-
-
-def generate_view(
-    preset: CameraPreset,
-    template: TemplateSpec,
-    pose: Pose,
-    focus_mode: str = FOCUS_VARYING,
-    noise_px: float = 0.0,
-    seed=0,
-    view_id: str = "view",
-) -> CalibrationView:
-    """Simulate one template observation.
-
-    The view distance is the camera-frame depth of the template centre; it
-    selects the effective scale factors in distance-dependent mode. Points are
-    projected, pushed through the distortion model, perturbed with isotropic
-    Gaussian pixel noise, and kept only if they land inside the image.
-    """
-    return _tilted_views(preset, template, pose.rodrigues[None], pose.translation[None],
-                         focus_mode, noise_px, [seed], [view_id])[0]
 
 
 def generate_dataset(

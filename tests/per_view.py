@@ -6,21 +6,34 @@ fixed point cannot invert with one batched eigenvalue call. This module keeps
 the per-view loop they replace, with one ``np.roots`` call per point, so the
 tests can require equal bits, the same errors and the same error order. It
 takes the noise and tilt range as the per-view loop did, without checking
-that they are finite.
+that they are finite. It also holds one-matrix forms of batched primitives
+that several test modules use as references.
 """
 
 import numpy as np
 
 from focuscal.calibrate import CalibrationView
-from focuscal.core import (
-    Pose,
-    perspective_pixels,
-    rodrigues_from_rotation,
-    rotation_from_rodrigues,
-)
+from focuscal.core import Pose, rodrigues_from_rotations
 from focuscal.errors import FocusCalError
+from focuscal.homography import _canonical
 from focuscal.scale import ParallelView
 from focuscal.synth import FOCUS_VARYING, generate_template
+
+
+def rotation(rvec):
+    """Rotation matrix of one axis-angle vector."""
+    return Pose(rvec, np.zeros(3)).matrix
+
+
+def rodrigues(rot):
+    """Axis-angle vector of one rotation matrix."""
+    return rodrigues_from_rotations(np.asarray(rot, dtype=float)[None])[0]
+
+
+def canonical(matrix):
+    """One 3x3 matrix at unit Frobenius norm with the DLT's sign convention."""
+    m = np.asarray(matrix, dtype=float)
+    return _canonical(m[None], np.array([np.linalg.norm(m)]))[0]
 
 
 def _correction(points, intr, dist):
@@ -64,7 +77,11 @@ def observe(preset, intr, cam, noise_px, seed):
         raise ValueError("noise must be non-negative")
     w, h = preset.image_size
     index = np.flatnonzero(cam[:, 2] > 0)
-    ideal = perspective_pixels(cam[index], intr)
+    if not np.all(np.isfinite(cam[index])):
+        raise FocusCalError("point at or behind the camera plane")
+    x, y, z = cam[index].T
+    ideal = np.column_stack([(intr.alpha * x + intr.gamma * y) / z + intr.u0,
+                             intr.beta * y / z + intr.v0])
     margin = 0.1 * float(np.hypot(w, h))
     near = np.all((ideal >= -margin) & (ideal <= (w + margin, h + margin)), axis=1)
     index, detected = index[near], distort_points(ideal[near], intr, preset.distortion)
@@ -83,11 +100,9 @@ def sample_pose(rng, template, distance_mm, tilt_range_deg=(5.0, 30.0)):
     tilt = np.radians(rng.uniform(*tilt_range_deg))
     roll = rng.uniform(-np.pi / 12.0, np.pi / 12.0)
     axis = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
-    rot = rotation_from_rodrigues(axis * tilt) @ rotation_from_rodrigues(
-        np.array([0.0, 0.0, roll])
-    )
+    rot = rotation(axis * tilt) @ rotation(np.array([0.0, 0.0, roll]))
     t = np.array([0.0, 0.0, distance_mm]) - rot @ centre
-    return Pose(rodrigues_from_rotation(rot), t)
+    return Pose(rodrigues(rot), t)
 
 
 def generate_view(preset, template, pose, focus_mode=FOCUS_VARYING, noise_px=0.0, seed=0,

@@ -16,8 +16,8 @@ from focuscal.calibrate import (
     calibrate_baseline,
     calibrate_proposed,
 )
-from focuscal.core import Distortion, Pose, rodrigues_from_rotation
-from focuscal.homography import canonicalize, estimate_homography
+from focuscal.core import Distortion, Pose
+from focuscal.homography import estimate_homography
 from focuscal.io import canonical_dumps
 from focuscal.lens import fit_focal_curve
 from focuscal.scale import ScaleTable, scale_factors, segment_zones
@@ -32,6 +32,7 @@ from focuscal.synth import (
 )
 
 from blocks import dense
+from per_view import canonical, rodrigues
 
 ROBOTIQ = load_preset("robotiq")
 
@@ -41,7 +42,7 @@ def ok(criterion: str, detail: str) -> None:
 
 
 def rotation_angle(rot_a, rot_b):
-    return np.linalg.norm(rodrigues_from_rotation(rot_a @ rot_b.T))
+    return np.linalg.norm(rodrigues(rot_a @ rot_b.T))
 
 
 def test_criterion_1_exact_recovery():
@@ -95,7 +96,7 @@ def test_criterion_2_homography_oracle():
             m[2, :2] = rng.uniform(-0.3, 0.3, 2) / extent
             if np.linalg.cond(m) < 1e4 and np.all(corners @ m[2] > 0.3):
                 break
-        truth = canonicalize(m)
+        truth = canonical(m)
         world = quad if trial % 5 == 0 else grid  # include minimal 4-point cases
         h = np.column_stack([world, np.ones(len(world))]) @ truth.T
         image = h[:, :2] / h[:, 2:3]

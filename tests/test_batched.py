@@ -26,10 +26,11 @@ from focuscal.calibrate import (
 )
 from focuscal.core import Distortion, Intrinsics, Pose, rodrigues_from_rotations
 from focuscal.errors import FocusCalError
-from focuscal.homography import canonicalize, estimate_homographies, estimate_homography
+from focuscal.homography import estimate_homographies, estimate_homography
 from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_to_csv
 from focuscal.scale import ScaleTable
 from focuscal.synth import FOCUS_FIXED, TemplateSpec, generate_dataset, load_preset
+from per_view import canonical
 
 ROBOTIQ = load_preset("robotiq")
 
@@ -67,7 +68,7 @@ def reference_homography(world, image):
         design = np.vstack([design, np.zeros(9)])
     _, sing, vt = np.linalg.svd(design, full_matrices=False)
     h = np.linalg.inv(t_image) @ vt[-1].reshape(3, 3) @ t_world
-    return canonicalize(h), float(sing[0] / sing[7])
+    return canonical(h), float(sing[0] / sing[7])
 
 
 def reference_rodrigues(rot):
@@ -189,6 +190,13 @@ class TestBatchedHomographies:
         with pytest.raises(FocusCalError) as exc:
             estimate_homography(worlds[2], images[2])
         assert str(exc.value) == "correspondences do not determine a homography"
+
+    def test_lists_of_different_lengths_rejected(self):
+        rng = np.random.default_rng(8)
+        worlds, images = zip(*(random_view(rng, 9) for _ in range(3)))
+        for args in [(worlds, images[:2]), (worlds[:2], images), (worlds, images, ["a", "b"])]:
+            with pytest.raises(ValueError, match="worlds, images and labels differ in length"):
+                estimate_homographies(*args)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_names_its_view(self, monkeypatch, bad):

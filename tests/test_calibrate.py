@@ -23,8 +23,6 @@ from focuscal.core import (
     Intrinsics,
     Pose,
     project_points,
-    rodrigues_from_rotation,
-    rotation_from_rodrigues,
     undistort_points,
 )
 from focuscal.errors import FocusCalError
@@ -42,12 +40,13 @@ from focuscal.synth import (
 )
 
 from blocks import blocks, dense, dense_normal, finite_difference_jacobian
+from per_view import rodrigues, rotation
 
 ROBOTIQ = load_preset("robotiq")
 
 
 def rotation_angle(rot_a, rot_b):
-    return np.linalg.norm(rodrigues_from_rotation(rot_a @ rot_b.T))
+    return np.linalg.norm(rodrigues(rot_a @ rot_b.T))
 
 
 def nearest_rotation(q):
@@ -61,7 +60,7 @@ class TestOrthogonalizeRotation:
     def test_rotation_unchanged(self):
         rng = np.random.default_rng(30)
         for _ in range(50):
-            rot = rotation_from_rodrigues(rng.normal(size=3))
+            rot = rotation(rng.normal(size=3))
             np.testing.assert_allclose(nearest_rotation(rot)[0], rot, atol=1e-12)
 
     def test_scaling_removed(self):
@@ -70,13 +69,13 @@ class TestOrthogonalizeRotation:
     def test_nearest_rotation_beats_local_search(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            rot = rotation_from_rodrigues(rng.normal(size=3))
+            rot = rotation(rng.normal(size=3))
             noisy = rot + rng.normal(scale=1e-3, size=(3, 3))
             best = nearest_rotation(noisy)[0]
             base = np.linalg.norm(best - noisy)
             # dense local search over small rotation perturbations
             for _ in range(500):
-                candidate = best @ rotation_from_rodrigues(rng.normal(scale=1e-3, size=3))
+                candidate = best @ rotation(rng.normal(scale=1e-3, size=3))
                 assert np.linalg.norm(candidate - noisy) >= base - 1e-12
 
     def test_determinant_forced_positive(self):
@@ -126,7 +125,7 @@ class TestExtrinsicsFromHomography:
 
     def test_behind_camera(self):
         pose_t = np.array([10.0, 5.0, 0.0])  # template plane through the camera
-        rot = rotation_from_rodrigues([0.1, 0.0, 0.0])
+        rot = rotation([0.1, 0.0, 0.0])
         h = self.intr.matrix @ np.column_stack([rot[:, 0], rot[:, 1], pose_t])
         with pytest.raises(FocusCalError, match="no scale sign puts the template in front of the camera"):
             extrinsics_from_homography(h, self.intr.matrix)
@@ -298,6 +297,15 @@ class TestJacobian:
             assert np.abs(analytic - fd).max() / scale < 1e-5
 
 
+class TestCalibrationView:
+    @pytest.mark.parametrize("distance", [0.0, -5.0, np.inf, np.nan])
+    def test_distance_must_be_positive_and_finite(self, distance):
+        # an infinite distance would match a scale table's first row
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="view distance must be positive and finite"):
+            CalibrationView("v", distance, square, square)
+
+
 class TestCalibrateBaseline:
     def test_exact_recovery_fixed_plateau(self):
         template = TemplateSpec(6, 8, 25.0)
@@ -450,7 +458,7 @@ class TestRefinementBehaviour:
         result = calibrate_baseline(views)
         # rigid in-plane motion of the template coordinates
         angle, shift = 0.7, np.array([40.0, -25.0, 0.0])
-        gauge = rotation_from_rodrigues([0.0, 0.0, angle])
+        gauge = rotation([0.0, 0.0, angle])
         moved = [
             CalibrationView(
                 v.view_id, v.distance_mm,

@@ -471,6 +471,21 @@ class TestMalformedInput:
         assert "image_size_px" in payload["message"]
         assert not any(path.exists() for path in outs)
 
+    def test_infinite_view_distance_exits_1(self, artifacts, tmp_path):
+        _, dataset, table = artifacts
+        doc = json.loads(dataset.read_text())
+        doc["views"][0]["distance_mm"] = float("inf")
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))  # writes Infinity, which json.loads reads back
+        out = tmp_path / "never.json"
+        proc = run("calibrate", "--dataset", str(broken), "--method", "proposed",
+                   "--scale-table", str(table), "--out", str(out), "--json-errors")
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr.strip())
+        assert payload["error"] == "FormatError"
+        assert "view distance must be positive and finite" in payload["message"]
+        assert not out.exists()
+
     def test_missing_scale_table_exits_2(self, artifacts, tmp_path):
         _, dataset, _ = artifacts
         out = tmp_path / "never.json"

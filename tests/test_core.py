@@ -7,17 +7,13 @@ from focuscal.core import (
     Distortion,
     Intrinsics,
     Pose,
-    distort,
     distort_points,
-    project,
     project_points,
-    rodrigues_from_rotation,
-    rotation_from_rodrigues,
-    undistort,
     undistort_points,
 )
 from focuscal import core
 from focuscal.errors import FocusCalError
+from per_view import rodrigues, rotation
 
 
 def oracle_project(wp, intr, rot, t):
@@ -30,7 +26,7 @@ def oracle_project(wp, intr, rot, t):
 def random_rotation(rng):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    return rotation_from_rodrigues(axis * rng.uniform(0, np.pi))
+    return rotation(axis * rng.uniform(0, np.pi))
 
 
 class TestIntrinsicMatrix:
@@ -61,12 +57,14 @@ class TestProject:
     def test_optical_axis_maps_to_principal_point(self):
         intr = Intrinsics(800.0, 820.0, 0.3, 640.0, 360.0)
         pose = Pose(np.zeros(3), [0.0, 0.0, 1000.0])
-        np.testing.assert_allclose(project([0, 0, 0], intr, pose), [640.0, 360.0])
+        pixel = project_points(np.zeros((1, 3)), intr, pose)[0]
+        np.testing.assert_allclose(pixel, [640.0, 360.0])
 
     def test_direct_evaluation(self):
         intr = Intrinsics(1000.0, 1000.0, 0.0, 0.0, 0.0)
         pose = Pose(np.zeros(3), [0.0, 0.0, 1000.0])
-        np.testing.assert_allclose(project([100, 0, 0], intr, pose), [100.0, 0.0])
+        pixel = project_points(np.array([[100.0, 0.0, 0.0]]), intr, pose)[0]
+        np.testing.assert_allclose(pixel, [100.0, 0.0])
 
     def test_matches_matrix_product_oracle(self):
         rng = np.random.default_rng(1)
@@ -83,7 +81,7 @@ class TestProject:
             wp = rng.uniform(-100, 100, 3)
             if (rot @ wp + t)[2] <= 1.0:
                 continue
-            got = project(wp, intr, Pose(rodrigues_from_rotation(rot), t))
+            got = project_points(wp[None], intr, Pose(rodrigues(rot), t))[0]
             want = oracle_project(wp, intr, rot, t)
             np.testing.assert_allclose(got, want, atol=1e-12 * max(1.0, np.abs(want).max()))
 
@@ -104,7 +102,7 @@ class TestProject:
         intr = Intrinsics(1000.0, 1000.0)
         pose = Pose(np.zeros(3), [0.0, 0.0, -10.0])
         with pytest.raises(FocusCalError, match="point at or behind the camera plane"):
-            project([0, 0, 0], intr, pose)
+            project_points(np.zeros((1, 3)), intr, pose)
         with pytest.raises(FocusCalError, match="point at or behind the camera plane"):
             project_points([[0, 0, 10], [0, 0, 20]], intr, pose)
 
@@ -114,7 +112,7 @@ class TestRodrigues:
         rng = np.random.default_rng(3)
         for _ in range(1000):
             rot = random_rotation(rng)
-            back = rotation_from_rodrigues(rodrigues_from_rotation(rot))
+            back = rotation(rodrigues(rot))
             assert np.linalg.norm(back - rot) < 1e-10
 
     @pytest.mark.parametrize(
@@ -126,8 +124,8 @@ class TestRodrigues:
         for _ in range(20):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            rot = rotation_from_rodrigues(axis * angle)
-            back = rotation_from_rodrigues(rodrigues_from_rotation(rot))
+            rot = rotation(axis * angle)
+            back = rotation(rodrigues(rot))
             assert np.linalg.norm(back - rot) < 1e-10
 
     @settings(deadline=None, max_examples=300)
@@ -140,9 +138,9 @@ class TestRodrigues:
         axis = np.array(axis) / np.linalg.norm(axis)
         offset = 10.0**exponent  # 0 for an exponent of -inf
         rvec = axis * (np.pi - offset if near_pi else offset)
-        rot = rotation_from_rodrigues(rvec)
-        back = rodrigues_from_rotation(rot)
-        assert np.linalg.norm(rotation_from_rodrigues(back) - rot) < 1e-10
+        rot = rotation(rvec)
+        back = rodrigues(rot)
+        assert np.linalg.norm(rotation(back) - rot) < 1e-10
         if near_pi:
             # r and -r give the same rotation at pi: the angle is what is fixed
             assert np.linalg.norm(back) == pytest.approx(np.pi - offset, abs=1e-7)
@@ -152,7 +150,7 @@ class TestRodrigues:
     def test_orthonormality(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            rot = rotation_from_rodrigues(rng.normal(size=3))
+            rot = rotation(rng.normal(size=3))
             assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
             assert abs(np.linalg.det(rot) - 1.0) < 1e-12
 
@@ -173,7 +171,7 @@ class TestRodrigues:
                 backward = r.copy()
                 backward[i] -= step
                 fd = (
-                    rotation_from_rodrigues(forward) - rotation_from_rodrigues(backward)
+                    rotation(forward) - rotation(backward)
                 ) / (2 * step)
                 assert np.abs(dr[i] - fd).max() < 1e-6
 
@@ -182,7 +180,7 @@ class TestRodrigues:
         rot = pose.matrix
         assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-10
         assert abs(np.linalg.det(rot) - 1.0) < 1e-10
-        again = Pose(rodrigues_from_rotation(rot), pose.translation)
+        again = Pose(rodrigues(rot), pose.translation)
         assert np.linalg.norm(again.matrix - rot) < 1e-10
 
 
@@ -192,14 +190,14 @@ class TestDistortion:
     def test_zero_distortion_is_identity(self):
         d = Distortion()
         p = np.array([100.0, 50.0])
-        np.testing.assert_array_equal(undistort(p, self.intr, d), p)
-        np.testing.assert_array_equal(distort(p, self.intr, d), p)
+        np.testing.assert_array_equal(undistort_points(p, self.intr, d), p)
+        np.testing.assert_array_equal(distort_points(p, self.intr, d), p)
 
     def test_principal_point_fixed(self):
         d = Distortion(0.03, -0.1)
         pp = np.array([self.intr.u0, self.intr.v0])
-        np.testing.assert_allclose(undistort(pp, self.intr, d), pp)
-        np.testing.assert_allclose(distort(pp, self.intr, d), pp)
+        np.testing.assert_allclose(undistort_points(pp, self.intr, d), pp)
+        np.testing.assert_allclose(distort_points(pp, self.intr, d), pp)
 
     def test_inversion_budget_exhausted(self, monkeypatch):
         # Five fixed-point steps leave every point unconverged: each is solved
@@ -220,8 +218,8 @@ class TestDistortion:
     def test_published_coefficients_round_trip(self):
         d = Distortion(0.0087, -0.072)
         ideal = np.array([self.intr.u0 + 200.0 / np.sqrt(2), self.intr.v0 + 200.0 / np.sqrt(2)])
-        distorted = distort(ideal, self.intr, d)
-        np.testing.assert_allclose(undistort(distorted, self.intr, d), ideal, atol=1e-9)
+        distorted = distort_points(ideal, self.intr, d)
+        np.testing.assert_allclose(undistort_points(distorted, self.intr, d), ideal, atol=1e-9)
 
     def test_undistort_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
@@ -236,7 +234,7 @@ class TestDistortion:
             r2 = (du / self.intr.alpha) ** 2 + (dv / self.intr.beta) ** 2
             gain = d.k1 * r2 + d.k2 * r2 * r2
             want = np.array([p[0] + du * gain, p[1] + dv * gain])
-            np.testing.assert_allclose(undistort(p, self.intr, d), want, atol=1e-12)
+            np.testing.assert_allclose(undistort_points(p, self.intr, d), want, atol=1e-12)
 
     def test_round_trip_identities_over_range(self):
         # radii up to half the image diagonal of a 1279x724 sensor
@@ -254,13 +252,13 @@ class TestDistortion:
                             self.intr.v0 + radius * np.sin(angle),
                         ]
                     )
-                    there = distort(p, self.intr, d)
+                    there = distort_points(p, self.intr, d)
                     np.testing.assert_allclose(
-                        undistort(there, self.intr, d), p, atol=1e-9
+                        undistort_points(there, self.intr, d), p, atol=1e-9
                     )
-                    back = undistort(p, self.intr, d)
+                    back = undistort_points(p, self.intr, d)
                     np.testing.assert_allclose(
-                        distort(back, self.intr, d), p, atol=1e-9
+                        distort_points(back, self.intr, d), p, atol=1e-9
                     )
 
     def test_vectorized_matches_scalar(self):
@@ -268,7 +266,7 @@ class TestDistortion:
         pts = np.array([[100.0, 200.0], [700.0, 650.0], [645.8, 359.3]])
         vec = undistort_points(pts, self.intr, d)
         for i, p in enumerate(pts):
-            np.testing.assert_array_equal(vec[i], undistort(p, self.intr, d))
+            np.testing.assert_array_equal(vec[i], undistort_points(p, self.intr, d))
         vec2 = distort_points(pts, self.intr, d)
         for i, p in enumerate(pts):
-            np.testing.assert_allclose(vec2[i], distort(p, self.intr, d), atol=1e-12)
+            np.testing.assert_allclose(vec2[i], distort_points(p, self.intr, d), atol=1e-12)

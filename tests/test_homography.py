@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focuscal.errors import FocusCalError
-from focuscal.homography import _normalize, canonicalize, estimate_homography
+from focuscal.homography import _canonical, _normalize, estimate_homographies, estimate_homography
+from per_view import canonical
 
 
 def apply_h(matrix, world_xy):
@@ -37,7 +38,7 @@ def random_well_conditioned_h(rng, extent=150.0, cond_limit=1e4):
         m[2, :2] = rng.uniform(-0.3, 0.3, 2) / extent
         w = np.column_stack([corners, np.ones(4)]) @ m[2]
         if np.linalg.cond(m) < cond_limit and np.all(w > 0.3):
-            return canonicalize(m)
+            return canonical(m)
 
 
 class TestNormalizePoints:
@@ -81,7 +82,7 @@ class TestEstimateHomography:
         world = grid(5)
         est = estimate_homography(world, world)
         np.testing.assert_allclose(
-            est.matrix, canonicalize(np.eye(3)), atol=1e-10
+            est.matrix, canonical(np.eye(3)), atol=1e-10
         )
 
     def test_exact_recovery_random(self):
@@ -113,7 +114,7 @@ class TestEstimateHomography:
     def test_z_column_accepted_when_zero(self):
         world = np.column_stack([grid(4), np.zeros(16)])
         est = estimate_homography(world, grid(4))
-        np.testing.assert_allclose(est.matrix, canonicalize(np.eye(3)), atol=1e-10)
+        np.testing.assert_allclose(est.matrix, canonical(np.eye(3)), atol=1e-10)
         with pytest.raises(ValueError):
             estimate_homography(world + [0, 0, 1], grid(4))
 
@@ -126,7 +127,7 @@ class TestEstimateHomography:
         shift = np.array([137.0, -42.0])
         shifted = estimate_homography(world, image + shift).matrix
         unshift = np.array([[1.0, 0.0, -shift[0]], [0.0, 1.0, -shift[1]], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(canonicalize(unshift @ shifted), base, atol=1e-9)
+        np.testing.assert_allclose(canonical(unshift @ shifted), base, atol=1e-9)
 
     def test_condition_estimate_reported(self):
         world = grid(5)
@@ -167,25 +168,35 @@ class TestInvariance:
         ])
         h = estimate_homography(world, image).matrix
         moved = estimate_homography(world, apply_h(similarity, image)).matrix
-        np.testing.assert_allclose(moved, canonicalize(similarity @ h), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved, canonical(similarity @ h), rtol=0, atol=1e-9)
 
 
 class TestCanonicalize:
+    """Every estimate is scaled to unit Frobenius norm with a deterministic sign."""
+
     def test_idempotent_bitwise(self):
-        rng = np.random.default_rng(18)
-        for _ in range(100):
-            h = canonicalize(rng.normal(size=(3, 3)))
-            again = canonicalize(h)
-            np.testing.assert_array_equal(again, h)
+        m = np.random.default_rng(18).normal(size=(100, 3, 3))
+        h = _canonical(m, np.linalg.norm(m, axis=(1, 2)))
+        again = _canonical(h, np.linalg.norm(h, axis=(1, 2)))
+        np.testing.assert_array_equal(again, h)
 
     def test_sign_convention(self):
-        h = canonicalize(-np.eye(3))
-        assert h[2, 2] > 0
+        world = grid(5)
+        flipped = -np.eye(3)
+        flipped[:2, 2] = (3.0, -7.0)
+        for h in estimate_homographies([world, world], [world, apply_h(flipped, world)]):
+            assert np.linalg.norm(h.matrix) == pytest.approx(1.0, abs=1e-15)
+            assert h.matrix[2, 2] > 0
 
     def test_sign_fallback_first_nonzero(self):
-        m = np.array([[-2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        h = canonicalize(m)
-        assert h[0, 0] > 0
+        # The template origin maps to infinity, so h[2, 2] vanishes and the
+        # first entry above the threshold, h[0, 2], takes the sign.
+        world = grid(5) + 10.0
+        for sign in (1.0, -1.0):
+            m = sign * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+            h = estimate_homographies([world], [apply_h(m, world)])[0].matrix
+            assert abs(h[2, 2]) < 1e-12 and h[0, 2] > 0
+            np.testing.assert_allclose(h, np.abs(m) / np.sqrt(3.0), atol=1e-9)
 
 
 class TestResiduals:

@@ -39,6 +39,27 @@ def test_package_exports_the_union_of_module_all():
             assert getattr(focuscal, name) is getattr(module, name)
 
 
+# The public names, spelled out so that any change to them shows in a test.
+PUBLIC_NAMES = [
+    "BiasReport", "CalibrationResult", "CalibrationView", "CameraPreset", "CurveFit",
+    "Distortion", "FOCUS_FIXED", "FOCUS_VARYING", "FocalCurve", "Homography", "IntrinsicSet",
+    "Intrinsics", "LMResult", "LensSpec", "ParallelView", "PerViewStats", "Pose",
+    "ReprojectionStats", "ScaleSource", "ScaleTable", "Solution", "TemplateSpec",
+    "ZoneSegmentation", "bias_report", "bundled_preset_names", "calibrate_baseline",
+    "calibrate_proposed", "central_increments", "distort_points", "estimate_homographies",
+    "estimate_homography", "eval_focal_curve", "extrinsics_from_homography", "fit_focal_curve",
+    "focal_length_limit", "focal_sweep", "generate_dataset", "generate_parallel_stack",
+    "generate_template", "intrinsics_from_homographies", "levenberg_marquardt", "load_preset",
+    "parallel_stack_dataset", "project_points", "reprojection_stats",
+    "rodrigues_from_rotations", "scale_factors", "segment_zones", "sharp_focal_length",
+    "solution_residuals", "suggest_noise_band", "undistort_points",
+]
+
+
+def test_public_names_are_the_listed_ones():
+    assert sorted(focuscal.__all__) == PUBLIC_NAMES
+
+
 def test_every_listed_name_resolves():
     names = [info.name for info in pkgutil.iter_modules(focuscal.__path__)]
     assert set(LIBRARY_MODULES) < set(names)

@@ -8,12 +8,11 @@ from focuscal.core import (
     Intrinsics,
     Pose,
     distort_points,
-    perspective_pixels,
-    rodrigues_from_rotation,
-    rotation_from_rodrigues,
+    project_points,
     undistort_points,
 )
 from focuscal.errors import FocusCalError, FormatError
+from focuscal.lens import sharp_focal_length
 from focuscal.scale import scale_factors, segment_zones
 from focuscal.synth import (
     FOCUS_FIXED,
@@ -24,11 +23,10 @@ from focuscal.synth import (
     generate_dataset,
     generate_parallel_stack,
     generate_template,
-    generate_view,
     load_preset,
     parallel_stack_dataset,
-    sample_pose,
 )
+from per_view import rodrigues, rotation
 
 ROBOTIQ = load_preset("robotiq")
 
@@ -78,19 +76,17 @@ class TestPresets:
 
 
 class TestGenerateView:
-    def pose_at(self, d):
-        centre = generate_template(TemplateSpec(6, 9, 8.0)).mean(axis=0)
-        return Pose(np.zeros(3), np.array([0.0, 0.0, d]) - centre)
+    """One view at a time, through ``generate_dataset``."""
+
+    template = TemplateSpec(6, 9, 8.0)
 
     def test_fixed_plateau_self_consistency(self):
         from focuscal.calibrate import IntrinsicSet, Solution, solution_residuals
 
-        template = TemplateSpec(6, 9, 8.0)
-        pose = self.pose_at(400.0)
-        view = generate_view(ROBOTIQ, template, pose, FOCUS_FIXED, 0.0, seed=0)
+        (view,) = generate_dataset(ROBOTIQ, self.template, [400.0], FOCUS_FIXED, 0.0, seed=0)
         sol = Solution(
             IntrinsicSet.from_single(ROBOTIQ.intrinsics),
-            (pose,),
+            (view.gt_pose,),
             ROBOTIQ.distortion,
             None,
         )
@@ -98,39 +94,45 @@ class TestGenerateView:
         assert np.abs(residuals).max() < 1e-9
 
     def test_far_beyond_hyperfocal_matches_plateau(self):
-        template = TemplateSpec(6, 9, 8.0)
-        pose = self.pose_at(2000.0)
-        a = generate_view(ROBOTIQ, template, pose, FOCUS_VARYING, 0.0, seed=1)
-        b = generate_view(ROBOTIQ, template, pose, FOCUS_FIXED, 0.0, seed=1)
+        # the same seed gives the same pose in both focus modes
+        (a,) = generate_dataset(ROBOTIQ, self.template, [2000.0], FOCUS_VARYING, 0.0, seed=1)
+        (b,) = generate_dataset(ROBOTIQ, self.template, [2000.0], FOCUS_FIXED, 0.0, seed=1)
+        np.testing.assert_array_equal(a.gt_pose.rodrigues, b.gt_pose.rodrigues)
+        np.testing.assert_array_equal(a.gt_pose.translation, b.gt_pose.translation)
         assert np.abs(a.image - b.image).max() < 1e-6
 
     def test_same_seed_bit_identical(self):
-        template = TemplateSpec(6, 9, 8.0)
-        pose = sample_pose(np.random.default_rng(9), template, 300.0)
-        a = generate_view(ROBOTIQ, template, pose, FOCUS_VARYING, 0.6, seed=77)
-        b = generate_view(ROBOTIQ, template, pose, FOCUS_VARYING, 0.6, seed=77)
+        a, b = (generate_dataset(ROBOTIQ, self.template, [300.0], FOCUS_VARYING, 0.6, seed=77)[0]
+                for _ in range(2))
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.world, b.world)
 
     def test_behind_camera(self):
-        template = TemplateSpec(6, 9, 8.0)
-        centre = generate_template(template).mean(axis=0)
-        pose = Pose(np.zeros(3), np.array([0.0, 0.0, -400.0]) - centre)
         with pytest.raises(FocusCalError, match="template centre is behind the camera"):
-            generate_view(ROBOTIQ, template, pose, FOCUS_FIXED, 0.0, seed=0)
+            generate_dataset(ROBOTIQ, self.template, [-400.0], FOCUS_FIXED, 0.0, seed=0)
 
     @pytest.mark.parametrize("tilt", [(5.0, np.nan), (5.0, np.inf), (30.0, 5.0), (-1e308, 1e308)])
     def test_tilt_range_must_be_finite_and_ordered(self, tilt):
-        template = TemplateSpec(6, 9, 8.0)
         with pytest.raises(ValueError, match="tilt range needs finite low <= high"):
-            generate_dataset(ROBOTIQ, template, [300.0, 400.0], tilt_range_deg=tilt)
-        with pytest.raises(ValueError, match="tilt range needs finite low <= high"):
-            sample_pose(np.random.default_rng(0), template, 300.0, tilt)
+            generate_dataset(ROBOTIQ, self.template, [300.0, 400.0], tilt_range_deg=tilt)
 
     def test_distance_is_centre_depth(self):
-        template = TemplateSpec(6, 9, 8.0)
-        view = generate_view(ROBOTIQ, template, self.pose_at(412.5), FOCUS_FIXED, 0.0, seed=0)
+        (view,) = generate_dataset(ROBOTIQ, self.template, [412.5], FOCUS_FIXED, 0.0, seed=0)
+        centre = generate_template(self.template).mean(axis=0)
         assert view.distance_mm == pytest.approx(412.5, abs=1e-9)
+        assert view.gt_pose.transform(centre)[0, 2] == pytest.approx(view.distance_mm, abs=1e-9)
+
+    def test_hyperfocal_focal_length_computed_once(self, monkeypatch):
+        from focuscal import synth
+
+        calls = []
+        monkeypatch.setattr(synth, "sharp_focal_length",
+                            lambda lens, d: calls.append(d) or sharp_focal_length(lens, d))
+        preset = load_preset("robotiq")
+        distances = [100.0, 140.0, 400.0]  # the last is past hyperfocal
+        generate_dataset(preset, self.template, distances, FOCUS_VARYING, 0.0, seed=0)
+        assert len(calls) == len(distances) + 1
+        assert calls.count(preset.hyperfocal_mm) == 2
 
 
 class TestParallelStack:
@@ -201,9 +203,8 @@ class TestParallelStack:
         stack = generate_parallel_stack(preset, template, distances, 0.0, seed=6)
         for view in stack:
             intr = preset.effective_intrinsics(view.distance_mm, FOCUS_VARYING)
-            ideal = perspective_pixels(
-                world + (np.array([0.0, 0.0, view.distance_mm]) - world.mean(axis=0)), intr
-            )
+            shift = np.array([0.0, 0.0, view.distance_mm]) - world.mean(axis=0)
+            ideal = project_points(world, intr, Pose(np.zeros(3), shift))
             points = view.points.reshape(-1, 2)
             kept = np.isfinite(points[:, 0])
             np.testing.assert_allclose(
@@ -265,8 +266,8 @@ class TestBiasReport:
         views, result = self.small_problem()
         axes = np.random.default_rng(8).normal(size=(len(views), 3))
         turned = tuple(
-            Pose(rodrigues_from_rotation(rotation_from_rodrigues(angle * a / np.linalg.norm(a))
-                                         @ v.gt_pose.matrix), p.translation)
+            Pose(rodrigues(rotation(angle * a / np.linalg.norm(a)) @ v.gt_pose.matrix),
+                 p.translation)
             for a, v, p in zip(axes, views, result.refined.poses)
         )
         result = dataclasses.replace(
@@ -274,7 +275,7 @@ class TestBiasReport:
         )
         report = bias_report(result, views)
         dt = [p.translation - v.gt_pose.translation for p, v in zip(turned, views)]
-        rot = [np.linalg.norm(rodrigues_from_rotation(p.matrix @ v.gt_pose.matrix.T))
+        rot = [np.linalg.norm(rodrigues(p.matrix @ v.gt_pose.matrix.T))
                for p, v in zip(turned, views)]
         assert report.translation_errors_mm.tobytes() == np.array(dt).tobytes()
         assert report.rotation_errors_rad.tobytes() == np.array(rot).tobytes()
@@ -392,12 +393,9 @@ class TestMatchesPerViewReference:
     def test_one_view_cases(self):
         template = TemplateSpec(6, 9, 8.0)
         for seed in range(6):
-            pose = sample_pose(np.random.default_rng(seed), template, 300.0, (0.0, 40.0))
-            ref = per_view.sample_pose(np.random.default_rng(seed), template, 300.0, (0.0, 40.0))
-            assert (pose.rodrigues.tobytes(), pose.translation.tobytes()) == (
-                ref.rodrigues.tobytes(), ref.translation.tobytes())
-            args = (ROBOTIQ, template, pose, FOCUS_VARYING, 0.5, seed, f"v{seed}")
-            assert view_bytes([generate_view(*args)]) == view_bytes([per_view.generate_view(*args)])
+            args = (ROBOTIQ, template, [300.0], FOCUS_VARYING, 0.5, seed, (0.0, 40.0))
+            ours, ref = generate_dataset(*args), per_view.generate_dataset(*args)
+            assert view_bytes(ours) == view_bytes(ref)
 
     # each list's first failing view raises what a loop over the views raises
     @pytest.mark.parametrize("distances", [
