@@ -32,9 +32,7 @@ print(f"correction reproduces the ideal pixel to "
 
 # A planar grid determines the camera pose through its homography.
 grid = np.array([[x, y, 0.0] for y in range(0, 125, 25) for x in range(0, 150, 25)])
-# One point at a time: a batched call rounds the last bits differently, and the
-# discrepancy printed below shows them.
-pixels = np.array([project_points(p[None], intr, pose)[0] for p in grid])
+pixels = project_points(grid, intr, pose)
 hom = estimate_homographies([grid], [pixels])[0]
 recovered = extrinsics_from_homography(hom, intr.matrix)
 print(f"\nhomography condition estimate: {hom.condition:.1f}")

@@ -10,11 +10,14 @@ and distortion, which removes the coupling channel that lets focal-length
 errors hide in the translations.
 
 The refinement residual pairs each observation, corrected by the closed-form
-radial model, with the pin-hole projection of its template point. That model
-and its analytic Jacobian live in ``core.Reprojection``; this module only
-stacks the views, packs the parameters, calls it and forms the normal
-equations from its rows. The per-view setup (homographies, pose starts and
-statistics) runs batched over all views.
+radial model, with the pin-hole projection of its template point. ``_Problem``
+evaluates that model over the stacked points of every view in one forward
+pass, from the primitives in ``core``, and fills its analytic Jacobian and
+the normal equations from what the pass kept. A rotated point's derivative
+by the axis-angle vector takes the closed form d(R w)/dr = -[R w]x J_l(r)
+(Gallego & Yezzi, "A compact formula for the derivative of a 3-D rotation in
+exponential coordinates", JMIV 2015). The per-view setup (homographies, pose
+starts and statistics) runs batched over all views.
 """
 
 from __future__ import annotations
@@ -27,8 +30,11 @@ from .core import (
     Distortion,
     Intrinsics,
     Pose,
-    Reprojection,
     _norms,
+    _pinhole,
+    _radial,
+    _rodrigues,
+    _rotate,
     rodrigues_from_rotations,
 )
 from .errors import FocusCalError, raise_first
@@ -276,9 +282,12 @@ def intrinsics_from_homographies(homographies) -> Intrinsics:
 
 # refinement problem
 
+# Depth at or below which a view's residuals are infinite.
+_MIN_DEPTH = 1e-9
+
 
 class _Problem:
-    """Residuals and analytic normal equations for the joint refinement.
+    """The camera model's residuals and analytic normal equations for the joint refinement.
 
     Parameter order: intrinsic block, then six pose parameters per view.
     Baseline intrinsic block is (alpha, beta, gamma, u0, v0[, k1, k2]); the
@@ -311,6 +320,8 @@ class _Problem:
             names = ("alpha", "beta", "gamma", "u0", "v0")
         else:
             names = ("u0", "v0", "gamma")
+            alpha, beta = np.array(frozen_scales, dtype=float).T
+            self._frozen_points = alpha[self.view], beta[self.view]  # each point's pair
         names += ("k1", "k2") if estimate_distortion else ()
         self.columns = {name: j for j, name in enumerate(names)}
         self.n_intr = len(names)
@@ -335,48 +346,63 @@ class _Problem:
         x[self.n_intr :] = np.ravel([np.r_[p.rodrigues, p.translation] for p in poses])
         return x
 
-    def _model_args(self, x) -> dict:
-        """Keyword arguments of ``Reprojection`` at parameters ``x``."""
-        x = np.asarray(x, dtype=float)
-        args = {"k1": 0.0, "k2": 0.0}
-        args.update((name, x[j]) for name, j in self.columns.items())
-        if self.frozen is not None:
-            args["alpha"], args["beta"] = np.array(self.frozen, dtype=float).T
-        poses = x[self.n_intr :].reshape(self.n_views, 6)
-        return dict(args, rvecs=poses[:, :3], tvecs=poses[:, 3:])
+    def _named(self, x) -> dict:
+        """The shared parameters at ``x`` by name, with k1 and k2 zero when not refined."""
+        return {"k1": 0.0, "k2": 0.0, **{name: x[j] for name, j in self.columns.items()}}
 
     def unpack(self, x) -> tuple[IntrinsicSet, Distortion, tuple[Pose, ...]]:
-        m = self._model_args(x)
+        x = np.asarray(x, dtype=float)
+        p = self._named(x)
         if self.frozen is None:
-            scales = ((float(m["alpha"]), float(m["beta"])),)
+            scales = ((float(p["alpha"]), float(p["beta"])),)
         else:
             scales = tuple(self.frozen)
-        intr = IntrinsicSet(float(m["u0"]), float(m["v0"]), float(m["gamma"]), scales,
+        intr = IntrinsicSet(float(p["u0"]), float(p["v0"]), float(p["gamma"]), scales,
                             self.frozen is None)
-        dist = Distortion(float(m["k1"]), float(m["k2"]))
-        return intr, dist, tuple(Pose(r, t) for r, t in zip(m["rvecs"], m["tvecs"]))
+        dist = Distortion(float(p["k1"]), float(p["k2"]))
+        poses = x[self.n_intr :].reshape(self.n_views, 6)
+        return intr, dist, tuple(Pose(pose[:3], pose[3:]) for pose in poses)
 
-    def _model(self, x) -> Reprojection:
-        return Reprojection(self.world, self.image, self.view, **self._model_args(x))
+    def _pass(self, x) -> tuple:
+        """The camera model's forward pass at ``x``, reused when ``x`` is bitwise the held one.
 
-    def _pass(self, x) -> Reprojection:
-        """The forward pass at ``x``, reused when ``x`` is bitwise the held one.
-
+        Returns the residuals (n, 2) in the held point order, each observation
+        after the radial correction minus the pin-hole projection, then the
+        terms ``jacobian`` reuses. Every residual of a view with a point at or
+        behind the camera plane, or a non-positive scale factor, is infinite.
         The solver asks for a Jacobian right after the trial residual it
         accepts, and for its first residual where the algebraic statistics
         took theirs. The held pass is dropped first, so two are never held.
         """
         x = np.array(x, dtype=float)
         # Compared bitwise, so -0.0 and 0.0 are different points.
-        if self._last is None or self._last[0].tobytes() != x.tobytes():
-            self._last = None
-            self._last = (x, self._model(x))
+        if self._last is not None and self._last[0].tobytes() == x.tobytes():
+            return self._last[1]
+        self._last = None
+        p = self._named(x)
+        if self.frozen is not None:
+            p["alpha"], p["beta"] = self._frozen_points
+        alpha, beta, u0, v0 = p["alpha"], p["beta"], p["u0"], p["v0"]
+        poses = x[self.n_intr :].reshape(self.n_views, 6)
+        rvecs = poses[:, :3]
+        rw = _rotate(_rodrigues(rvecs)[0][self.view], self.world)
+        cam = rw + poses[self.view, 3:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u_hat, v_hat = _pinhole(*cam.T, alpha, beta, p["gamma"], u0, v0)
+            du, dv = self.image[:, 0] - u0, self.image[:, 1] - v0
+            radial = (du, dv, *_radial(du, dv, alpha, beta, p["k1"], p["k2"]))
+            g = radial[-1]
+            r = np.column_stack([self.image[:, 0] + du * g - u_hat,
+                                 self.image[:, 1] + dv * g - v_hat])
+        bad = (cam[:, 2] <= _MIN_DEPTH) | (alpha <= 0) | (beta <= 0)
+        if bad.any():
+            r[np.isin(self.view, self.view[bad])] = np.inf
+        self._last = (x, (r, p, rvecs, rw, cam, radial))
         return self._last[1]
 
     def residual(self, x) -> np.ndarray:
-        model = self._pass(x)
-        r = model.residuals if self._unsort is None else model.residuals[self._unsort]
-        return r.ravel()
+        r = self._pass(x)[0]
+        return (r if self._unsort is None else r[self._unsort]).ravel()
 
     def split(self, r) -> list[np.ndarray]:
         """Signed (du, dv) residuals ``residual`` returned, one (n_i, 2) array per view."""
@@ -386,12 +412,49 @@ class _Problem:
         """Fill the buffer at ``x``; returns its Jacobian, (rows, k + 6).
 
         The array is a view of the buffer, valid until the next call, with
-        rows in the held point order.
+        rows in the held point order. Buffer columns 2j and 2j + 1 are point
+        j's u and v residuals. Row ``columns[name]`` holds the derivatives by
+        that shared parameter, the six rows after them those by the point's
+        own view's pose, rotation vector first, and the last row the
+        residuals. A view's rotation rows are one (3, 3) @ (3, n) product.
+        Every entry is written.
         """
-        model = self._pass(x)
-        model.fill_jacobian(self._rows, self.columns, self.groups)
-        self._rows[-1] = model.residuals.ravel()
-        return self._rows[:-1].T
+        r, p, rvecs, rw, cam, (du, dv, xb, yb, r2, g) = self._pass(x)
+        jt = self._rows
+        x, y, z = cam.T
+        alpha, beta, gamma, k1, k2 = (p[name] for name in ("alpha", "beta", "gamma", "k1", "k2"))
+        gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
+        ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
+        derivatives = {  # built on demand, one row pair at a time
+            "alpha": lambda: (-du * ex * xb - x / z, -dv * ex * xb),
+            "beta": lambda: (-du * ey * yb, -dv * ey * yb - y / z),
+            "gamma": lambda: (-y / z, 0.0),
+            "u0": lambda: (-g - du * ex - 1.0, -dv * ex),
+            "v0": lambda: (-du * ey, -g - dv * ey - 1.0),
+            "k1": lambda: (du * r2, dv * r2),
+            "k2": lambda: (du * r2 * r2, dv * r2 * r2),
+        }
+        for name, row in self.columns.items():
+            jt[row, 0::2], jt[row, 1::2] = derivatives[name]()
+        # pose rows: residual = corrected - projected, so -d(projection), and
+        # d(cam)/dr = -[rw]x J_l turns -grad . d(cam)/dr into (grad x rw) J_l
+        k = self.n_intr
+        w0, w1, w2 = rw.T
+        jl_t = _rodrigues(rvecs, derivatives=True)[1].transpose(0, 2, 1)
+        grad_u = (alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z))
+        grad_v = (np.zeros_like(z), beta / z, -beta * y / (z * z))
+        for parity, (g0, g1, g2) in enumerate((grad_u, grad_v)):
+            cross = np.array([g1 * w2 - g2 * w1, g2 * w0 - g0 * w2, g0 * w1 - g1 * w0])
+            start = 0
+            for views, n in self.groups:
+                end = start + len(views) * n
+                block = cross[:, start:end].reshape(3, len(views), n).transpose(1, 0, 2)
+                rot = np.matmul(jl_t[views], block).transpose(1, 0, 2).reshape(3, -1)
+                jt[k : k + 3, 2 * start + parity : 2 * end : 2] = rot
+                start = end
+            jt[k + 3 : k + 6, parity::2] = -g0, -g1, -g2
+        jt[-1] = r.ravel()
+        return jt[:-1].T
 
     def normal(self, x) -> tuple:
         """Blocks U, W, V and the gradient of the normal equations at ``x``."""

@@ -158,6 +158,8 @@ def cmd_simulate(args) -> int:
 def cmd_scale_factors(args) -> int:
     if args.fit and not args.out_curve:
         raise UsageError("--fit requires --out-curve")
+    if args.out_curve and not args.fit:
+        raise UsageError("--out-curve requires --fit")
     template, views, meta = dataset_from_dict(_load_json(args.dataset, "dataset"))
     if meta.get("kind", "stack") != "stack":
         raise UsageError(

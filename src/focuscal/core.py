@@ -1,4 +1,4 @@
-"""Pin-hole camera primitives and the one camera model of the package.
+"""Pin-hole camera primitives shared by the simulator, the refinement and the point API.
 
 Conventions used throughout the package: world coordinates in millimetres,
 image coordinates in pixels, angles in radians. A pose maps world points into
@@ -6,14 +6,12 @@ the camera frame via ``x_cam = R @ x_world + t`` with the optical axis along
 +z. All types are immutable values and every function is pure.
 
 The camera model (Zhang, "A flexible new technique for camera calibration",
-PAMI 2000) is written once, here: batched Rodrigues rotations and their left
-Jacobians (``_rodrigues``), the pin-hole projection (``_pinhole``) and the
-radial correction (``_radial``). ``Reprojection`` evaluates it over the
-stacked points of every view in one forward pass and fills the analytic
-Jacobian, transposed, from what that pass kept, on request. A rotated
-point's derivative by the axis-angle vector takes the closed form
-d(R w)/dr = -[R w]x J_l(r) (Gallego & Yezzi, "A compact formula for the
-derivative of a 3-D rotation in exponential coordinates", JMIV 2015).
+PAMI 2000) is built from the pieces written once here: batched Rodrigues
+rotations and their left Jacobians (``_rodrigues``), rotated points
+(``_rotate``), the pin-hole projection (``_pinhole``), the radial correction
+(``_radial``) and its inverse (``_distort_views``). The refinement's forward
+pass over every view and its analytic Jacobian live in
+``calibrate._Problem``, which owns their layout.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ __all__ = [
 
 # Angle below which sin/cos ratios switch to their Taylor expansions.
 _SMALL_ANGLE = 1e-7
-# Depth at or below which a view's residuals are infinite.
-_MIN_DEPTH = 1e-9
 # Budget and pixel step tolerance of the distortion inversion's fixed point.
 _DISTORT_ITERATIONS = 50
 _DISTORT_TOL = 1e-12
@@ -164,6 +160,18 @@ def rodrigues_from_rotations(rots) -> np.ndarray:
     return out
 
 
+def _rotate(rot, points) -> np.ndarray:
+    """Points (..., 3) rotated by rotations (..., 3, 3).
+
+    Each coordinate is the ordered sum of three products, so a point rounds
+    the same whatever the batch it comes in; a matmul's summation depends on
+    the batch.
+    """
+    p = np.asarray(points, dtype=float)
+    return (rot[..., 0] * p[..., 0, None] + rot[..., 1] * p[..., 1, None]
+            + rot[..., 2] * p[..., 2, None])
+
+
 @dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid world-to-camera transform: axis-angle rotation plus translation."""
@@ -189,7 +197,7 @@ class Pose:
     def transform(self, points) -> np.ndarray:
         """Map world points (n, 3) into the camera frame."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.matrix.T + self.translation
+        return _rotate(self.matrix, pts) + self.translation
 
 
 # projection and radial correction
@@ -284,91 +292,3 @@ def _distort_views(target, params, dist: Distortion) -> np.ndarray:
     offset *= np.where(real < np.inf, real / radius, np.nan)[:, None]
     p[view, point] = offset + np.column_stack([u0, v0])
     return p
-
-
-# the camera model over all views
-
-
-class Reprojection:
-    """One pass of the camera model over the stacked points of every view.
-
-    Point ``j`` has template coordinates ``world[j]``, observed pixels
-    ``image[j]`` and view ``view[j]``, an index into the per-view axis-angle
-    vectors ``rvecs`` (m, 3) and translations ``tvecs`` (m, 3). ``alpha`` and
-    ``beta`` are shared scalars or per-view arrays (m,); the other parameters
-    are shared. ``residuals`` (n, 2) is the observation after the radial
-    correction minus the pin-hole projection. Every residual of a view with a
-    point at or behind the camera plane, or a non-positive scale factor, is
-    infinite. The pass keeps the rotated points, camera coordinates and
-    radial terms that ``fill_jacobian`` reuses.
-    """
-
-    def __init__(self, world, image, view, rvecs, tvecs, alpha, beta, gamma, u0, v0,
-                 k1=0.0, k2=0.0):
-        image = np.asarray(image, dtype=float)
-        view = np.asarray(view, dtype=np.intp)
-        self.rvecs = np.array(rvecs, dtype=float)  # a copy: the caller may reuse its array
-        rot = _rodrigues(self.rvecs)[0]
-        self.rw = np.einsum("nab,nb->na", rot[view], np.asarray(world, dtype=float))
-        self.cam = self.rw + np.asarray(tvecs, float)[view]
-        x, y, z = self.cam.T
-        alpha, beta = (np.asarray(p, dtype=float) for p in (alpha, beta))
-        self.alpha, self.beta = alpha, beta = [p[view] if p.ndim else p for p in (alpha, beta)]
-        self.gamma, self.k1, self.k2 = gamma, k1, k2
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u_hat, v_hat = _pinhole(x, y, z, alpha, beta, gamma, u0, v0)
-            self.du = du = image[:, 0] - u0
-            self.dv = dv = image[:, 1] - v0
-            radial = _radial(du, dv, alpha, beta, k1, k2)
-            self.xb, self.yb, self.r2, self.g = xb, yb, r2, g = radial
-            u, v = image[:, 0] + du * g - u_hat, image[:, 1] + dv * g - v_hat
-            self.residuals = np.column_stack([u, v])
-        bad = (z <= _MIN_DEPTH) | (alpha <= 0) | (beta <= 0)
-        if bad.any():
-            self.residuals[np.isin(view, view[bad])] = np.inf
-
-    def fill_jacobian(self, jt, columns: dict, groups) -> None:
-        """Write the analytic Jacobian of the flattened residuals, transposed, into ``jt``.
-
-        Columns 2j and 2j + 1 of ``jt`` are point j's u and v residuals, so
-        the derivatives by one parameter are one row. The rows ``columns``
-        maps the free shared parameters to ("alpha", "beta", "gamma", "u0",
-        "v0", "k1", "k2") take the derivatives by them, and the six rows
-        after them the derivatives by each residual's own view's pose,
-        rotation vector first. ``groups`` lists the views in point order as
-        runs (view indices, points per view); each view's rotation rows are
-        one (3, 3) @ (3, n) product. Every entry of those rows is written.
-        """
-        x, y, z = self.cam.T
-        alpha, beta, gamma, k1, k2 = self.alpha, self.beta, self.gamma, self.k1, self.k2
-        du, dv, xb, yb, r2, g = self.du, self.dv, self.xb, self.yb, self.r2, self.g
-        gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
-        ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
-        derivatives = {  # built on demand, one row pair at a time
-            "alpha": lambda: (-du * ex * xb - x / z, -dv * ex * xb),
-            "beta": lambda: (-du * ey * yb, -dv * ey * yb - y / z),
-            "gamma": lambda: (-y / z, 0.0),
-            "u0": lambda: (-g - du * ex - 1.0, -dv * ex),
-            "v0": lambda: (-du * ey, -g - dv * ey - 1.0),
-            "k1": lambda: (du * r2, dv * r2),
-            "k2": lambda: (du * r2 * r2, dv * r2 * r2),
-        }
-        for name, row in columns.items():
-            jt[row, 0::2], jt[row, 1::2] = derivatives[name]()
-        # pose rows: residual = corrected - projected, so -d(projection), and
-        # d(cam)/dr = -[rw]x J_l turns -grad . d(cam)/dr into (grad x rw) J_l
-        k = len(columns)
-        w0, w1, w2 = self.rw.T
-        jl_t = _rodrigues(self.rvecs, derivatives=True)[1].transpose(0, 2, 1)
-        grad_u = (alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z))
-        grad_v = (np.zeros_like(z), beta / z, -beta * y / (z * z))
-        for parity, (g0, g1, g2) in enumerate((grad_u, grad_v)):
-            cross = np.array([g1 * w2 - g2 * w1, g2 * w0 - g0 * w2, g0 * w1 - g1 * w0])
-            start = 0
-            for views, n in groups:
-                end = start + len(views) * n
-                block = cross[:, start:end].reshape(3, len(views), n).transpose(1, 0, 2)
-                rot = np.matmul(jl_t[views], block).transpose(1, 0, 2).reshape(3, -1)
-                jt[k : k + 3, 2 * start + parity : 2 * end : 2] = rot
-                start = end
-            jt[k + 3 : k + 6, parity::2] = -g0, -g1, -g2

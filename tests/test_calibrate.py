@@ -287,7 +287,7 @@ class TestJacobian:
                 expected = undistort_points(view.image, single, dist) - project_points(
                     view.world, single, pose
                 )
-                np.testing.assert_allclose(per_view[i], expected, rtol=0, atol=1e-9)
+                np.testing.assert_array_equal(per_view[i], expected)
             np.testing.assert_array_equal(
                 problem.residual(x), np.concatenate(per_view).ravel()
             )
@@ -527,6 +527,31 @@ class TestRefinementBehaviour:
                     rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion, poses))
                     assert np.all(np.isinf(rows[owner == which]))
                     assert np.all(np.isfinite(rows[owner != which]))
+
+    @pytest.mark.parametrize("scales", [(0.0, 1373.8), (-1370.8, 1373.8), (1370.8, -1373.8)])
+    def test_non_positive_baseline_scale_is_infinite(self, scales):
+        template = TemplateSpec(4, 6, 15.0)
+        views = make_views(ROBOTIQ, template, [400.0, 550.0, 750.0], FOCUS_FIXED, 0.0, 54)
+        truth = ROBOTIQ.intrinsics
+        intr = IntrinsicSet(truth.u0, truth.v0, truth.gamma, (scales,), True)
+        problem = _Problem(views, None, estimate_distortion=True)
+        rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion,
+                                             [v.gt_pose for v in views]))
+        assert np.all(np.isinf(rows))
+
+    @pytest.mark.parametrize("pair", [(0.0, 1373.8), (-1370.8, 1373.8), (1370.8, -1373.8)])
+    def test_non_positive_frozen_pair_is_infinite(self, pair):
+        template = TemplateSpec(4, 6, 15.0)
+        views = make_views(ROBOTIQ, template, [400.0, 550.0, 750.0], FOCUS_FIXED, 0.0, 54)
+        frozen = [(1370.8, 1373.8), pair, (1370.8, 1373.8)]
+        truth = ROBOTIQ.intrinsics
+        intr = IntrinsicSet(truth.u0, truth.v0, truth.gamma, tuple(frozen), False)
+        problem = _Problem(views, frozen, estimate_distortion=True)
+        rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion,
+                                             [v.gt_pose for v in views]))
+        owner = np.repeat([0, 1, 2], [2 * len(v) for v in views])
+        assert np.all(np.isinf(rows[owner == 1]))
+        assert np.all(np.isfinite(rows[owner != 1]))
 
 
 class TestReprojectionStats:

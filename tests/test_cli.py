@@ -380,6 +380,9 @@ REJECTED_ARGUMENT_VALUES = {
                                       "--out-zones {out}.json --noise-band 0", "noise band"),
     "scale-factors-fit-without-curve": ("scale-factors --dataset {stack} --out-table {out} "
                                         "--out-zones {out}.json --fit", "--out-curve"),
+    "scale-factors-curve-without-fit": ("scale-factors --dataset {stack} --out-table {out} "
+                                        "--out-zones {out}.json --out-curve {out}",
+                                        "--out-curve requires --fit"),
 }
 
 

@@ -67,11 +67,30 @@ def test_diff_writes_out_the_largest_change(calibration):
 
 def test_other_files_keep_the_byte_check(calibration):
     nearby = with_alpha(calibration, 1.0 + 1e-12)
-    for item in ("seed1/zone1.json", "seed1/bias.csv", "seed1/step03-calibrate.stdout"):
-        assert equivalence.compare(item, calibration, nearby) == f"DIFF {item}"
+    assert equivalence.compare("seed1/zone1.json", calibration, nearby) == "DIFF seed1/zone1.json"
+    for item in ("seed1/bias.csv", "seed1/step03-calibrate.stdout"):
+        assert equivalence.compare(item, calibration, nearby).startswith(f"DIFF {item} (line ")
     assert equivalence.compare("seed1/bias.csv", b"a,1\n", b"a,1\n") == "same seed1/bias.csv"
     assert equivalence.compare("seed1/base.json", calibration, None) == "DIFF seed1/base.json"
     assert equivalence.compare("seed1/base.json", b"{", b"[]") == "DIFF seed1/base.json"
+
+
+def test_text_items_show_the_first_differing_line():
+    item = "demos/step02-projection_basics.stdout"
+    ref = b"recovered translation : [-80. -50. 600.] mm\nrotation discrepancy  : 1.84e-15\n"
+    ours = ref.replace(b"1.84e-15", b"8.51e-16")
+    assert equivalence.compare(item, ref, ours) == (
+        f"DIFF {item} (line 2: 'rotation discrepancy  : 1.84e-15' -> "
+        "'rotation discrepancy  : 8.51e-16')")
+    row = "0," + ",".join(["1.5"] * 30)
+    assert equivalence.compare("seed1/bias.csv", b"view_id\n", f"view_id\n{row}\n".encode()) == (
+        f"DIFF seed1/bias.csv (line 2: (none) -> '{row[:57]}...')")
+    assert equivalence.compare("seed1/step00-simulate.stderr", b"", b"warning\n") == (
+        "DIFF seed1/step00-simulate.stderr (line 1: (none) -> 'warning')")
+    # lines that differ only in bytes that do not decode still end the search
+    assert equivalence.compare("seed1/bias.csv", b"a\nx\xff\n", b"a\nx\xfe\n").startswith(
+        "DIFF seed1/bias.csv (line 2: ")
+    assert equivalence.compare("seed1/bias.csv", b"a\n", None) == "DIFF seed1/bias.csv"
 
 
 def test_compare_ratio_agrees_to_four_digits():

@@ -37,12 +37,15 @@ SHA-256 of this tree's sorted item table, and exits 1 when any item differs
 beyond that. A calibration document that is ``near`` or ``DIFF`` has any
 change of iterations or termination written out, and a ``DIFF`` one also
 its largest relative change among alpha, beta, u0, v0, gamma, k1 and k2.
+A stdout, stderr or CSV item that is ``DIFF`` has its first differing line
+written out from both trees, each cut to 60 characters.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -192,6 +195,9 @@ def table_digest(items: dict[str, bytes]) -> str:
 
 
 CALIBRATION = re.compile(r"(base|prop)[^/]*\.json|baseline\.json|proposed\.json")
+TEXT = re.compile(r".*\.(stdout|stderr|csv)")
+# Characters of a differing line that a text item's note shows.
+LINE_WIDTH = 60
 
 
 def _relative(a: float, b: float) -> float:
@@ -228,11 +234,28 @@ def _compare_change(ref: dict, ours: dict) -> tuple[bool, str] | None:
     return all(_relative(a, b) <= 1e-4 for a, b in values), ""
 
 
+def _line_change(ref: bytes, ours: bytes) -> str:
+    """The first line at which two texts differ, as each tree has it."""
+    texts = [text.splitlines(keepends=True) for text in (ref, ours)]
+    # split as bytes, so texts that differ always differ in some line
+    i = next(i for i in itertools.count() if texts[0][i : i + 1] != texts[1][i : i + 1])
+
+    def shown(lines):
+        if i >= len(lines):
+            return "(none)"
+        line = lines[i].decode(errors="replace").rstrip("\n")
+        return repr(line if len(line) <= LINE_WIDTH else line[: LINE_WIDTH - 3] + "...")
+
+    return f"line {i + 1}: {shown(texts[0])} -> {shown(texts[1])}"
+
+
 def compare(item: str, ref: bytes | None, ours: bytes | None) -> str:
     """``same``, ``near`` or ``DIFF`` and the item, as the report prints it."""
     if ref == ours:
         return f"same {item}"
     name = item.rsplit("/", 1)[-1]
+    if TEXT.fullmatch(name) and ref is not None and ours is not None:
+        return f"DIFF {item} ({_line_change(ref, ours)})"
     check = (_calibration_change if CALIBRATION.fullmatch(name)
              else _compare_change if name == "compare.json" else None)
     near, note = False, ""
