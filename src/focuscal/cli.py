@@ -23,7 +23,7 @@ from .calibrate import (
     calibrate_baseline,
     calibrate_proposed,
 )
-from .errors import FocusCalError, FormatError, NonConvergence, NoPlateauFound
+from .errors import FocusCalError, FormatError, NonConvergence, NoPlateauFound, _parse_json
 from .io import (
     atomic_write_text,
     bias_to_csv,
@@ -43,7 +43,7 @@ from .io import (
     sha256_hex,
 )
 from .lens import LensSpec, fit_focal_curve, focal_sweep
-from .scale import scale_factors, segment_zones, suggest_noise_band
+from .scale import DEFAULT_WINDOW_FRACTION, scale_factors, segment_zones, suggest_noise_band
 from .synth import (
     FOCUS_FIXED,
     FOCUS_VARYING,
@@ -97,13 +97,6 @@ def _read_text(path: str, what: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{what}: not UTF-8 text ({exc})") from exc
-
-
-def _parse_json(text: str, what: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{what}: not valid JSON ({exc})") from exc
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -368,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", action="store_true")
     p.add_argument("--out-curve")
     p.add_argument("--noise-band", type=float)
-    p.add_argument("--window", type=float, default=0.2, help="central window fraction")
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW_FRACTION,
+                   help="central window fraction")
     p.set_defaults(func=cmd_scale_factors)
 
     p = sub.add_parser("calibrate", parents=[common], help="run a calibration pipeline")

@@ -1,4 +1,4 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, and the one check of outside input.
 
 Every error that callers are expected to catch derives from
 :class:`FocusCalError`, so CLI-level handling can map the whole family to a
@@ -9,6 +9,11 @@ the first rejected view of a batch of views.
 """
 
 from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+
+SCHEMA_VERSION = 1
 
 
 class FocusCalError(Exception):
@@ -48,3 +53,25 @@ def raise_first(failures: dict, labels=None) -> None:
     if labels is None:
         raise error
     raise type(error)(f"view {labels[index]}: {error}")
+
+
+def _parse_json(text: str, what: str):
+    """The document a JSON text holds; a text ``json.loads`` rejects is malformed."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:  # ValueError: JSONDecodeError, digit limit
+        raise FormatError(f"{what}: not valid JSON ({exc})") from exc
+
+
+@contextmanager
+def _reading(what: str, doc=None):
+    """Given a document, require ``"schema": 1``. In the block, a missing key, a malformed
+    value or a number too large for its type is a :class:`FormatError` about ``what``."""
+    if doc is not None and not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION):
+        raise FormatError(f"{what}: unsupported or missing schema version")
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{what}: missing key {exc}") from exc
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc

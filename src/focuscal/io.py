@@ -12,7 +12,6 @@ import json
 import math
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .calibrate import (
     Solution,
 )
 from .core import Distortion, Pose
-from .errors import FormatError
+from .errors import SCHEMA_VERSION, FormatError, _reading
 from .lens import CurveFit
 from .scale import ParallelView, ScaleTable, ZoneSegmentation
 from .synth import BiasReport, TemplateSpec
@@ -50,8 +49,6 @@ __all__ = [
     "bias_to_csv",
     "focal_curve_to_csv",
 ]
-
-SCHEMA_VERSION = 1
 
 
 # canonical serialization
@@ -120,21 +117,6 @@ def _pose_to_dict(pose: Pose) -> dict:
         "rodrigues": [float(x) for x in pose.rodrigues],
         "t_mm": [float(x) for x in pose.translation],
     }
-
-
-@contextmanager
-def _reading(what: str, doc=None):
-    """Check outside input in one place. Given a document, require ``"schema": 1``.
-    Inside the block, a missing key or a malformed value becomes a
-    :class:`FormatError` about ``what``."""
-    if doc is not None and not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION):
-        raise FormatError(f"{what}: unsupported or missing schema version")
-    try:
-        yield
-    except KeyError as exc:
-        raise FormatError(f"{what}: missing key {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise FormatError(f"{what}: {exc}") from exc
 
 
 def dataset_to_dict(template: TemplateSpec, views, meta: dict | None = None) -> dict:

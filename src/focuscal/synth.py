@@ -16,7 +16,6 @@ from its own child seed as a loop over the views would.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -35,7 +34,7 @@ from .core import (
     _rodrigues,
     rodrigues_from_rotations,
 )
-from .errors import FocusCalError, FormatError
+from .errors import FocusCalError, FormatError, _parse_json, _reading
 from .lens import LensSpec, sharp_focal_length
 from .scale import ParallelView
 
@@ -56,6 +55,7 @@ __all__ = [
 
 FOCUS_FIXED = "fixed_plateau"
 FOCUS_VARYING = "distance_dependent"
+_PRESET = "invalid camera preset"  # how a preset's format errors begin
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class CameraPreset:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CameraPreset":
-        try:
+        with _reading(_PRESET):
             intr = doc["intrinsics"]
             lens = doc["lens"]
             dist = doc.get("distortion", {})
@@ -154,8 +154,6 @@ class CameraPreset:
                     float(dist.get("k1", 0.0)), float(dist.get("k2", 0.0))
                 ),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise FormatError(f"invalid camera preset: {exc}") from exc
 
 
 def bundled_preset_names() -> list[str]:
@@ -178,11 +176,9 @@ def _preset_file(name_or_path: str):
 
 def load_preset(name_or_path: str) -> CameraPreset:
     """Load a bundled preset by name or any preset JSON file by path."""
-    try:
-        doc = json.loads(_preset_file(name_or_path).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"invalid camera preset: {exc}") from exc
-    return CameraPreset.from_dict(doc)
+    with _reading(_PRESET):  # a file that is not UTF-8
+        text = _preset_file(name_or_path).read_bytes().decode("utf-8")
+    return CameraPreset.from_dict(_parse_json(text, _PRESET))
 
 
 def _observe(preset: CameraPreset, intrs, cam, noise_px: float, seeds) -> tuple:

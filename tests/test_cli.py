@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,19 @@ MALFORMED_DATASETS = {
     "rodrigues-too-short": lambda doc: doc["views"][0]["gt_pose"].update(rodrigues=[0.1, 0.2]),
     "duplicate-view-ids": lambda doc: doc["views"][1].update(id=doc["views"][0]["id"]),
     "no-views": lambda doc: doc.update(views=[]),
+    "distance-400-digits": lambda doc: doc["views"][0].update(distance_mm=10**400),
+    "rows-infinite": lambda doc: doc["template"].update(rows=float("inf")),
+    # json.dumps cannot write an integer beyond Python's digit limit: the test
+    # writes 5,000 digits where this string stands
+    "pitch-5000-digits": lambda doc: doc["template"].update(pitch_mm="<5000 digits>"),
+}
+
+ROBOTIQ_PRESET = json.loads((resources.files("focuscal") / "presets/robotiq.json").read_text())
+
+# Preset file texts that simulate rejects as malformed
+MALFORMED_PRESETS = {
+    "preset-not-json": "{bad",
+    "preset-infinite-width": json.dumps({**ROBOTIQ_PRESET, "image_size_px": [float("inf"), 480]}),
 }
 
 # Argument values that are rejected, each with a part of its message; each
@@ -387,19 +401,19 @@ REJECTED_ARGUMENT_VALUES = {
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("case", [*MALFORMED_DATASETS, "preset-not-json"])
+    @pytest.mark.parametrize("case", [*MALFORMED_DATASETS, *MALFORMED_PRESETS])
     def test_format_error_exits_1_without_file(self, artifacts, tmp_path, case):
         _, dataset, _ = artifacts
         out = tmp_path / "never.json"
-        if case == "preset-not-json":
+        if case in MALFORMED_PRESETS:
             preset = tmp_path / "bad.json"
-            preset.write_text("{bad")
+            preset.write_text(MALFORMED_PRESETS[case])
             args = ["simulate", "--preset", str(preset), "--out", str(out)]
         else:
             doc = json.loads(dataset.read_text())
             MALFORMED_DATASETS[case](doc)
             broken = tmp_path / "broken.json"
-            broken.write_text(json.dumps(doc))
+            broken.write_text(json.dumps(doc).replace('"<5000 digits>"', "9" * 5000))
             args = ["calibrate", "--dataset", str(broken), "--method", "baseline",
                     "--out", str(out)]
         proc = run(*args, "--json-errors")
@@ -534,15 +548,17 @@ UNREADABLE_INPUT_COMMANDS = {
 
 
 class TestUnreadableInput:
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "nested-too-deep"])
     @pytest.mark.parametrize("command", list(UNREADABLE_INPUT_COMMANDS))
     def test_json_error_without_output(self, artifacts, tmp_path, capsys, command, kind):
         _, dataset, _ = artifacts
         bad = tmp_path / "input.json"  # a preset path needs the .json suffix
         if kind == "directory":
             bad.mkdir()
-        else:
+        elif kind == "not-utf8":
             bad.write_bytes(b'{"schema": 1, "name": "\xff"}')
+        else:
+            bad.write_text("[" * 100_000)
         out = tmp_path / "never.out"
         args = [word.format(bad=bad, dataset=dataset, out=out)
                 for word in UNREADABLE_INPUT_COMMANDS[command].split()]

@@ -117,6 +117,12 @@ class TestCanonicalJson:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "doc.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            atomic_write_text(tmp_path / "doc.json", "{}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
 
 # finite floats over the whole normal range, both signs, and both zeros
 MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)

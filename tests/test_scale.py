@@ -136,6 +136,15 @@ class TestScaleFactors:
         b = scale_factors([view_cm]).alpha[0]
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_no_views(self):
+        with pytest.raises(ValueError, match="need at least one view"):
+            scale_factors([])
+
+    def test_views_with_different_pitches(self):
+        views = [grid_view(30.0, 30.0, pitch=25.0), grid_view(30.0, 30.0, pitch=20.0)]
+        with pytest.raises(ValueError, match="views must share the template pitch"):
+            scale_factors(views)
+
 
 def curve_table(noise_band, knee=150.0, spacing=25.0, lo=50.0, hi=1000.0, value0=1370.0):
     d = np.arange(lo, hi + spacing / 2, spacing)
@@ -296,3 +305,7 @@ class TestSuggestNoiseBand:
     def test_floor_on_exact_grid(self):
         band = suggest_noise_band([grid_view(30.0, 30.0)])
         assert band > 0
+
+    def test_no_view_with_two_central_gaps(self):
+        with pytest.raises(FocusCalError, match="no view has two central horizontal gaps"):
+            suggest_noise_band([grid_view(30.0, 30.0)], window_fraction=1e-6)

@@ -104,6 +104,15 @@ class TestDiagnostics:
         with pytest.raises(FocusCalError, match="residual is not finite at the starting point"):
             lm(lambda x: np.array([np.nan]), np.zeros(1))
 
+    def test_unsolvable_at_maximum_damping(self):
+        # a NaN in U makes every damped step NaN, so the damping climbs past its maximum
+        def normal(x):
+            u, w, v, grad = blocks(np.eye(1), x - 1.0)
+            return np.full_like(u, np.nan), w, v, grad
+
+        with pytest.raises(FocusCalError, match="unsolvable at maximum damping"):
+            levenberg_marquardt(lambda x: x - 1.0, np.zeros(1), normal)
+
     def test_rejected_steps_do_not_move_params(self):
         # A function whose minimum is at the start: every trial is rejected.
         target = np.zeros(2)

@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import per_view
 import pytest
@@ -62,6 +65,13 @@ class TestPresets:
         path = tmp_path / "utf16.json"
         path.write_bytes("{}".encode("utf-16"))  # starts with the BOM \xff\xfe
         with pytest.raises(FormatError, match="invalid camera preset"):
+            load_preset(str(path))
+
+    def test_preset_file_with_infinite_width(self, tmp_path):
+        path = tmp_path / "infinite.json"
+        doc = json.loads((resources.files("focuscal") / "presets/robotiq.json").read_text())
+        path.write_text(json.dumps({**doc, "image_size_px": [float("inf"), 480]}))
+        with pytest.raises(FormatError, match="invalid camera preset: cannot convert float"):
             load_preset(str(path))
 
     def test_plateau_matches_published_values(self):
