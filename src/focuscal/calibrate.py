@@ -1,6 +1,6 @@
 """Calibration pipelines over planar template views.
 
-Two pipelines share the same machinery. The baseline computes a single
+Two pipelines share one model and machinery. The baseline computes a single
 intrinsic matrix: per-view homographies feed the absolute-conic linear system
 for closed-form intrinsics, poses follow by homography decomposition, and a
 joint refinement then adjusts every parameter at once. The constrained
@@ -289,11 +289,16 @@ _MIN_DEPTH = 1e-9
 class _Problem:
     """The camera model's residuals and analytic normal equations for the joint refinement.
 
-    Parameter order: intrinsic block, then six pose parameters per view.
-    Baseline intrinsic block is (alpha, beta, gamma, u0, v0[, k1, k2]); the
-    frozen-scale block is (u0, v0, gamma[, k1, k2]). Points are held with
-    the views grouped by point count, as ``estimate_homographies`` groups
-    them; ``view`` gives each point's view. ``residual`` returns the
+    Both methods map view i's scale factors as alpha_i = a A_i, beta_i = b B_i,
+    with multipliers (A_i, B_i) from ``start``: ones when it is shared, its
+    pairs otherwise. They differ only in their columns. Parameter order:
+    intrinsic block, then six pose parameters per view. Baseline's intrinsic
+    block is (alpha, beta, gamma, u0, v0[, k1, k2]), a and b free; proposed's
+    is (u0, v0, gamma[, k1, k2]), a = b = 1. The ``alpha`` and ``beta`` rows
+    are derivatives by alpha_i and beta_i, which are those by a and b only
+    because every multiplier is 1 wherever those columns exist. Points are
+    held with the views grouped by point count, as ``estimate_homographies``
+    groups them; ``view`` gives each point's view. ``residual`` returns the
     residuals in view order all the same.
 
     One buffer, allocated once, holds [J | r] transposed: two columns per
@@ -304,7 +309,7 @@ class _Problem:
     gradient from one batched product [J | r]^T [J | r] per group.
     """
 
-    def __init__(self, views, frozen_scales, estimate_distortion: bool):
+    def __init__(self, views, start: IntrinsicSet, estimate_distortion: bool):
         counts = np.array([len(v) for v in views])
         order = np.argsort(counts, kind="stable")
         self.world = np.vstack([views[i].world for i in order])
@@ -314,27 +319,24 @@ class _Problem:
         in_order = np.all(np.diff(order) > 0)
         self._unsort = None if in_order else np.argsort(self.view, kind="stable")
         self.starts = 2 * np.r_[0, np.cumsum(counts)[:-1]]  # first residual row of each view
-        self.frozen = frozen_scales  # None for baseline
         self.n_views = len(views)
-        if frozen_scales is None:
-            names = ("alpha", "beta", "gamma", "u0", "v0")
-        else:
-            names = ("u0", "v0", "gamma")
-            alpha, beta = np.array(frozen_scales, dtype=float).T
-            self._frozen_points = alpha[self.view], beta[self.view]  # each point's pair
+        self.shared = start.shared
+        self.multipliers = np.ones((1, 2)) if start.shared else np.array(start.scales, float)
+        self._per_point = np.broadcast_to(self.multipliers, (self.n_views, 2)).T[:, self.view]
+        names = ("alpha", "beta", "gamma", "u0", "v0") if start.shared else ("u0", "v0", "gamma")
         names += ("k1", "k2") if estimate_distortion else ()
         self.columns = {name: j for j, name in enumerate(names)}
         self.n_intr = len(names)
         self.n_params = self.n_intr + 6 * self.n_views
         self._rows = np.empty((self.n_intr + 7, 2 * len(self.view)))
-        self.groups, self._blocks, start = [], [], 0
+        self.groups, self._blocks, begin = [], [], 0
         for n in np.unique(counts):
             members = order[counts[order] == n]
-            end = start + 2 * n * len(members)
+            end = begin + 2 * n * len(members)
             self.groups.append((members, int(n)))
-            block = self._rows[:, start:end].reshape(-1, len(members), 2 * n)
+            block = self._rows[:, begin:end].reshape(-1, len(members), 2 * n)
             self._blocks.append(block.transpose(1, 0, 2))
-            start = end
+            begin = end
         self._last = None  # (point, pass) of the latest forward pass
 
     def pack(self, intr_set: IntrinsicSet, dist: Distortion, poses) -> np.ndarray:
@@ -347,18 +349,16 @@ class _Problem:
         return x
 
     def _named(self, x) -> dict:
-        """The shared parameters at ``x`` by name, with k1 and k2 zero when not refined."""
-        return {"k1": 0.0, "k2": 0.0, **{name: x[j] for name, j in self.columns.items()}}
+        """The shared parameters at ``x`` by name; a = b = 1 and k1 = k2 = 0 when not refined."""
+        return {"alpha": 1.0, "beta": 1.0, "k1": 0.0, "k2": 0.0,
+                **{name: x[j] for name, j in self.columns.items()}}
 
     def unpack(self, x) -> tuple[IntrinsicSet, Distortion, tuple[Pose, ...]]:
         x = np.asarray(x, dtype=float)
         p = self._named(x)
-        if self.frozen is None:
-            scales = ((float(p["alpha"]), float(p["beta"])),)
-        else:
-            scales = tuple(self.frozen)
+        scales = tuple((float(p["alpha"] * a), float(p["beta"] * b)) for a, b in self.multipliers)
         intr = IntrinsicSet(float(p["u0"]), float(p["v0"]), float(p["gamma"]), scales,
-                            self.frozen is None)
+                            self.shared)
         dist = Distortion(float(p["k1"]), float(p["k2"]))
         poses = x[self.n_intr :].reshape(self.n_views, 6)
         return intr, dist, tuple(Pose(pose[:3], pose[3:]) for pose in poses)
@@ -380,8 +380,7 @@ class _Problem:
             return self._last[1]
         self._last = None
         p = self._named(x)
-        if self.frozen is not None:
-            p["alpha"], p["beta"] = self._frozen_points
+        p["alpha"], p["beta"] = p["alpha"] * self._per_point[0], p["beta"] * self._per_point[1]
         alpha, beta, u0, v0 = p["alpha"], p["beta"], p["u0"], p["v0"]
         poses = x[self.n_intr :].reshape(self.n_views, 6)
         rvecs = poses[:, :3]
@@ -526,9 +525,10 @@ def _coerce_scale_source(source) -> ScaleSource:
 
 def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
     """Signed (du, dv) residuals per view for a stored solution."""
-    intr = solution.intrinsics
-    problem = _Problem(views, None if intr.shared else intr.scales, estimate_distortion=True)
-    x = problem.pack(intr, solution.distortion, solution.poses)
+    if len(views) != len(solution.poses):
+        raise ValueError("view count does not match the calibration result")
+    problem = _Problem(views, solution.intrinsics, estimate_distortion=True)
+    x = problem.pack(solution.intrinsics, solution.distortion, solution.poses)
     return problem.split(problem.residual(x))
 
 
@@ -585,15 +585,14 @@ def _calibrate(
 
     ``start`` holds one scale pair shared by every view (baseline) or one
     frozen pair per view (proposed); each view's pose start decomposes its
-    homography with the intrinsic matrix of its own pair.
+    homography with the intrinsic matrix of its own pair, and the refinement
+    takes its columns and scale multipliers from it.
     """
-    matrices = [Intrinsics(alpha, beta, start.gamma, start.u0, start.v0).matrix
-                for alpha, beta in start.scales]
-    if start.shared:
-        matrices *= len(homs)
+    matrices = np.broadcast_to([Intrinsics(a, b, start.gamma, start.u0, start.v0).matrix
+                                for a, b in start.scales], (len(homs), 3, 3))
     view_ids = tuple(v.view_id for v in views)
     poses0 = _poses_from_homographies([h.matrix for h in homs], matrices, view_ids)
-    problem = _Problem(views, None if start.shared else start.scales, estimate_distortion)
+    problem = _Problem(views, start, estimate_distortion)
     x0 = problem.pack(start, Distortion(), poses0)
 
     def solution(x, r) -> Solution:

@@ -66,12 +66,13 @@ def _parse_json(text: str, what: str):
 @contextmanager
 def _reading(what: str, doc=None):
     """Given a document, require ``"schema": 1``. In the block, a missing key, a malformed
-    value or a number too large for its type is a :class:`FormatError` about ``what``."""
+    value, a number too large for its type or a value of the wrong JSON type (a list
+    where an object belongs) is a :class:`FormatError` about ``what``."""
     if doc is not None and not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION):
         raise FormatError(f"{what}: unsupported or missing schema version")
     try:
         yield
     except KeyError as exc:
         raise FormatError(f"{what}: missing key {exc}") from exc
-    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{what}: {exc}") from exc

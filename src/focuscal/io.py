@@ -254,7 +254,7 @@ def _intrinsics_from_dict(doc: dict) -> IntrinsicSet:
         v0=float(doc["v0_px"]),
         gamma=float(doc["gamma"]),
         scales=tuple((float(s["alpha_px"]), float(s["beta_px"])) for s in doc["scales"]),
-        shared=bool(doc["shared"]),
+        shared=doc["shared"],
     )
 
 
@@ -292,9 +292,18 @@ def _solution_to_dict(sol: Solution, view_ids) -> dict:
 def _solution_from_dict(doc: dict) -> tuple[Solution, tuple[str, ...]]:
     poses = tuple(Pose(p["rodrigues"], p["t_mm"]) for p in doc["poses"])
     view_ids = tuple(str(p["view_id"]) for p in doc["poses"])
+    intr = _intrinsics_from_dict(doc["intrinsics"])
+    if not isinstance(intr.shared, bool):
+        raise ValueError("intrinsics: shared must be true or false")
+    need = 1 if intr.shared else len(poses)
+    if len(intr.scales) != need:
+        raise ValueError(f"intrinsics: {len(intr.scales)} scale pairs where "
+                         f"{'shared' if intr.shared else 'per-view'} scales need {need}")
+    if not all(0 < s < np.inf for pair in intr.scales for s in pair):
+        raise ValueError("intrinsics: scale factors must be positive and finite")
     return (
         Solution(
-            intrinsics=_intrinsics_from_dict(doc["intrinsics"]),
+            intrinsics=intr,
             poses=poses,
             distortion=Distortion(
                 float(doc["distortion"]["k1"]), float(doc["distortion"]["k2"])

@@ -243,9 +243,7 @@ def test_criterion_6_jacobian_correctness():
     rng = np.random.default_rng(75)
     worst = 0.0
     for trial in range(100):
-        frozen = None if trial % 2 == 0 else [(1340.0, 1345.0), (1355.0, 1350.0)]
-        problem = _Problem(views, frozen, estimate_distortion=True)
-        if frozen is None:
+        if trial % 2 == 0:
             intr = IntrinsicSet(
                 rng.uniform(600, 700), rng.uniform(340, 380), rng.uniform(-0.5, 0.5),
                 ((rng.uniform(1200, 1500), rng.uniform(1200, 1500)),), True,
@@ -253,8 +251,9 @@ def test_criterion_6_jacobian_correctness():
         else:
             intr = IntrinsicSet(
                 rng.uniform(600, 700), rng.uniform(340, 380), rng.uniform(-0.5, 0.5),
-                tuple(frozen), False,
+                ((1340.0, 1345.0), (1355.0, 1350.0)), False,
             )
+        problem = _Problem(views, intr, estimate_distortion=True)
         dist = Distortion(rng.uniform(-0.02, 0.02), rng.uniform(-0.05, 0.05))
         poses = [
             Pose(

@@ -351,13 +351,13 @@ class TestJacobianReuse:
     @pytest.fixture(scope="class")
     def points(self):
         views = mixed_views(12)
-        problem = _Problem(views, None, estimate_distortion=True)
-        poses = [Pose(v.gt_pose.rodrigues + 0.01, v.gt_pose.translation) for v in views]
         intr = IntrinsicSet(640.0, 360.0, 0.1, ((1350.0, 1345.0),), True)
+        problem = _Problem(views, intr, estimate_distortion=True)
+        poses = [Pose(v.gt_pose.rodrigues + 0.01, v.gt_pose.translation) for v in views]
         x = problem.pack(intr, Distortion(0.01, -0.02), poses)
         y = x.copy()
         y[0] += 1e-3
-        return views, x, y
+        return views, intr, x, y
 
     @staticmethod
     def blocks(jac):
@@ -365,9 +365,9 @@ class TestJacobianReuse:
         return jac.base.tobytes()
 
     def test_same_after_any_residual(self, points):
-        views, x, y = points
-        fresh = self.blocks(_Problem(views, None, True).jacobian(x))
-        problem = _Problem(views, None, True)
+        views, intr, x, y = points
+        fresh = self.blocks(_Problem(views, intr, True).jacobian(x))
+        problem = _Problem(views, intr, True)
         problem.residual(x)
         assert self.blocks(problem.jacobian(x)) == fresh
         problem.residual(y)
@@ -375,9 +375,9 @@ class TestJacobianReuse:
         assert self.blocks(problem.jacobian(y)) != fresh
 
     def test_mutating_the_residual_argument_does_not_fool_it(self, points):
-        views, x, y = points
-        fresh = self.blocks(_Problem(views, None, True).jacobian(x))
-        problem = _Problem(views, None, True)
+        views, intr, x, y = points
+        fresh = self.blocks(_Problem(views, intr, True).jacobian(x))
+        problem = _Problem(views, intr, True)
         moved = y.copy()
         problem.residual(moved)
         moved[:] = x  # now equal to x, but the last pass was at y

@@ -185,23 +185,23 @@ def cut_views(seed):
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("method", ["baseline", "proposed"])
-    def test_normal_blocks_match_dense_products(self, method):
+    @pytest.mark.parametrize("method, estimate_distortion", [
+        ("baseline", True), ("proposed", True), ("baseline", False), ("proposed", False),
+    ], ids=["baseline", "proposed", "baseline-nodist", "proposed-nodist"])
+    def test_normal_blocks_match_dense_products(self, method, estimate_distortion):
         views = cut_views(0)
         assert sorted({len(v) for v in views}) == [4, 5, 26, 54]
         truth = ROBOTIQ.intrinsics
         if method == "baseline":
-            frozen = None
             scales = ((1.01 * truth.alpha, 0.99 * truth.beta),)
-            intr = IntrinsicSet(645.0, 355.0, 0.3, scales, True)
         else:
-            frozen = [(truth.alpha * (1 + 1e-3 * i), truth.beta * (1 - 1e-3 * i))
-                      for i in range(len(views))]
-            intr = IntrinsicSet(645.0, 355.0, 0.3, tuple(frozen), False)
+            scales = tuple((truth.alpha * (1 + 1e-3 * i), truth.beta * (1 - 1e-3 * i))
+                           for i in range(len(views)))
+        intr = IntrinsicSet(645.0, 355.0, 0.3, scales, method == "baseline")
         rng = np.random.default_rng(56)
         poses = [Pose(v.gt_pose.rodrigues + rng.normal(scale=0.01, size=3),
                       v.gt_pose.translation * rng.uniform(0.98, 1.02)) for v in views]
-        problem = _Problem(views, frozen, estimate_distortion=True)
+        problem = _Problem(views, intr, estimate_distortion)
         x = problem.pack(intr, Distortion(0.01, -0.02), poses)
         k, r = problem.n_intr, problem.residual(x)
         u, w, v, grad = problem.normal(x)
@@ -220,14 +220,35 @@ class TestJacobian:
             ):
                 assert np.all(np.abs(got - want) <= tol * bound)
 
+    # Both methods are one model: proposed with the baseline's pair at every
+    # view is the baseline, to the bit.
+    @pytest.mark.parametrize("estimate_distortion", [True, False])
+    def test_proposed_at_the_baseline_pair_is_the_baseline(self, estimate_distortion):
+        views = cut_views(0)
+        truth = ROBOTIQ.intrinsics
+        pair = (1.01 * truth.alpha, 0.99 * truth.beta)
+        starts = (IntrinsicSet(645.0, 355.0, 0.3, (pair,), True),
+                  IntrinsicSet(645.0, 355.0, 0.3, (pair,) * len(views), False))
+        rng = np.random.default_rng(57)
+        poses = [Pose(v.gt_pose.rodrigues + rng.normal(scale=0.01, size=3),
+                      v.gt_pose.translation * rng.uniform(0.98, 1.02)) for v in views]
+        base, prop = (_Problem(views, start, estimate_distortion) for start in starts)
+        xb, xp = (problem.pack(start, Distortion(0.01, -0.02), poses)
+                  for problem, start in zip((base, prop), starts))
+        assert base.residual(xb).tobytes() == prop.residual(xp).tobytes()
+        jb, jp = base.jacobian(xb), prop.jacobian(xp)
+        for name, j in prop.columns.items():
+            assert jb[:, base.columns[name]].tobytes() == jp[:, j].tobytes(), name
+        assert jb[:, -6:].tobytes() == jp[:, -6:].tobytes()
+        assert prop.unpack(xp)[0].scales == (pair,) * len(views)
+
     def test_analytic_matches_central_differences(self):
         template = TemplateSpec(4, 5, 20.0)
         views = make_views(ROBOTIQ, template, [300.0, 420.0], FOCUS_FIXED, 0.3, 35)
-        for frozen in (None, [(1340.0, 1345.0), (1355.0, 1350.0)]):
-            problem = _Problem(views, frozen, estimate_distortion=True)
+        for shared in (True, False):
             rng = np.random.default_rng(36)
             for _ in range(10):
-                if frozen is None:
+                if shared:
                     intr = IntrinsicSet(
                         rng.uniform(600, 700), rng.uniform(340, 380),
                         rng.uniform(-0.5, 0.5),
@@ -236,8 +257,9 @@ class TestJacobian:
                 else:
                     intr = IntrinsicSet(
                         rng.uniform(600, 700), rng.uniform(340, 380),
-                        rng.uniform(-0.5, 0.5), tuple(frozen), False,
+                        rng.uniform(-0.5, 0.5), ((1340.0, 1345.0), (1355.0, 1350.0)), False,
                     )
+                problem = _Problem(views, intr, estimate_distortion=True)
                 dist = Distortion(rng.uniform(-0.02, 0.02), rng.uniform(-0.05, 0.05))
                 poses = [
                     Pose(v.gt_pose.rodrigues + rng.normal(scale=0.02, size=3),
@@ -275,7 +297,7 @@ class TestJacobian:
             IntrinsicSet(650.0, 360.0, 0.2, ((1380.0, 1370.0),), True),
             IntrinsicSet(650.0, 360.0, 0.2, tuple(frozen), False),
         ):
-            problem = _Problem(views, None if intr.shared else frozen, True)
+            problem = _Problem(views, intr, True)
             x = problem.pack(intr, dist, poses)
             unpacked_intr, unpacked_dist, unpacked_poses = problem.unpack(x)
             sol = Solution(unpacked_intr, unpacked_poses, unpacked_dist, None)
@@ -444,8 +466,8 @@ class TestRefinementBehaviour:
     def test_start_at_ground_truth_stays_put(self):
         template = TemplateSpec(5, 7, 12.0)
         views = make_views(ROBOTIQ, template, [300.0, 450.0, 600.0], FOCUS_FIXED, 0.0, 46)
-        problem = _Problem(views, None, estimate_distortion=True)
         truth = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
+        problem = _Problem(views, truth, estimate_distortion=True)
         x0 = problem.pack(truth, ROBOTIQ.distortion, [v.gt_pose for v in views])
         result = levenberg_marquardt(problem.residual, x0, problem.normal)
         assert result.accepted == 0
@@ -494,8 +516,9 @@ class TestRefinementBehaviour:
         homs = [estimate_homography(v.world, v.image) for v in views]
         intr0 = intrinsics_from_homographies(homs)
         poses0 = [extrinsics_from_homography(h, intr0.matrix) for h in homs]
-        problem = _Problem(views, None, estimate_distortion=True)
-        x0 = problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0)
+        start = IntrinsicSet.from_single(intr0)
+        problem = _Problem(views, start, estimate_distortion=True)
+        x0 = problem.pack(start, Distortion(), poses0)
         a = levenberg_marquardt(problem.residual, x0, problem.normal)
         b = levenberg_marquardt(problem.residual, x0,
                                 dense_normal(problem.residual, None, problem.n_intr, 6))
@@ -519,11 +542,10 @@ class TestRefinementBehaviour:
             ):
                 poses = [v.gt_pose for v in views]
                 poses[which] = moved
-                for frozen in (None, [(1370.8, 1373.8)] * 3):
-                    problem = _Problem(views, frozen, estimate_distortion=True)
-                    intr = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
-                    if frozen is not None:
-                        intr = IntrinsicSet(intr.u0, intr.v0, intr.gamma, tuple(frozen), False)
+                truth = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
+                for intr in (truth, IntrinsicSet(truth.u0, truth.v0, truth.gamma,
+                                                 ((1370.8, 1373.8),) * 3, False)):
+                    problem = _Problem(views, intr, estimate_distortion=True)
                     rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion, poses))
                     assert np.all(np.isinf(rows[owner == which]))
                     assert np.all(np.isfinite(rows[owner != which]))
@@ -534,7 +556,7 @@ class TestRefinementBehaviour:
         views = make_views(ROBOTIQ, template, [400.0, 550.0, 750.0], FOCUS_FIXED, 0.0, 54)
         truth = ROBOTIQ.intrinsics
         intr = IntrinsicSet(truth.u0, truth.v0, truth.gamma, (scales,), True)
-        problem = _Problem(views, None, estimate_distortion=True)
+        problem = _Problem(views, intr, estimate_distortion=True)
         rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion,
                                              [v.gt_pose for v in views]))
         assert np.all(np.isinf(rows))
@@ -543,10 +565,10 @@ class TestRefinementBehaviour:
     def test_non_positive_frozen_pair_is_infinite(self, pair):
         template = TemplateSpec(4, 6, 15.0)
         views = make_views(ROBOTIQ, template, [400.0, 550.0, 750.0], FOCUS_FIXED, 0.0, 54)
-        frozen = [(1370.8, 1373.8), pair, (1370.8, 1373.8)]
         truth = ROBOTIQ.intrinsics
-        intr = IntrinsicSet(truth.u0, truth.v0, truth.gamma, tuple(frozen), False)
-        problem = _Problem(views, frozen, estimate_distortion=True)
+        intr = IntrinsicSet(truth.u0, truth.v0, truth.gamma,
+                            ((1370.8, 1373.8), pair, (1370.8, 1373.8)), False)
+        problem = _Problem(views, intr, estimate_distortion=True)
         rows = problem.residual(problem.pack(intr, ROBOTIQ.distortion,
                                              [v.gt_pose for v in views]))
         owner = np.repeat([0, 1, 2], [2 * len(v) for v in views])
@@ -562,6 +584,14 @@ class TestReprojectionStats:
         stats = result.refined.stats
         assert abs(stats.mean_px) < 1e-9
         assert stats.rms_px < 1e-9
+
+    def test_view_count_must_match_the_poses(self):
+        template = TemplateSpec(5, 7, 12.0)
+        views = make_views(ROBOTIQ, template, np.linspace(300, 900, 4), FOCUS_FIXED, 0.3, 51)
+        result = calibrate_baseline(views[:3])
+        for call in (solution_residuals, reprojection_stats):
+            with pytest.raises(ValueError, match="view count does not match"):
+                call(result.refined, views)
 
     def test_recompute_is_deterministic_and_matches(self):
         template = TemplateSpec(5, 7, 12.0)

@@ -421,6 +421,21 @@ class TestMalformedInput:
         assert json.loads(proc.stderr.strip())["error"] == "FormatError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("distortion", [[1, 2], 3, "k1"])
+    @pytest.mark.parametrize("command", [
+        "simulate --preset {bad} --out {out}",
+        "lens-curve --preset {bad} --from 20 --to 200 --count 5 --out {out}",
+    ])
+    def test_preset_distortion_not_an_object_exits_1(self, tmp_path, capsys, command,
+                                                      distortion):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**ROBOTIQ_PRESET, "distortion": distortion}))
+        out = tmp_path / "never.out"
+        code = cli.main([*command.format(bad=bad, out=out).split(), "--json-errors"])
+        payload = json.loads(capsys.readouterr().err)  # one JSON object, nothing else
+        assert (code, payload["error"]) == (1, "FormatError")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", list(REJECTED_ARGUMENT_VALUES))
     def test_rejected_argument_value_exits_2(self, artifacts, tmp_path, capsys, case):
         tmp, _, _ = artifacts

@@ -258,6 +258,21 @@ class TestCalibrationDocument:
         again = canonical_dumps(json.loads(once))
         assert once == again
 
+    @pytest.mark.parametrize("shared, scales, message", [
+        (True, [], "0 scale pairs where shared scales need 1"),
+        (False, [{"alpha_px": 1370.0, "beta_px": 1373.0}], "1 scale pairs where per-view"),
+        ("false", None, "shared must be true or false"),
+        (True, [{"alpha_px": -1370.0, "beta_px": 1373.0}], "scale factors must be positive"),
+    ])
+    def test_scale_list_checked_against_method(self, shared, scales, message):
+        views, result = self.make_result()
+        doc = json.loads(canonical_dumps(calibration_to_dict(result, {})))
+        doc["intrinsics"]["shared"] = shared
+        if scales is not None:
+            doc["intrinsics"]["scales"] = scales
+        with pytest.raises(FormatError, match=f"calibration: intrinsics: {message}"):
+            calibration_from_dict(doc)
+
     def test_top_level_fields(self):
         _, result = self.make_result()
         doc = calibration_to_dict(result, {})

@@ -281,7 +281,7 @@ class TestCalibrationRuns:
                                      np.linspace(80, 145, 60), FOCUS_VARYING, 0.25, seed)
         refined = calibrate(method, views, readme_table).refined
         intr = refined.intrinsics
-        problem = _Problem(views, None if intr.shared else intr.scales, True)
+        problem = _Problem(views, intr, True)
         x = problem.pack(intr, refined.distortion, refined.poses)
         for _ in range(6):
             x = x + _NormalEquations(*problem.normal(x)).step(0.0)
@@ -350,9 +350,9 @@ class TestBlockArrowStep:
         template = TemplateSpec(4, 5, 20.0)
         views = generate_dataset(ROBOTIQ, template, [300.0, 420.0, 540.0], FOCUS_FIXED,
                                  0.3, 112)
-        problem = _Problem(views, None, estimate_distortion=True)
-        x = problem.pack(IntrinsicSet.from_single(ROBOTIQ.intrinsics), Distortion(),
-                         [v.gt_pose for v in views])
+        truth = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
+        problem = _Problem(views, truth, estimate_distortion=True)
+        x = problem.pack(truth, Distortion(), [v.gt_pose for v in views])
         jac = problem.jacobian(x)
         rows, k = 2 * len(problem.view), problem.n_intr
         assert jac.shape == (rows, k + 6)
@@ -368,7 +368,7 @@ class TestBlockArrowStep:
         quick = generate_dataset(ROBOTIQ, TemplateSpec(6, 9, 8.0),
                                  np.r_[50.0, np.linspace(130, 145, 14)], FOCUS_VARYING, 0.25, 42)
         assert len({len(v) for v in quick}) == 2
-        assert np.all(np.diff(_Problem(quick, None, True).view) >= 0)
+        assert np.all(np.diff(_Problem(quick, truth, True).view) >= 0)
 
 
 def test_baseline_agrees_with_scipy_least_squares():
@@ -379,8 +379,9 @@ def test_baseline_agrees_with_scipy_least_squares():
     homs = [estimate_homography(v.world, v.image) for v in views]
     intr0 = intrinsics_from_homographies(homs)
     poses0 = [extrinsics_from_homography(h, intr0.matrix) for h in homs]
-    problem = _Problem(views, None, estimate_distortion=True)
-    x0 = problem.pack(IntrinsicSet.from_single(intr0), Distortion(), poses0)
+    start = IntrinsicSet.from_single(intr0)
+    problem = _Problem(views, start, estimate_distortion=True)
+    x0 = problem.pack(start, Distortion(), poses0)
     oracle = optimize.least_squares(
         problem.residual, x0, jac=lambda x: dense(problem, x), method="lm",
         x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15,

@@ -8,7 +8,8 @@ own ``src/`` on the path:
 
 - the README command-line walkthrough at seeds 1, 42 and 73, plus, on each
   seed's files, ``calibrate --max-iterations 1`` for both methods (exit 1
-  with a partial file), ``--no-distortion`` and ``--scale-curve``;
+  with a partial file), ``--no-distortion`` for both methods and
+  ``--scale-curve``;
 - ``scale-factors --fit`` on a 22-row stack (45:155:5 mm) that has no
   plateau in the suggested noise band (exit 1, table written) and on a
   221-row stack (45:155:0.5 mm);
@@ -74,6 +75,8 @@ WALKTHROUGH = [
     "calibrate --dataset zone1.json --method baseline --no-distortion --out base_nodist.json",
     "calibrate --dataset zone1.json --method proposed --scale-curve curve.json "
     "--out prop_curve.json",
+    "calibrate --dataset zone1.json --method proposed --scale-table table.csv "
+    "--no-distortion --out prop_nodist.json",
 ]
 # The README's older 45:155:5 stack has no plateau in the suggested band:
 # exit 1, with the scale table written.
