@@ -6,6 +6,13 @@ frozen-scale method), ``report`` (bias and reprojection reports), and
 ``lens-curve`` (focus-model sweeps). Exit codes: 0 success, 1 runtime or
 numeric failure, 2 usage error. ``--json-errors`` switches stderr to one
 structured JSON object per failure.
+
+Each ``cmd_*`` returns its outputs (path to text, in write order), its
+summary and the failure it ends with, or None; ``main`` writes the outputs,
+then raises the failure or prints the summary. So a failed command writes
+nothing, unless its failure keeps outputs on purpose: ``calibrate`` keeps a
+calibration that ran out of iterations, and ``scale-factors`` the table when
+no plateau is found.
 """
 
 from __future__ import annotations
@@ -23,7 +30,14 @@ from .calibrate import (
     calibrate_baseline,
     calibrate_proposed,
 )
-from .errors import FocusCalError, FormatError, NonConvergence, NoPlateauFound, _parse_json
+from .errors import (
+    SCHEMA_VERSION,
+    FocusCalError,
+    FormatError,
+    NonConvergence,
+    NoPlateauFound,
+    _parse_json,
+)
 from .io import (
     atomic_write_text,
     bias_to_csv,
@@ -103,14 +117,7 @@ def _load_json(path: str, what: str) -> dict:
     return _parse_json(_read_text(path, what), what)
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        atomic_write_text(path, text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     preset = _resolve_preset(args.preset)
     template = TemplateSpec(rows=args.rows, cols=args.cols, pitch_mm=args.pitch)
     mode = _MODES[args.mode]
@@ -142,13 +149,12 @@ def cmd_simulate(args) -> int:
         )
         meta["kind"] = "tilted"
     doc = dataset_to_dict(template, views, meta)
-    _write(args.out, canonical_dumps(doc))
     total = sum(len(v) for v in views)
-    print(f"simulate: {len(views)} views, {total} points, mode={mode} -> {args.out}")
-    return 0
+    message = f"simulate: {len(views)} views, {total} points, mode={mode} -> {args.out}"
+    return {args.out: canonical_dumps(doc)}, message, None
 
 
-def cmd_scale_factors(args) -> int:
+def cmd_scale_factors(args) -> tuple:
     if args.fit and not args.out_curve:
         raise UsageError("--fit requires --out-curve")
     if args.out_curve and not args.fit:
@@ -167,32 +173,25 @@ def cmd_scale_factors(args) -> int:
     band = args.noise_band if args.noise_band is not None else suggest_noise_band(
         parallel, window_fraction=args.window
     )
-    table_csv = scale_table_to_csv(table)
+    outputs = {args.out_table: scale_table_to_csv(table)}
     try:
         seg = segment_zones(table, band)
-    except NoPlateauFound:
+    except NoPlateauFound as exc:
         # the table is measured whatever the band: keep it for another try
-        _write(args.out_table, table_csv)
-        raise
-    outputs = {
-        args.out_table: table_csv,
-        args.out_zones: canonical_dumps(segmentation_to_dict(seg)),
-    }
+        return outputs, "", exc
+    outputs[args.out_zones] = canonical_dumps(segmentation_to_dict(seg))
     if args.fit:
         alpha_fit = fit_focal_curve(np.column_stack([table.distances, table.alpha])).fit
         beta_fit = fit_focal_curve(np.column_stack([table.distances, table.beta])).fit
         outputs[args.out_curve] = canonical_dumps(curve_fits_to_dict(alpha_fit, beta_fit))
-    # every argument check has passed: a rejected run writes nothing
-    for path, text in outputs.items():
-        _write(path, text)
-    print(
+    message = (
         f"scale-factors: {len(table)} rows, plateau alpha={seg.plateau_alpha_px:.6g} px, "
         f"zones [{seg.zone1_end_mm:.6g}, {seg.zone2_end_mm:.6g}] mm -> {args.out_table}"
     )
-    return 0
+    return outputs, message, None
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> tuple:
     text = _read_text(args.dataset, "dataset")
     template, views, meta = dataset_from_dict(_parse_json(text, "dataset"))
     provenance = {
@@ -232,16 +231,16 @@ def cmd_calibrate(args) -> int:
             image_size=image_size_from_meta(meta),
             estimate_distortion=not args.no_distortion,
         )
-    _write(args.out, canonical_dumps(calibration_to_dict(result, provenance)))
-    if not result.converged:
-        # the partial result is written above, so it can be inspected
-        raise NonConvergence(f"no tolerance met within {args.max_iterations} iterations")
     stats = result.refined.stats
-    print(
+    message = (
         f"calibrate[{args.method}]: mean_abs={stats.mean_abs_px:.6g} px "
         f"rms={stats.rms_px:.6g} px converged={result.converged} -> {args.out}"
     )
-    return 0
+    # a calibration that ran out of iterations is still written, so it can be inspected
+    failure = None if result.converged else NonConvergence(
+        f"no tolerance met within {args.max_iterations} iterations"
+    )
+    return {args.out: canonical_dumps(calibration_to_dict(result, provenance))}, message, failure
 
 
 def _ordered_views(views, view_ids):
@@ -252,54 +251,45 @@ def _ordered_views(views, view_ids):
         raise FormatError(f"calibration references unknown view id {exc}") from exc
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple:
     if len(args.calib) > 2:
         raise UsageError("at most two calibration files can be compared")
     if len(args.calib) == 1 and (args.out_csv_b or args.out_compare):
         raise UsageError("--out-csv-b and --out-compare need a second --calib")
     _, views, _ = dataset_from_dict(_load_json(args.dataset, "dataset"))
     results = [calibration_from_dict(_load_json(p, "calibration")) for p in args.calib]
-    reports = []
-    for result in results:
-        reports.append(bias_report(result, _ordered_views(views, result.view_ids)))
+    # an error that overflows leaves a mean that is not finite, rejected below
+    with np.errstate(over="ignore"):
+        reports = [bias_report(r, _ordered_views(views, r.view_ids)) for r in results]
+        means = [float(np.linalg.norm(r.translation_errors_mm, axis=1).mean()) for r in reports]
+    for path_in, mean in zip(args.calib, means):
+        if not np.isfinite(mean):
+            raise FocusCalError(f"{path_in}: translation errors against the ground truth overflow")
     out_paths = [args.out_csv]
     if len(results) == 2:
-        second = args.out_csv_b or str(
-            Path(args.out_csv).with_suffix("")
-        ) + "_b.csv"
+        second = args.out_csv_b or str(Path(args.out_csv).with_suffix("")) + "_b.csv"
         out_paths.append(second)
-    for report, path in zip(reports, out_paths):
-        _write(path, bias_to_csv(report))
-    lines = []
-    means = []
-    for path_in, result, report in zip(args.calib, results, reports):
-        norms = np.linalg.norm(report.translation_errors_mm, axis=1)
-        means.append(float(norms.mean()))
-        lines.append(
-            f"{result.method:<9s} {path_in}: mean|dt|={norms.mean():.4f} mm "
-            f"mean dz={report.mean_mm[2]:+.4f} mm "
-            f"rot={report.mean_rotation_rad:.2e} rad "
-            f"reproj mean_abs={result.refined.stats.mean_abs_px:.4f} px"
-        )
-    print("\n".join(lines))
+    outputs = {path: bias_to_csv(report) for path, report in zip(out_paths, reports)}
+    lines = [
+        f"{result.method:<9s} {path_in}: mean|dt|={mean:.4f} mm "
+        f"mean dz={report.mean_mm[2]:+.4f} mm "
+        f"rot={report.mean_rotation_rad:.2e} rad "
+        f"reproj mean_abs={result.refined.stats.mean_abs_px:.4f} px"
+        for path_in, result, report, mean in zip(args.calib, results, reports, means)
+    ]
     if len(results) == 2:
         ratio = means[0] / means[1] if means[1] > 0 else float("inf")
-        print(f"translation error ratio (first/second): {ratio:.3f}")
+        lines.append(f"translation error ratio (first/second): {ratio:.3f}")
         if args.out_compare:
-            _write(
-                args.out_compare,
-                canonical_dumps(
-                    {
-                        "schema": 1,
-                        "mean_translation_error_mm": means,
-                        "translation_error_ratio": ratio,
-                    }
-                ),
-            )
-    return 0
+            outputs[args.out_compare] = canonical_dumps({
+                "schema": SCHEMA_VERSION,
+                "mean_translation_error_mm": means,
+                "translation_error_ratio": ratio,
+            })
+    return outputs, "\n".join(lines), None
 
 
-def cmd_lens_curve(args) -> int:
+def cmd_lens_curve(args) -> tuple:
     if args.preset:
         lens = _resolve_preset(args.preset).lens
     elif args.radius is not None and args.angle_ratio is not None:
@@ -313,9 +303,8 @@ def cmd_lens_curve(args) -> int:
     else:
         distances = np.linspace(args.from_mm, args.to_mm, args.count)
     curve = focal_sweep(lens, distances)
-    _write(args.out, focal_curve_to_csv(curve.distances, curve.values))
-    print(f"lens-curve: {args.count} samples -> {args.out}")
-    return 0
+    message = f"lens-curve: {args.count} samples -> {args.out}"
+    return {args.out: focal_curve_to_csv(curve.distances, curve.values)}, message, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +402,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     json_errors = getattr(args, "json_errors", False)
     try:
-        return args.func(args)
+        outputs, message, failure = args.func(args)
+        for path, text in outputs.items():
+            try:
+                atomic_write_text(path, text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if failure is not None:
+            raise failure
+        print(message)
+        return 0
     except (UsageError, ValueError) as exc:
         # The library rejects out-of-range argument values with ValueError;
         # input files are checked by their readers, which raise FormatError.

@@ -51,23 +51,28 @@ def _canonical(m: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return np.where((pivot < 0)[:, None, None], -m, m)
 
 
-def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Translate and scale point sets (g, n, 2) to zero centroid and mean radius sqrt(2).
 
-    Returns the normalized sets, the 3x3 similarity applied to each, and which
-    sets have all their points identical; their similarity is left finite and
-    meaningless.
+    Returns the normalized sets, the 3x3 similarity applied to each, and the
+    checks of ``_dlt`` the sets meet here: coordinates so large that their
+    spread overflows, and all points identical. A rejected set's similarity
+    is left finite and meaningless.
     """
-    centroid = pts.mean(axis=1)
-    centered = pts - centroid[:, None, :]
-    mean_dist = np.mean(np.linalg.norm(centered, axis=2), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        centroid = pts.mean(axis=1)
+        centered = pts - centroid[:, None, :]
+        mean_dist = np.mean(np.linalg.norm(centered, axis=2), axis=1)
+    huge = ~np.isfinite(mean_dist)
+    centroid[huge] = centered[huge] = 0.0
     identical = mean_dist < 1e-12 * (1.0 + np.max(np.abs(pts), axis=(1, 2)))
-    s = np.sqrt(2.0) / np.where(identical, 1.0, mean_dist)
+    s = np.sqrt(2.0) / np.where(identical | huge, 1.0, mean_dist)
     transform = np.zeros((len(pts), 3, 3))
     transform[:, 0, 0] = transform[:, 1, 1] = s
     transform[:, :2, 2] = -s[:, None] * centroid
     transform[:, 2, 2] = 1.0
-    return centered * s[:, None, None], transform, identical
+    checks = [(huge, "point coordinates too large"), (identical, "all points identical")]
+    return centered * s[:, None, None], transform, checks
 
 
 def _plane_coords(world) -> np.ndarray:
@@ -107,8 +112,8 @@ def _dlt(wp: np.ndarray, ip: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     a single view meets them, as (rejected views, reason) pairs.
     """
     g, n = wp.shape[:2]
-    wn, t_world, world_identical = _normalize(wp)
-    im, t_image, image_identical = _normalize(ip)
+    wn, t_world, world_checks = _normalize(wp)
+    im, t_image, image_checks = _normalize(ip)
     # A thin SVD of eight rows has only eight right singular vectors; for
     # four points a zero ninth row adds the null vector the solution is read from.
     design = np.zeros((g, max(2 * n, 9), 9))
@@ -127,8 +132,8 @@ def _dlt(wp: np.ndarray, ip: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     cond = np.full(g, np.inf)
     cond[finite] = np.linalg.cond(matrix[finite])
     checks = [
-        (world_identical, "all points identical"),
-        (image_identical, "all points identical"),
+        *world_checks,
+        *image_checks,
         (undetermined, "correspondences do not determine a homography"),
         (cond > 1e12, "estimated homography is rank deficient"),
     ]

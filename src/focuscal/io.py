@@ -333,14 +333,19 @@ def calibration_from_dict(doc: dict) -> CalibrationResult:
     with _reading("calibration", doc):
         refined, view_ids = _solution_from_dict(doc)
         algebraic, _ = _solution_from_dict(doc["algebraic"])
+        termination = str(doc["termination"])
+        converged = termination != "max_iterations"
+        if doc["converged"] is not converged:
+            raise ValueError(f"converged must be {json.dumps(converged)} "
+                             f"when termination is {termination!r}")
         return CalibrationResult(
             method=str(doc["method"]),
             view_ids=view_ids,
             algebraic=algebraic,
             refined=refined,
-            converged=bool(doc["converged"]),
+            converged=converged,
             iterations=int(doc["iterations"]),
-            termination=str(doc["termination"]),
+            termination=termination,
         )
 
 

@@ -12,7 +12,8 @@ from focuscal import cli
 from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_from_csv
 from focuscal.synth import TemplateSpec, bias_report
 
-CMD = [sys.executable, "-m", "focuscal"]
+# a stray numpy warning is an error, so it fails the test that meets it
+CMD = [sys.executable, "-W", "error", "-m", "focuscal"]
 
 
 def run(*args, cwd=None):
@@ -335,6 +336,28 @@ class TestCalibrateAndReport:
         assert f"scale factors at {first} mm must be positive" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("calibs", [1, 2])
+    def test_overflowing_translation_error_exits_1(self, artifacts, tmp_path, calibs):
+        _, dataset, _ = artifacts
+        calib = tmp_path / "base.json"
+        assert cli.main(["calibrate", "--dataset", str(dataset), "--method", "baseline",
+                         "--out", str(calib)]) == 0
+        doc = json.loads(dataset.read_text())
+        doc["views"][0]["gt_pose"]["t_mm"][0] = 1e308
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        outs = [tmp_path / "bias.csv", tmp_path / "bias_b.csv", tmp_path / "cmp.json"]
+        second = ["--calib", str(calib), "--out-compare", str(outs[2])] if calibs == 2 else []
+        proc = run("report", "--dataset", str(broken), "--calib", str(calib), *second,
+                   "--out-csv", str(outs[0]), "--json-errors")
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr.strip()) == {
+            "error": "FocusCalError",
+            "message": f"{calib}: translation errors against the ground truth overflow",
+        }
+        assert proc.stdout == ""
+        assert not any(path.exists() for path in outs)
+
     def test_nonconvergence_writes_partial_and_exits_1(self, artifacts):
         tmp, dataset, _ = artifacts
         out = tmp / "partial.json"
@@ -516,6 +539,23 @@ class TestMalformedInput:
         payload = json.loads(proc.stderr.strip())
         assert payload["error"] == "FormatError"
         assert "view distance must be positive and finite" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("u_px", 1e308), ("wx_mm", -1e308)])
+    def test_huge_coordinate_rejects_its_view(self, artifacts, tmp_path, key, value):
+        _, dataset, _ = artifacts
+        doc = json.loads(dataset.read_text())
+        doc["views"][1]["points"][0][key] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "never.json"
+        proc = run("calibrate", "--dataset", str(broken), "--method", "baseline",
+                   "--out", str(out), "--json-errors")
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr.strip()) == {
+            "error": "FocusCalError",
+            "message": f"view {doc['views'][1]['id']}: point coordinates too large",
+        }
         assert not out.exists()
 
     def test_missing_scale_table_exits_2(self, artifacts, tmp_path):

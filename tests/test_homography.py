@@ -19,9 +19,9 @@ def transfer_errors(h, world_xy, image):
 
 
 def normalize_one(points):
-    """The DLT's point normalization of one point set, and whether its points coincide."""
-    normed, transform, identical = _normalize(np.asarray(points, dtype=float)[None])
-    return normed[0], transform[0], identical[0]
+    """The DLT's point normalization of one point set, and the reasons it rejects the set."""
+    normed, transform, checks = _normalize(np.asarray(points, dtype=float)[None])
+    return normed[0], transform[0], [reason for bad, reason in checks if bad[0]]
 
 
 def grid(n=5, spacing=20.0):
@@ -61,8 +61,8 @@ class TestNormalizePoints:
         rng = np.random.default_rng(14)
         for _ in range(50):
             pts = rng.uniform(-500, 500, size=(rng.integers(2, 60), 2))
-            normed, transform, identical = normalize_one(pts)
-            assert not identical
+            normed, transform, rejected = normalize_one(pts)
+            assert not rejected
             assert np.linalg.norm(normed.mean(axis=0)) < 1e-12
             assert abs(np.mean(np.linalg.norm(normed, axis=1)) - np.sqrt(2)) < 1e-12
             # transform actually maps the originals onto the normalized set
@@ -72,9 +72,21 @@ class TestNormalizePoints:
             np.testing.assert_allclose(mapped, normed, atol=1e-9)
 
     def test_identical_points_rejected(self):
-        assert normalize_one([[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])[2]
+        assert normalize_one([[3.0, 4.0], [3.0, 4.0], [3.0, 4.0]])[2] == ["all points identical"]
         with pytest.raises(FocusCalError, match="all points identical"):
             estimate_homography(grid(3), [[3.0, 4.0]] * 9)
+
+    @pytest.mark.parametrize("side", ["world", "image"])
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1e160])
+    def test_coordinates_whose_spread_overflows_rejected(self, side, value):
+        huge = grid(3)
+        huge[4, 0] = value
+        assert normalize_one(huge)[2] == ["point coordinates too large"]
+        worlds, images = [grid(3), grid(3)], [grid(3), grid(3)]
+        (worlds if side == "world" else images)[1] = huge
+        # an overflow warning would fail this test: pytest turns warnings into errors
+        with pytest.raises(FocusCalError, match="^view b: point coordinates too large$"):
+            estimate_homographies(worlds, images, labels=["a", "b"])
 
 
 class TestEstimateHomography:

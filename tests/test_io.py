@@ -273,6 +273,35 @@ class TestCalibrationDocument:
         with pytest.raises(FormatError, match=f"calibration: intrinsics: {message}"):
             calibration_from_dict(doc)
 
+    @pytest.mark.parametrize("converged, termination, message", [
+        ("false", None, "converged must be true when termination is 'step'"),
+        ("yes", None, "converged must be true"),
+        (None, None, "converged must be true"),
+        (0, None, "converged must be true"),
+        (1, None, "converged must be true"),
+        (False, None, "converged must be true"),
+        (True, "max_iterations", "converged must be false when termination is 'max_iterations'"),
+        (0, "max_iterations", "converged must be false"),
+    ])
+    def test_converged_is_the_boolean_termination_implies(self, converged, termination,
+                                                         message):
+        _, result = self.make_result()
+        doc = json.loads(canonical_dumps(calibration_to_dict(result, {})))
+        assert (doc["converged"], doc["termination"]) == (True, "step")
+        doc["converged"] = converged
+        if termination is not None:
+            doc["termination"] = termination
+        with pytest.raises(FormatError, match=f"^calibration: {message}"):
+            calibration_from_dict(doc)
+
+    def test_non_converged_document_read_back(self):
+        _, result = self.make_result()
+        doc = json.loads(canonical_dumps(calibration_to_dict(result, {})))
+        doc.update(converged=False, termination="max_iterations")
+        parsed = calibration_from_dict(doc)
+        assert (parsed.converged, parsed.termination) == (False, "max_iterations")
+        assert canonical_dumps(calibration_to_dict(parsed, {})) == canonical_dumps(doc)
+
     def test_top_level_fields(self):
         _, result = self.make_result()
         doc = calibration_to_dict(result, {})
