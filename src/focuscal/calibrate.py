@@ -150,9 +150,12 @@ class CalibrationResult:
     view_ids: tuple[str, ...]
     algebraic: Solution
     refined: Solution
-    converged: bool
     iterations: int
     termination: str
+
+    @property
+    def converged(self) -> bool:
+        return self.termination != "max_iterations"
 
 
 # extrinsics from a homography
@@ -599,15 +602,14 @@ def _calibrate(
         intr, dist, poses = problem.unpack(x)
         return Solution(intr, poses, dist, _stats_from_residuals(problem.split(r), view_ids))
 
-    # Before the LM, whose first residual reuses this pass at x0.
-    algebraic = solution(x0, problem.residual(x0))
+    r0 = problem.residual(x0)  # the LM's first residual reuses this pass
     lm = levenberg_marquardt(
         problem.residual, x0, problem.normal, max_iterations=max_iterations
     )
+    # The algebraic statistics after the LM, which first rejects a start that is not finite.
     return CalibrationResult(
-        method, view_ids, algebraic, solution(lm.params, lm.residuals),
-        converged=lm.termination != "max_iterations", iterations=lm.iterations,
-        termination=lm.termination,
+        method, view_ids, solution(x0, r0), solution(lm.params, lm.residuals),
+        iterations=lm.iterations, termination=lm.termination,
     )
 
 

@@ -258,13 +258,15 @@ def cmd_report(args) -> tuple:
         raise UsageError("--out-csv-b and --out-compare need a second --calib")
     _, views, _ = dataset_from_dict(_load_json(args.dataset, "dataset"))
     results = [calibration_from_dict(_load_json(p, "calibration")) for p in args.calib]
-    # an error that overflows leaves a mean that is not finite, rejected below
-    with np.errstate(over="ignore"):
+    # an error that overflows, or a rotation angle that does, leaves a mean that is not
+    # finite, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
         reports = [bias_report(r, _ordered_views(views, r.view_ids)) for r in results]
         means = [float(np.linalg.norm(r.translation_errors_mm, axis=1).mean()) for r in reports]
-    for path_in, mean in zip(args.calib, means):
-        if not np.isfinite(mean):
-            raise FocusCalError(f"{path_in}: translation errors against the ground truth overflow")
+    for path_in, mean, report in zip(args.calib, means, reports):
+        for name, value in (("translation", mean), ("rotation", report.mean_rotation_rad)):
+            if not np.isfinite(value):
+                raise FocusCalError(f"{path_in}: {name} errors against the ground truth overflow")
     out_paths = [args.out_csv]
     if len(results) == 2:
         second = args.out_csv_b or str(Path(args.out_csv).with_suffix("")) + "_b.csv"

@@ -263,7 +263,8 @@ def distort_points(ideal, intr: Intrinsics, dist: Distortion) -> np.ndarray:
 def _distort_views(target, params, dist: Distortion) -> np.ndarray:
     """``distort_points`` of m views (m, n, 2), view i with (alpha, beta, u0, v0)
     = ``params[i]`` and its own stopping test. The points left moving are solved
-    in one eigenvalue call over the companion matrices ``np.roots`` would build."""
+    in one eigenvalue call over the companion matrices ``np.roots`` would build; a point
+    whose matrix is not finite has no root there."""
     if dist.is_zero:
         return target.copy()
     p = target.copy()
@@ -286,9 +287,13 @@ def _distort_views(target, params, dist: Distortion) -> np.ndarray:
     # k2 r^5 + k1 r^3 + r - radius, its leading zero coefficients dropped
     head = np.array([dist.k2, 0.0, dist.k1, 0.0, 1.0][0 if dist.k2 else 2:])
     companion = np.tile(np.eye(len(head), k=-1), (len(radius), 1, 1))
-    companion[:, 0, :-1], companion[:, 0, -1] = -head[1:] / head[0], radius / head[0]
-    roots = np.linalg.eigvals(companion)
-    real = np.where((roots.imag == 0.0) & (roots.real > 0.0), roots.real, np.inf).min(axis=1)
+    with np.errstate(over="ignore"):
+        companion[:, 0, :-1], companion[:, 0, -1] = -head[1:] / head[0], radius / head[0]
+    solvable = np.isfinite(companion).all(axis=(1, 2))
+    roots = np.linalg.eigvals(companion[solvable])
+    positive = np.where((roots.imag == 0.0) & (roots.real > 0.0), roots.real, np.inf)
+    real = np.full(len(radius), np.inf)
+    real[solvable] = positive.min(axis=1)
     offset *= np.where(real < np.inf, real / radius, np.nan)[:, None]
     p[view, point] = offset + np.column_stack([u0, v0])
     return p

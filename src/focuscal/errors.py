@@ -5,13 +5,19 @@ Every error that callers are expected to catch derives from
 single exit code. Geometric, numeric and missing-data failures are raised as
 :class:`FocusCalError` itself, told apart by their messages; a subclass exists
 only for a failure that a caller handles differently. ``raise_first`` reports
-the first rejected view of a batch of views.
+the first rejected view of a batch of views. Inside ``_reading``, readers take
+each document value with ``_get``, ``_get_list`` or ``_get_rows``, as one JSON kind.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
+from itertools import chain, product
+from operator import itemgetter
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -76,3 +82,53 @@ def _reading(what: str, doc=None):
         raise FormatError(f"{what}: missing key {exc}") from exc
     except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{what}: {exc}") from exc
+
+
+
+_ABSENT = object()  # no default: the key is required
+_KINDS = {float: "a finite number", int: "an integer", str: "a string", dict: "an object",
+          list: "a list"}
+
+
+def _is(value, kind: type) -> bool:
+    """Whether ``value`` is of the JSON kind ``kind`` names; a bool is no number."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:  # an int or a float, and finite
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _wrong(key: str, kind: str, value) -> TypeError:
+    text = json.dumps(value, default=repr)  # the value as the document spells it
+    return TypeError(f"{key} must be {kind}, not {text if len(text) <= 40 else text[:40] + '...'}")
+
+
+def _get(doc, key: str, kind: type, default=_ABSENT):
+    """``doc[key]``, or ``default`` when given and the key is absent, as the JSON
+    kind ``kind`` names; a number read as ``float`` is returned as a float."""
+    if default is not _ABSENT and key not in doc:
+        return default
+    value = doc[key]
+    if not _is(value, kind):
+        raise _wrong(key, _KINDS[kind], value)
+    return float(value) if kind is float else value
+
+
+def _get_list(doc, key: str, kind: type, n: int) -> list:
+    """``doc[key]`` as a list of ``n`` values, each read as ``_get`` reads ``kind``."""
+    values = _get(doc, key, list)
+    if len(values) != n or not all(_is(v, kind) for v in values):
+        raise _wrong(key, f"a list of {n} values, each {_KINDS[kind]}", values)
+    return [float(v) for v in values] if kind is float else values
+
+
+def _get_rows(docs: list, keys: tuple) -> np.ndarray:
+    """The numbers at ``keys`` of each object in ``docs`` as one float array, row by row.
+    One set of value types checks them all; only a table that fails it is searched,
+    value by value, for the one to name. The caller checks that they are finite."""
+    rows = list(map(itemgetter(*keys), docs))
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        for doc, key in product(docs, keys):  # a float subclass, such as numpy's, passes
+            _get(doc, key, float)
+    return np.array(rows, dtype=float).reshape(-1, len(keys))

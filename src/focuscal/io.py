@@ -26,7 +26,7 @@ from .calibrate import (
     Solution,
 )
 from .core import Distortion, Pose
-from .errors import SCHEMA_VERSION, FormatError, _reading
+from .errors import SCHEMA_VERSION, FormatError, _get, _get_list, _get_rows, _reading
 from .lens import CurveFit
 from .scale import ParallelView, ScaleTable, ZoneSegmentation
 from .synth import BiasReport, TemplateSpec
@@ -111,6 +111,9 @@ def sha256_hex(data) -> str:
 
 # dataset documents
 
+# The keys of a point, in the column order of a view's world then image coordinates.
+_POINT_KEYS = ("wx_mm", "wy_mm", "u_px", "v_px")
+
 
 def _pose_to_dict(pose: Pose) -> dict:
     return {
@@ -122,15 +125,8 @@ def _pose_to_dict(pose: Pose) -> dict:
 def dataset_to_dict(template: TemplateSpec, views, meta: dict | None = None) -> dict:
     view_docs = []
     for view in views:
-        points = [
-            {
-                "wx_mm": float(w[0]),
-                "wy_mm": float(w[1]),
-                "u_px": float(p[0]),
-                "v_px": float(p[1]),
-            }
-            for w, p in zip(view.world, view.image)
-        ]
+        rows = np.column_stack([view.world[:, :2], view.image]).tolist()
+        points = [dict(zip(_POINT_KEYS, row)) for row in rows]
         doc = {
             "id": view.view_id,
             "distance_mm": float(view.distance_mm),
@@ -141,29 +137,24 @@ def dataset_to_dict(template: TemplateSpec, views, meta: dict | None = None) -> 
         view_docs.append(doc)
     return {
         "schema": SCHEMA_VERSION,
-        "template": {
-            "rows": template.rows,
-            "cols": template.cols,
-            "pitch_mm": template.pitch_mm,
-        },
+        "template": asdict(template),  # renaming a template field changes the format
         "views": view_docs,
         "meta": dict(meta or {}),
     }
 
 
+def _pose_from_dict(doc: dict) -> Pose:
+    return Pose(_get_list(doc, "rodrigues", float, 3), _get_list(doc, "t_mm", float, 3))
+
+
 def _view_from_dict(i: int, vdoc: dict) -> CalibrationView:
     with _reading(f"view {i}"):
         # one (n, 4) array of wx, wy, u, v; CalibrationView checks its size and values
-        points = np.array(
-            [[p["wx_mm"], p["wy_mm"], p["u_px"], p["v_px"]] for p in vdoc["points"]],
-            dtype=float,
-        ).reshape(-1, 4)
-        gt = None
-        if "gt_pose" in vdoc:
-            gt = Pose(vdoc["gt_pose"]["rodrigues"], vdoc["gt_pose"]["t_mm"])
+        points = _get_rows(_get(vdoc, "points", list), _POINT_KEYS)
+        gt = _pose_from_dict(_get(vdoc, "gt_pose", dict)) if "gt_pose" in vdoc else None
         return CalibrationView(
-            view_id=str(vdoc["id"]),
-            distance_mm=float(vdoc["distance_mm"]),
+            view_id=_get(vdoc, "id", str),
+            distance_mm=_get(vdoc, "distance_mm", float),
             world=points[:, :2],
             image=points[:, 2:],
             gt_pose=gt,
@@ -172,12 +163,13 @@ def _view_from_dict(i: int, vdoc: dict) -> CalibrationView:
 
 def dataset_from_dict(doc: dict) -> tuple[TemplateSpec, list[CalibrationView], dict]:
     with _reading("dataset", doc):
-        tdoc = doc["template"]
+        tdoc = _get(doc, "template", dict)
         template = TemplateSpec(
-            rows=int(tdoc["rows"]), cols=int(tdoc["cols"]), pitch_mm=float(tdoc["pitch_mm"])
+            rows=_get(tdoc, "rows", int), cols=_get(tdoc, "cols", int),
+            pitch_mm=_get(tdoc, "pitch_mm", float),
         )
-        views = [_view_from_dict(i, vdoc) for i, vdoc in enumerate(doc["views"])]
-        meta = dict(doc.get("meta", {}))
+        views = [_view_from_dict(i, vdoc) for i, vdoc in enumerate(_get(doc, "views", list))]
+        meta = _get(doc, "meta", dict, {})
     if not views:
         raise FormatError("dataset: no views")
     if len({v.view_id for v in views}) < len(views):
@@ -185,15 +177,14 @@ def dataset_from_dict(doc: dict) -> tuple[TemplateSpec, list[CalibrationView], d
     return template, views, meta
 
 
-def image_size_from_meta(meta: dict) -> tuple[float, float] | None:
+def image_size_from_meta(meta: dict) -> tuple[int, int] | None:
     """A dataset's ``meta.image_size_px`` as (width, height), None if absent."""
-    size = meta.get("image_size_px")
-    if size is None:
+    if meta.get("image_size_px") is None:
         return None
-    with _reading(f"dataset meta: image_size_px {size!r}"):
-        width, height = (float(n) for n in size)
-    if not (0 < width < math.inf and 0 < height < math.inf):
-        raise FormatError(f"dataset meta: image_size_px {size!r} is not positive and finite")
+    with _reading("dataset meta"):
+        width, height = _get_list(meta, "image_size_px", int, 2)
+    if not (width > 0 and height > 0):
+        raise FormatError(f"dataset meta: image_size_px {[width, height]} is not positive")
     return width, height
 
 
@@ -229,7 +220,7 @@ def parallel_views_from_dataset(
                 points=grid,
                 distance_mm=view.distance_mm,
                 pitch_mm=template.pitch_mm,
-                image_size=(int(size[0]), int(size[1])),
+                image_size=size,
             )
         )
     return out
@@ -249,32 +240,28 @@ def _intrinsics_to_dict(intr: IntrinsicSet) -> dict:
 
 
 def _intrinsics_from_dict(doc: dict) -> IntrinsicSet:
+    if not isinstance(doc["shared"], bool):
+        raise ValueError("intrinsics: shared must be true or false")
     return IntrinsicSet(
-        u0=float(doc["u0_px"]),
-        v0=float(doc["v0_px"]),
-        gamma=float(doc["gamma"]),
-        scales=tuple((float(s["alpha_px"]), float(s["beta_px"])) for s in doc["scales"]),
+        u0=_get(doc, "u0_px", float),
+        v0=_get(doc, "v0_px", float),
+        gamma=_get(doc, "gamma", float),
+        scales=tuple((_get(s, "alpha_px", float), _get(s, "beta_px", float))
+                     for s in _get(doc, "scales", list)),
         shared=doc["shared"],
     )
 
 
+# The stats fields in order, each with its kind; asdict writes them under these keys.
+_POOLED_STATS = ("mean_px", "median_px", "std_px", "rms_px", "mean_abs_px")
+_PER_VIEW_STATS = (("view_id", str), ("mean_abs_px", float), ("rms_px", float),
+                   ("n_points", int))
+
+
 def _stats_from_dict(doc: dict) -> ReprojectionStats:
-    return ReprojectionStats(
-        mean_px=float(doc["mean_px"]),
-        median_px=float(doc["median_px"]),
-        std_px=float(doc["std_px"]),
-        rms_px=float(doc["rms_px"]),
-        mean_abs_px=float(doc["mean_abs_px"]),
-        per_view=tuple(
-            PerViewStats(
-                view_id=str(pv["view_id"]),
-                mean_abs_px=float(pv["mean_abs_px"]),
-                rms_px=float(pv["rms_px"]),
-                n_points=int(pv["n_points"]),
-            )
-            for pv in doc["per_view"]
-        ),
-    )
+    per_view = tuple(PerViewStats(*(_get(pv, key, kind) for key, kind in _PER_VIEW_STATS))
+                     for pv in _get(doc, "per_view", list))
+    return ReprojectionStats(*(_get(doc, key, float) for key in _POOLED_STATS), per_view)
 
 
 def _solution_to_dict(sol: Solution, view_ids) -> dict:
@@ -290,25 +277,23 @@ def _solution_to_dict(sol: Solution, view_ids) -> dict:
 
 
 def _solution_from_dict(doc: dict) -> tuple[Solution, tuple[str, ...]]:
-    poses = tuple(Pose(p["rodrigues"], p["t_mm"]) for p in doc["poses"])
-    view_ids = tuple(str(p["view_id"]) for p in doc["poses"])
-    intr = _intrinsics_from_dict(doc["intrinsics"])
-    if not isinstance(intr.shared, bool):
-        raise ValueError("intrinsics: shared must be true or false")
+    pose_docs = _get(doc, "poses", list)
+    poses = tuple(map(_pose_from_dict, pose_docs))
+    view_ids = tuple(_get(p, "view_id", str) for p in pose_docs)
+    intr = _intrinsics_from_dict(_get(doc, "intrinsics", dict))
     need = 1 if intr.shared else len(poses)
     if len(intr.scales) != need:
         raise ValueError(f"intrinsics: {len(intr.scales)} scale pairs where "
                          f"{'shared' if intr.shared else 'per-view'} scales need {need}")
-    if not all(0 < s < np.inf for pair in intr.scales for s in pair):
-        raise ValueError("intrinsics: scale factors must be positive and finite")
+    if not all(0 < s for pair in intr.scales for s in pair):
+        raise ValueError("intrinsics: scale factors must be positive")
+    dist = _get(doc, "distortion", dict)
     return (
         Solution(
             intrinsics=intr,
             poses=poses,
-            distortion=Distortion(
-                float(doc["distortion"]["k1"]), float(doc["distortion"]["k2"])
-            ),
-            stats=_stats_from_dict(doc["stats"]),
+            distortion=Distortion(_get(dist, "k1", float), _get(dist, "k2", float)),
+            stats=_stats_from_dict(_get(doc, "stats", dict)),
         ),
         view_ids,
     )
@@ -332,21 +317,19 @@ def calibration_to_dict(result: CalibrationResult, provenance: dict) -> dict:
 def calibration_from_dict(doc: dict) -> CalibrationResult:
     with _reading("calibration", doc):
         refined, view_ids = _solution_from_dict(doc)
-        algebraic, _ = _solution_from_dict(doc["algebraic"])
-        termination = str(doc["termination"])
-        converged = termination != "max_iterations"
-        if doc["converged"] is not converged:
-            raise ValueError(f"converged must be {json.dumps(converged)} "
-                             f"when termination is {termination!r}")
-        return CalibrationResult(
-            method=str(doc["method"]),
+        algebraic, _ = _solution_from_dict(_get(doc, "algebraic", dict))
+        result = CalibrationResult(
+            method=_get(doc, "method", str),
             view_ids=view_ids,
             algebraic=algebraic,
             refined=refined,
-            converged=converged,
-            iterations=int(doc["iterations"]),
-            termination=termination,
+            iterations=_get(doc, "iterations", int),
+            termination=_get(doc, "termination", str),
         )
+        if doc["converged"] is not result.converged:
+            raise ValueError(f"converged must be {json.dumps(result.converged)} "
+                             f"when termination is {result.termination!r}")
+        return result
 
 
 # CSV tables
@@ -405,10 +388,8 @@ def curve_fits_to_dict(alpha_fit: CurveFit, beta_fit: CurveFit) -> dict:
 
 def curve_fits_from_dict(doc: dict) -> tuple[CurveFit, CurveFit]:
     with _reading("curve fits", doc):
-        return (
-            CurveFit(float(doc["alpha_fit"]["k_f"]), float(doc["alpha_fit"]["value0"])),
-            CurveFit(float(doc["beta_fit"]["k_f"]), float(doc["beta_fit"]["value0"])),
-        )
+        fits = _get(doc, "alpha_fit", dict), _get(doc, "beta_fit", dict)
+        return tuple(CurveFit(_get(fit, "k_f", float), _get(fit, "value0", float)) for fit in fits)
 
 
 def bias_to_csv(report: BiasReport) -> str:

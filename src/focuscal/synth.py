@@ -34,7 +34,7 @@ from .core import (
     _rodrigues,
     rodrigues_from_rotations,
 )
-from .errors import FocusCalError, FormatError, _parse_json, _reading
+from .errors import FocusCalError, FormatError, _get, _get_list, _parse_json, _reading
 from .lens import LensSpec, sharp_focal_length
 from .scale import ParallelView
 
@@ -130,29 +130,27 @@ class CameraPreset:
     @classmethod
     def from_dict(cls, doc: dict) -> "CameraPreset":
         with _reading(_PRESET):
-            intr = doc["intrinsics"]
-            lens = doc["lens"]
-            dist = doc.get("distortion", {})
+            intr = _get(doc, "intrinsics", dict)
+            lens = _get(doc, "lens", dict)
+            dist = _get(doc, "distortion", dict, {})
             return cls(
-                name=str(doc["name"]),
-                image_size=(int(doc["image_size_px"][0]), int(doc["image_size_px"][1])),
+                name=_get(doc, "name", str),
+                image_size=_get_list(doc, "image_size_px", int, 2),
                 intrinsics=Intrinsics(
-                    alpha=float(intr["alpha_px"]),
-                    beta=float(intr["beta_px"]),
-                    gamma=float(intr.get("gamma", 0.0)),
-                    u0=float(intr["u0_px"]),
-                    v0=float(intr["v0_px"]),
+                    alpha=_get(intr, "alpha_px", float),
+                    beta=_get(intr, "beta_px", float),
+                    gamma=_get(intr, "gamma", float, 0.0),
+                    u0=_get(intr, "u0_px", float),
+                    v0=_get(intr, "v0_px", float),
                 ),
                 lens=LensSpec(
-                    radius_mm=float(lens["radius_mm"]),
-                    angle_ratio=float(lens["angle_ratio"]),
-                    axis_offset_mm=float(lens.get("axis_offset_mm", 0.0)),
+                    radius_mm=_get(lens, "radius_mm", float),
+                    angle_ratio=_get(lens, "angle_ratio", float),
+                    axis_offset_mm=_get(lens, "axis_offset_mm", float, 0.0),
                 ),
-                hyperfocal_mm=float(doc["hyperfocal_mm"]),
-                pixels_per_mm=float(doc["pixels_per_mm"]),
-                distortion=Distortion(
-                    float(dist.get("k1", 0.0)), float(dist.get("k2", 0.0))
-                ),
+                hyperfocal_mm=_get(doc, "hyperfocal_mm", float),
+                pixels_per_mm=_get(doc, "pixels_per_mm", float),
+                distortion=Distortion(_get(dist, "k1", float, 0.0), _get(dist, "k2", float, 0.0)),
             )
 
 
@@ -350,7 +348,7 @@ def parallel_stack_dataset(
 
 @dataclass(frozen=True, eq=False)
 class BiasReport:
-    """Per-view pose errors against ground truth, with axis-wise summaries.
+    """Per-view pose errors against ground truth, with their means.
 
     Translation errors are the estimated minus true translation vectors, whose
     components live on the (true) camera axes; a negative z entry means the
@@ -361,10 +359,7 @@ class BiasReport:
     translation_errors_mm: np.ndarray
     rotation_errors_rad: np.ndarray
     mean_mm: np.ndarray
-    min_mm: np.ndarray
-    max_mm: np.ndarray
     mean_rotation_rad: float
-    max_rotation_rad: float
 
 
 def bias_report(result: CalibrationResult, views) -> BiasReport:
@@ -385,8 +380,5 @@ def bias_report(result: CalibrationResult, views) -> BiasReport:
         translation_errors_mm=dt,
         rotation_errors_rad=rot_err,
         mean_mm=dt.mean(axis=0),
-        min_mm=dt.min(axis=0),
-        max_mm=dt.max(axis=0),
         mean_rotation_rad=float(rot_err.mean()),
-        max_rotation_rad=float(rot_err.max()),
     )

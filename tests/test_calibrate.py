@@ -370,6 +370,23 @@ class TestCalibrateBaseline:
         with pytest.raises(FocusCalError, match="need at least three views$"):
             calibrate_baseline(views)
 
+    def test_converged_follows_termination(self):
+        template = TemplateSpec(5, 6, 20.0)
+        views = make_views(ROBOTIQ, template, [350.0, 500.0, 700.0], FOCUS_FIXED, 0.5, 40)
+        partial = calibrate_baseline(views, max_iterations=1)
+        assert not partial.converged
+        assert dataclasses.replace(partial, termination="step").converged
+
+    def test_non_finite_start_rejected_before_the_statistics(self):
+        # one point far off its view puts that view behind its starting camera
+        template = TemplateSpec(4, 5, 25.0)
+        views = make_views(ROBOTIQ, template, np.linspace(300, 900, 6), FOCUS_FIXED, 0.2, 7)
+        image = views[2].image.copy()
+        image[3, 0] = 0.0
+        views[2] = dataclasses.replace(views[2], image=image)
+        with pytest.raises(FocusCalError, match="^residual is not finite at the starting point$"):
+            calibrate_baseline(views)
+
     def test_non_convergence_carries_partial(self):
         template = TemplateSpec(5, 6, 20.0)
         views = make_views(ROBOTIQ, template, [350.0, 500.0, 700.0], FOCUS_FIXED, 0.5, 40)

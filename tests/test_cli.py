@@ -1,12 +1,18 @@
+import copy
+import functools
 import json
+import operator
 import shlex
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from focuscal import cli
 from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_from_csv
@@ -358,6 +364,30 @@ class TestCalibrateAndReport:
         assert proc.stdout == ""
         assert not any(path.exists() for path in outs)
 
+    @pytest.mark.parametrize("document", ["gt_pose", "refined"])
+    def test_overflowing_rotation_error_exits_1(self, artifacts, tmp_path, capsys, document):
+        _, dataset, _ = artifacts
+        calib = tmp_path / "base.json"
+        assert cli.main(["calibrate", "--dataset", str(dataset), "--method", "baseline",
+                         "--out", str(calib)]) == 0
+        path = dataset if document == "gt_pose" else calib
+        doc = json.loads(path.read_text())
+        pose = doc["views"][0]["gt_pose"] if document == "gt_pose" else doc["poses"][0]
+        pose["rodrigues"] = [1e308, 0, 0]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        inputs = (broken, calib) if document == "gt_pose" else (dataset, broken)
+        capsys.readouterr()
+        code = cli.main(["report", "--dataset", str(inputs[0]), "--calib", str(inputs[1]),
+                         "--out-csv", str(tmp_path / "bias.csv"), "--json-errors"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "FocusCalError",
+            "message": f"{inputs[1]}: rotation errors against the ground truth overflow",
+        }
+        assert not (tmp_path / "bias.csv").exists()
+
     def test_nonconvergence_writes_partial_and_exits_1(self, artifacts):
         tmp, dataset, _ = artifacts
         out = tmp / "partial.json"
@@ -384,6 +414,26 @@ MALFORMED_DATASETS = {
     # json.dumps cannot write an integer beyond Python's digit limit: the test
     # writes 5,000 digits where this string stands
     "pitch-5000-digits": lambda doc: doc["template"].update(pitch_mm="<5000 digits>"),
+    # values of the wrong JSON kind
+    "distance-a-string": lambda doc: doc["views"][0].update(distance_mm="60"),
+    "u-a-boolean": lambda doc: doc["views"][0]["points"][0].update(u_px=True),
+    "id-a-number": lambda doc: doc["views"][0].update(id=1e-320),
+    "rodrigues-strings": lambda doc: doc["views"][0]["gt_pose"].update(rodrigues=["0.1", 0, 0]),
+    "rows-fractional": lambda doc: doc["template"].update(rows=6.5),
+    "meta-pairs": lambda doc: doc.update(meta=list(doc["meta"].items())),
+}
+
+# Edits that make a valid calibration document malformed; ``report`` reads it.
+MALFORMED_CALIBRATIONS = {
+    "u0-a-string": lambda doc: doc["intrinsics"].update(u0_px="645"),
+    "rms-nan": lambda doc: doc["stats"].update(rms_px=float("nan")),
+    "iterations-fractional": lambda doc: doc.update(iterations=5.5),
+    "method-a-number": lambda doc: doc.update(method=1),
+}
+
+# Edits that make a valid curve document malformed; ``calibrate --scale-curve`` reads it.
+MALFORMED_CURVES = {
+    "k-f-a-string": lambda doc: doc["alpha_fit"].update(k_f="1"),
 }
 
 ROBOTIQ_PRESET = json.loads((resources.files("focuscal") / "presets/robotiq.json").read_text())
@@ -392,6 +442,11 @@ ROBOTIQ_PRESET = json.loads((resources.files("focuscal") / "presets/robotiq.json
 MALFORMED_PRESETS = {
     "preset-not-json": "{bad",
     "preset-infinite-width": json.dumps({**ROBOTIQ_PRESET, "image_size_px": [float("inf"), 480]}),
+    "preset-offset-a-string": json.dumps(
+        {**ROBOTIQ_PRESET, "lens": {**ROBOTIQ_PRESET["lens"], "axis_offset_mm": "nan"}}),
+    "preset-fractional-width": json.dumps({**ROBOTIQ_PRESET, "image_size_px": [1279.7, 724]}),
+    "preset-alpha-a-boolean": json.dumps(
+        {**ROBOTIQ_PRESET, "intrinsics": {**ROBOTIQ_PRESET["intrinsics"], "alpha_px": True}}),
 }
 
 # Argument values that are rejected, each with a part of its message; each
@@ -423,26 +478,134 @@ REJECTED_ARGUMENT_VALUES = {
 }
 
 
+# Every command that reads a JSON document, with the documents it reads: {dataset}
+# a tilted dataset, {stack} a stack dataset, {calib} a calibration, {curve} a curve
+# document and {preset} a preset. Each writes {out}; scale-factors also {out}.json.
+READING_COMMANDS = {
+    "calibrate": "calibrate --dataset {dataset} --method baseline --out {out}",
+    "proposed": "calibrate --dataset {dataset} --method proposed --scale-curve {curve} "
+                "--out {out}",
+    "report": "report --dataset {dataset} --calib {calib} --out-csv {out}",
+    "scale-factors": "scale-factors --dataset {stack} --out-table {out} --out-zones {out}.json",
+    "simulate": "simulate --preset {preset} --views 4 --rows 4 --cols 5 --out {out}",
+    "lens-curve": "lens-curve --preset {preset} --from 20 --to 200 --count 5 --out {out}",
+}
+
+# Each document a command reads, as (placeholder, command).
+DOCUMENT_READS = [
+    ("dataset", "calibrate"), ("dataset", "proposed"), ("dataset", "report"),
+    ("stack", "scale-factors"), ("calib", "report"), ("curve", "proposed"),
+    ("preset", "simulate"), ("preset", "lens-curve"),
+]
+
+# The document each malformed case edits and the command that reads it.
+MALFORMED_READS = {
+    **dict.fromkeys(MALFORMED_DATASETS, ("dataset", "calibrate")),
+    "rodrigues-strings": ("dataset", "report"),
+    "meta-pairs": ("stack", "scale-factors"),
+    **dict.fromkeys(MALFORMED_CALIBRATIONS, ("calib", "report")),
+    **dict.fromkeys(MALFORMED_CURVES, ("curve", "proposed")),
+    **dict.fromkeys(MALFORMED_PRESETS, ("preset", "simulate")),
+}
+MALFORMED_EDITS = {**MALFORMED_DATASETS, **MALFORMED_CALIBRATIONS, **MALFORMED_CURVES}
+
+
+@pytest.fixture(scope="module")
+def documents(artifacts):
+    """One valid document of each kind READING_COMMANDS reads, by its placeholder."""
+    tmp, dataset, _ = artifacts
+    paths = {"dataset": dataset, "stack": tmp / "stack.json", "calib": tmp / "calib.json",
+             "curve": tmp / "curve.json", "preset": tmp / "preset.json"}
+    assert cli.main(["calibrate", "--dataset", str(dataset), "--method", "baseline",
+                     "--out", str(paths["calib"])]) == 0
+    fit = {"k_f": 595894.178378, "value0": 1395.41382627}  # fitted to a robotiq stack
+    paths["curve"].write_text(canonical_dumps({"schema": 1, "alpha_fit": fit, "beta_fit": fit}))
+    paths["preset"].write_text(json.dumps(ROBOTIQ_PRESET))
+    return paths
+
+
+def reading_args(command: str, paths: dict, out) -> list[str]:
+    return READING_COMMANDS[command].format(**paths, out=out).split()
+
+
+# Values that replace a part of a document: each JSON kind, and some of them twice.
+REPLACEMENTS = [None, True, False, 0, 1, -1, 0.5, 1e308, float("nan"), "", "1", "nan",
+                [], [1, 2], {}, {"k1": 1}]
+
+
+def json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def document_paths(node, path=()):
+    """The path of every value inside ``node``, an object or a list, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield (*path, key)
+        yield from document_paths(child, (*path, key))
+
+
 class TestMalformedInput:
-    @pytest.mark.parametrize("case", [*MALFORMED_DATASETS, *MALFORMED_PRESETS])
-    def test_format_error_exits_1_without_file(self, artifacts, tmp_path, case):
-        _, dataset, _ = artifacts
-        out = tmp_path / "never.json"
+    @pytest.mark.parametrize("case", list(MALFORMED_READS))
+    def test_format_error_exits_1_without_file(self, documents, tmp_path, capsys, case):
+        kind, command = MALFORMED_READS[case]
+        broken = tmp_path / "broken.json"
         if case in MALFORMED_PRESETS:
-            preset = tmp_path / "bad.json"
-            preset.write_text(MALFORMED_PRESETS[case])
-            args = ["simulate", "--preset", str(preset), "--out", str(out)]
+            broken.write_text(MALFORMED_PRESETS[case])
         else:
-            doc = json.loads(dataset.read_text())
-            MALFORMED_DATASETS[case](doc)
-            broken = tmp_path / "broken.json"
+            doc = json.loads(documents[kind].read_text())
+            MALFORMED_EDITS[case](doc)
             broken.write_text(json.dumps(doc).replace('"<5000 digits>"', "9" * 5000))
-            args = ["calibrate", "--dataset", str(broken), "--method", "baseline",
-                    "--out", str(out)]
-        proc = run(*args, "--json-errors")
-        assert proc.returncode == 1
-        assert json.loads(proc.stderr.strip())["error"] == "FormatError"
-        assert not out.exists()
+        out = tmp_path / "never.out"
+        code = cli.main([*reading_args(command, {**documents, kind: broken}, out),
+                         "--json-errors"])
+        payload = json.loads(capsys.readouterr().err)  # one JSON object, nothing else
+        assert (code, payload["error"]) == (1, "FormatError")
+        assert list(tmp_path.iterdir()) == [broken]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_changed_kind_or_deleted_key_fails_cleanly(self, documents, tmp_path, capsys,
+                                                      data):
+        # 1-3 values of a valid document take another JSON kind or lose their key;
+        # no exception or warning escapes (warnings are errors here), a failure is
+        # one JSON object with its exit code, and it writes nothing it should not
+        kind, command = data.draw(st.sampled_from(DOCUMENT_READS))
+        doc = json.loads(documents[kind].read_text())
+        paths = data.draw(st.lists(st.sampled_from(list(document_paths(doc))), min_size=1,
+                                   max_size=3, unique=True))
+        # deepest first, so each path still leads to the value it had
+        for *head, key in sorted(paths, key=len, reverse=True):
+            parent = functools.reduce(operator.getitem, head, doc)
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = copy.deepcopy(data.draw(st.sampled_from(
+                    [v for v in REPLACEMENTS if json_kind(v) != json_kind(parent[key])])))
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        broken = work / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main([*reading_args(command, {**documents, kind: broken}, work / "out"),
+                         "--json-errors"])
+        err = capsys.readouterr().err
+        written = sorted(p.name for p in work.iterdir() if p != broken)
+        if code == 0:
+            assert err == ""
+            return
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert code == (2 if payload["error"] == "UsageError" else 1)
+        # the two failures that keep an output: a calibration out of iterations, a
+        # table without a plateau
+        kept = ["out"] if payload["error"] in ("NonConvergence", "NoPlateauFound") else []
+        assert written == kept
 
     @pytest.mark.parametrize("distortion", [[1, 2], 3, "k1"])
     @pytest.mark.parametrize("command", [
@@ -488,6 +651,30 @@ class TestMalformedInput:
                          "--out", str(out), "--json-errors"])
         payload = json.loads(capsys.readouterr().err)
         assert (code, payload["error"], payload["message"]) == (1, "FocusCalError", message)
+        assert not out.exists()
+
+    def test_distortion_that_overflows_the_inverse_exits_1(self, tmp_path, capsys):
+        preset = tmp_path / "bad.json"
+        preset.write_text(json.dumps({**ROBOTIQ_PRESET, "distortion": {"k1": -1e308,
+                                                                       "k2": -0.072}}))
+        out = tmp_path / "never.json"
+        code = cli.main(["simulate", "--preset", str(preset), "--out", str(out),
+                         "--json-errors"])
+        payload = json.loads(capsys.readouterr().err)
+        assert (code, payload["error"]) == (1, "FocusCalError")
+        assert not out.exists()
+
+    def test_outlier_point_exits_1_without_a_warning(self, tmp_path):
+        dataset = simulate(tmp_path, **{"--rows": "4", "--cols": "5"})
+        doc = json.loads(dataset.read_text())
+        doc["views"][2]["points"][3]["u_px"] = 0
+        dataset.write_text(json.dumps(doc))
+        out = tmp_path / "never.json"
+        proc = run("calibrate", "--dataset", str(dataset), "--method", "baseline",
+                   "--out", str(out), "--json-errors")
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {
+            "error": "FocusCalError", "message": "residual is not finite at the starting point"}
         assert not out.exists()
 
     def test_scale_factors_on_tilted_dataset_exits_2(self, artifacts, tmp_path):
@@ -538,7 +725,7 @@ class TestMalformedInput:
         assert proc.returncode == 1
         payload = json.loads(proc.stderr.strip())
         assert payload["error"] == "FormatError"
-        assert "view distance must be positive and finite" in payload["message"]
+        assert payload["message"] == "view 0: distance_mm must be a finite number, not Infinity"
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("u_px", 1e308), ("wx_mm", -1e308)])

@@ -211,6 +211,21 @@ class TestDistortion:
         capped = distort_points(ideal, self.intr, Distortion(0.0, -5.0))
         assert np.isnan(capped[0]).all() and np.isfinite(capped[1]).all()
 
+    def test_coefficient_that_overflows_the_root_solve_gives_nan(self):
+        # -k1 / k2 overflows, so no companion matrix is finite: NaN, not a raise
+        ideal = np.array([[100.0, 200.0], [1000.0, 700.0]])
+        out = distort_points(ideal, self.intr, Distortion(-1e308, -0.072))
+        assert out.shape == (2, 2) and np.isnan(out).all()
+
+    def test_only_the_points_whose_matrix_overflows_are_nan(self, monkeypatch):
+        # one step leaves both points moving; the far point's radius / k1 overflows
+        monkeypatch.setattr(core, "_DISTORT_ITERATIONS", 1)
+        ideal = np.array([[1500.0, 900.0], [1e308, 0.0]])
+        d = Distortion(1e-10, 0.0)
+        out = distort_points(ideal, self.intr, d)
+        np.testing.assert_allclose(undistort_points(out[0], self.intr, d), ideal[0], atol=1e-9)
+        assert np.isnan(out[1]).all()
+
     def test_no_points_gives_no_points(self):
         out = distort_points(np.empty((0, 2)), self.intr, Distortion(0.03, -0.1))
         assert out.shape == (0, 2)

@@ -71,7 +71,8 @@ class TestPresets:
         path = tmp_path / "infinite.json"
         doc = json.loads((resources.files("focuscal") / "presets/robotiq.json").read_text())
         path.write_text(json.dumps({**doc, "image_size_px": [float("inf"), 480]}))
-        with pytest.raises(FormatError, match="invalid camera preset: cannot convert float"):
+        with pytest.raises(FormatError, match=r"^invalid camera preset: image_size_px must be "
+                                              r"a list of 2 values, each an integer, not \[Inf"):
             load_preset(str(path))
 
     def test_plateau_matches_published_values(self):
