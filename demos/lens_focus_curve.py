@@ -33,8 +33,7 @@ for d, f in zip(curve.distances, curve.values):
 
 # The same rise-to-plateau shape is captured by the two-parameter hyperbolic
 # model value(d) = -k_f / d**2 + value0, fitted by linear least squares.
-samples = np.column_stack([curve.distances, curve.values])
-fit = fit_focal_curve(samples).fit
+fit = fit_focal_curve(curve.distances, curve.values)
 print(f"\nhyperbolic fit: k_f = {fit.k_f:.4g}, asymptote = {fit.value0:.4f} mm")
 print(f"model focal length at 100 mm: {sharp_focal_length(lens, 100.0):.4f} mm")
 

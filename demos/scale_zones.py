@@ -42,7 +42,7 @@ print(f"plateau scale factors: alpha = {seg.plateau_alpha_px:.2f} px, "
 print(f"preset plateau values: alpha = {preset.intrinsics.alpha} px, "
       f"beta = {preset.intrinsics.beta} px")
 
-fit = fit_focal_curve(np.column_stack([table.distances, table.alpha])).fit
+fit = fit_focal_curve(table.distances, table.alpha)
 print(f"\ncontinuous model: alpha(d) = -{fit.k_f:.4g}/d^2 + {fit.value0:.2f}")
 
 print(

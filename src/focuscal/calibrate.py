@@ -4,10 +4,10 @@ Two pipelines share one model and machinery. The baseline computes a single
 intrinsic matrix: per-view homographies feed the absolute-conic linear system
 for closed-form intrinsics, poses follow by homography decomposition, and a
 joint refinement then adjusts every parameter at once. The constrained
-pipeline instead freezes per-view scale factors taken from a measured scale
-table or fitted focal curve and refines only the poses, principal point, skew
-and distortion, which removes the coupling channel that lets focal-length
-errors hide in the translations.
+pipeline instead freezes per-view scale factors, taken from a measured scale
+table or from the (alpha, beta) curves fitted to one, and refines only the
+poses, principal point, skew and distortion, which removes the coupling
+channel that lets focal-length errors hide in the translations.
 
 The refinement residual pairs each observation, corrected by the closed-form
 radial model, with the pin-hole projection of its template point. ``_Problem``
@@ -50,7 +50,6 @@ __all__ = [
     "ReprojectionStats",
     "Solution",
     "CalibrationResult",
-    "ScaleSource",
     "extrinsics_from_homography",
     "intrinsics_from_homographies",
     "calibrate_baseline",
@@ -192,8 +191,10 @@ def _poses_from_homographies(homs, intrinsic_matrices, labels=None) -> list[Pose
     bad = check(~np.all(np.isfinite(a), axis=(1, 2)),
                 "intrinsic matrix must be a finite 3x3 matrix")
     a[bad] = np.eye(3)
-    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2))) ** 3
-    bad = check(np.abs(np.linalg.det(a)) < 1e-12 * scale, "intrinsic matrix is not invertible")
+    with np.errstate(over="ignore"):  # huge entries: an infinite determinant and scale
+        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2))) ** 3
+        det = np.abs(np.linalg.det(a))
+    bad = check(det < 1e-12 * scale, "intrinsic matrix is not invertible")
     a[bad] = np.eye(3)
     b = np.linalg.solve(a, m)
     norm1 = _norms(b[:, :, 0])
@@ -472,55 +473,36 @@ class _Problem:
         return u, w, v, np.concatenate([g, gp.ravel()])
 
 
-# scale-factor sources for the constrained pipeline
+# scale factors for the constrained pipeline
 
 _TABLE_TOLERANCE = 0.1
 
 
-@dataclass(frozen=True)
-class ScaleSource:
-    """Where per-view scale factors come from: table rows, fitted curves, or both.
+def _scale_pair(distance_mm: float, table: ScaleTable | None, curves) -> tuple[float, float]:
+    """The frozen scale factors of a view at ``distance_mm``.
 
-    A view distance matches a table row within 10% of the distance; otherwise
-    the fitted curves are evaluated. A pair that is not positive and finite
-    is rejected.
+    The nearest table row within 10% of the distance gives them; otherwise the
+    fitted (alpha, beta) curves are evaluated there. A pair that is not
+    positive and finite is rejected.
     """
-
-    table: ScaleTable | None = None
-    alpha_curve: CurveFit | None = None
-    beta_curve: CurveFit | None = None
-
-    def lookup(self, distance_mm: float) -> tuple[float, float]:
-        pair = None
-        if self.table is not None and len(self.table) > 0:
-            idx = int(np.argmin(np.abs(self.table.distances - distance_mm)))
-            if abs(self.table.distances[idx] - distance_mm) <= _TABLE_TOLERANCE * distance_mm:
-                pair = float(self.table.alpha[idx]), float(self.table.beta[idx])
-        if pair is None and self.alpha_curve is not None:
-            beta_curve = self.beta_curve or self.alpha_curve
-            pair = (
-                float(eval_focal_curve(self.alpha_curve, distance_mm)),
-                float(eval_focal_curve(beta_curve, distance_mm)),
-            )
-        if pair is None:
-            raise FocusCalError(
-                f"no scale-table row within {_TABLE_TOLERANCE:.0%} of {distance_mm} mm "
-                "and no fitted curve available"
-            )
-        if not (np.all(np.isfinite(pair)) and min(pair) > 0):
-            raise FocusCalError(
-                f"scale factors at {distance_mm} mm must be positive and finite, "
-                f"got alpha={pair[0]:.6g}, beta={pair[1]:.6g}"
-            )
-        return pair
-
-
-def _coerce_scale_source(source) -> ScaleSource:
-    if isinstance(source, ScaleSource):
-        return source
-    if isinstance(source, ScaleTable):
-        return ScaleSource(table=source)
-    raise TypeError(f"unsupported scale source: {type(source).__name__}")
+    pair = None
+    if table is not None and len(table) > 0:
+        idx = int(np.argmin(np.abs(table.distances - distance_mm)))
+        if abs(table.distances[idx] - distance_mm) <= _TABLE_TOLERANCE * distance_mm:
+            pair = float(table.alpha[idx]), float(table.beta[idx])
+    if pair is None and curves is not None:
+        pair = tuple(float(eval_focal_curve(fit, distance_mm)) for fit in curves)
+    if pair is None:
+        raise FocusCalError(
+            f"no scale-table row within {_TABLE_TOLERANCE:.0%} of {distance_mm} mm "
+            "and no fitted curve available"
+        )
+    if not (np.all(np.isfinite(pair)) and min(pair) > 0):
+        raise FocusCalError(
+            f"scale factors at {distance_mm} mm must be positive and finite, "
+            f"got alpha={pair[0]:.6g}, beta={pair[1]:.6g}"
+        )
+    return pair
 
 
 # statistics
@@ -636,7 +618,8 @@ def calibrate_baseline(
 
 def calibrate_proposed(
     views,
-    scale_source,
+    table: ScaleTable | None = None,
+    curves: tuple[CurveFit, CurveFit] | None = None,
     *,
     max_iterations: int = 200,
     image_size: tuple[int, int] | None = None,
@@ -644,18 +627,18 @@ def calibrate_proposed(
 ) -> CalibrationResult:
     """Constrained calibration with frozen per-view scale factors.
 
-    Scale factors come from ``scale_source``, a ScaleTable or a ScaleSource,
-    keyed by each view's distance and never change during refinement. The
-    principal point starts at the image centre when the image size is known,
-    else at the midrange of the observed pixels; skew and distortion start at
-    zero. Only poses, principal point, skew, and distortion are refined.
+    Each view's scale factors come from the nearest ``table`` row within 10%
+    of its distance, else from ``curves``, the (alpha, beta) pair of fitted
+    curves; they never change during refinement. The principal point starts
+    at the image centre when the image size is known, else at the midrange of
+    the observed pixels; skew and distortion start at zero. Only poses,
+    principal point, skew, and distortion are refined.
     """
     _check_budget(max_iterations)
     views = list(views)
     if not views:
         raise ValueError("need at least one view")
-    source = _coerce_scale_source(scale_source)
-    frozen = tuple(source.lookup(v.distance_mm) for v in views)
+    frozen = tuple(_scale_pair(v.distance_mm, table, curves) for v in views)
     if image_size is not None:
         centre = (image_size[0] / 2.0, image_size[1] / 2.0)
     else:

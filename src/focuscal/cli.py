@@ -25,11 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrate import (
-    ScaleSource,
-    calibrate_baseline,
-    calibrate_proposed,
-)
+from .calibrate import calibrate_baseline, calibrate_proposed
 from .errors import (
     SCHEMA_VERSION,
     FocusCalError,
@@ -181,9 +177,8 @@ def cmd_scale_factors(args) -> tuple:
         return outputs, "", exc
     outputs[args.out_zones] = canonical_dumps(segmentation_to_dict(seg))
     if args.fit:
-        alpha_fit = fit_focal_curve(np.column_stack([table.distances, table.alpha])).fit
-        beta_fit = fit_focal_curve(np.column_stack([table.distances, table.beta])).fit
-        outputs[args.out_curve] = canonical_dumps(curve_fits_to_dict(alpha_fit, beta_fit))
+        fits = (fit_focal_curve(table.distances, column) for column in (table.alpha, table.beta))
+        outputs[args.out_curve] = canonical_dumps(curve_fits_to_dict(*fits))
     message = (
         f"scale-factors: {len(table)} rows, plateau alpha={seg.plateau_alpha_px:.6g} px, "
         f"zones [{seg.zone1_end_mm:.6g}, {seg.zone2_end_mm:.6g}] mm -> {args.out_table}"
@@ -218,15 +213,15 @@ def cmd_calibrate(args) -> tuple:
             if args.scale_table
             else None
         )
-        alpha_fit = beta_fit = None
-        if args.scale_curve:
-            alpha_fit, beta_fit = curve_fits_from_dict(
-                _load_json(args.scale_curve, "scale curve")
-            )
-        source = ScaleSource(table=table, alpha_curve=alpha_fit, beta_curve=beta_fit)
+        curves = (
+            curve_fits_from_dict(_load_json(args.scale_curve, "scale curve"))
+            if args.scale_curve
+            else None
+        )
         result = calibrate_proposed(
             views,
-            source,
+            table,
+            curves,
             max_iterations=args.max_iterations,
             image_size=image_size_from_meta(meta),
             estimate_distortion=not args.no_distortion,

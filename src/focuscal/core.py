@@ -283,7 +283,8 @@ def _distort_views(target, params, dist: Distortion) -> np.ndarray:
     view = moving[index]
     alpha, beta, u0, v0 = params[view].T
     offset = target[view, point] - np.column_stack([u0, v0])
-    radius = np.hypot(offset[:, 0] / alpha, offset[:, 1] / beta)
+    with np.errstate(over="ignore"):  # tiny scale factors: an infinite radius, no root below
+        radius = np.hypot(offset[:, 0] / alpha, offset[:, 1] / beta)
     # k2 r^5 + k1 r^3 + r - radius, its leading zero coefficients dropped
     head = np.array([dist.k2, 0.0, dist.k1, 0.0, 1.0][0 if dist.k2 else 2:])
     companion = np.tile(np.eye(len(head), k=-1), (len(radius), 1, 1))
@@ -294,6 +295,7 @@ def _distort_views(target, params, dist: Distortion) -> np.ndarray:
     positive = np.where((roots.imag == 0.0) & (roots.real > 0.0), roots.real, np.inf)
     real = np.full(len(radius), np.inf)
     real[solvable] = positive.min(axis=1)
-    offset *= np.where(real < np.inf, real / radius, np.nan)[:, None]
+    with np.errstate(invalid="ignore"):  # infinity over an infinite radius, dropped
+        offset *= np.where(real < np.inf, real / radius, np.nan)[:, None]
     p[view, point] = offset + np.column_stack([u0, v0])
     return p

@@ -6,7 +6,10 @@ centre meets the ray refracted at the lens edge. The sensor-to-lens distance
 at that intersection is the effective focal length, which rises with object
 distance and flattens out past the hyperfocal region. An empirical hyperbolic
 curve ``value(d) = -k_f / d**2 + value0`` captures the same rise-to-plateau
-shape for measured scale factors.
+shape for measured scale factors. ``focal_sweep`` samples the model as a
+:class:`FocalCurve`; ``fit_focal_curve`` fits the curve to a scale table's
+columns as a :class:`CurveFit`, one per scale factor, and
+``calibrate_proposed`` takes the (alpha, beta) pair of fits.
 """
 
 from __future__ import annotations
@@ -62,11 +65,10 @@ class CurveFit:
 
 @dataclass(frozen=True, eq=False)
 class FocalCurve:
-    """Sampled value-versus-distance relation with an optional fitted curve."""
+    """Sampled value-versus-distance relation, sorted by distance."""
 
     distances: np.ndarray
     values: np.ndarray
-    fit: CurveFit | None = None
 
     def __post_init__(self):
         d = np.asarray(self.distances, dtype=float).reshape(-1).copy()
@@ -77,8 +79,6 @@ class FocalCurve:
             raise ValueError("distances must be strictly positive")
         if np.any(np.diff(d) < 0):
             raise ValueError("distances must be sorted ascending")
-        if self.fit is not None and not self.fit.value0 > 0:
-            raise ValueError("fitted asymptote must be positive")
         d.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "distances", d)
@@ -89,11 +89,15 @@ def _sweep(lens: LensSpec, d: np.ndarray) -> np.ndarray:
     span = lens.radius_mm - lens.axis_offset_mm
     if span == 0.0:
         raise FocusCalError("probe point at the lens edge")
-    outgoing = lens.angle_ratio * np.arctan(d / span)
-    denom = np.tan(np.pi / 2.0 - outgoing) - lens.axis_offset_mm / d
+    with np.errstate(over="ignore"):  # an infinite ratio: arctan's limit, or rejected below
+        outgoing = lens.angle_ratio * np.arctan(d / span)
+        denom = np.tan(np.pi / 2.0 - outgoing) - lens.axis_offset_mm / d
     if np.any(denom <= 0.0):
         raise FocusCalError("sensor plane at infinity or behind the lens")
-    return lens.radius_mm / denom
+    focal = lens.radius_mm / denom
+    if not np.all(focal > 0.0):  # a tiny radius over a large denominator
+        raise FocusCalError("focal length underflows to zero")
+    return focal
 
 
 def sharp_focal_length(lens: LensSpec, d: float) -> float:
@@ -122,19 +126,19 @@ def focal_sweep(lens: LensSpec, distances) -> FocalCurve:
     return FocalCurve(d, _sweep(lens, d))
 
 
-def fit_focal_curve(samples) -> FocalCurve:
-    """Least-squares fit of the hyperbolic curve to (distance, value) samples.
+def fit_focal_curve(distances, values) -> CurveFit:
+    """Least-squares fit of the hyperbolic curve to ``values`` sampled at ``distances``.
 
     The model is linear in (k_f, value0): value = -k_f / d**2 + value0, so a
-    two-column linear system solves it exactly.
+    two-column linear system solves it exactly. A fit whose asymptote value0
+    is not positive has no plateau, and is rejected.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("samples must be an (n, 2) array of (distance, value)")
-    if arr.shape[0] < 2:
+    d = np.asarray(distances, dtype=float).reshape(-1)
+    v = np.asarray(values, dtype=float).reshape(-1)
+    if d.shape != v.shape:
+        raise ValueError("distances and values must have equal length")
+    if d.size < 2:
         raise FocusCalError("need at least two samples")
-    d = arr[:, 0]
-    v = arr[:, 1]
     if np.any(d <= 0):
         raise ValueError("distances must be strictly positive")
     if np.unique(d).size < 2:
@@ -144,8 +148,9 @@ def fit_focal_curve(samples) -> FocalCurve:
     scale = np.linalg.norm(design, axis=0)
     coeff, *_ = np.linalg.lstsq(design / scale, v, rcond=None)
     coeff = coeff / scale
-    order = np.argsort(d, kind="stable")
-    return FocalCurve(d[order], v[order], CurveFit(float(coeff[0]), float(coeff[1])))
+    if not coeff[1] > 0:
+        raise FocusCalError("fitted asymptote must be positive")
+    return CurveFit(float(coeff[0]), float(coeff[1]))
 
 
 def eval_focal_curve(fit: CurveFit, d) -> float | np.ndarray:
@@ -153,5 +158,7 @@ def eval_focal_curve(fit: CurveFit, d) -> float | np.ndarray:
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr <= 0):
         raise ValueError("distance must be positive")
-    out = -fit.k_f / (d_arr * d_arr) + fit.value0
+    # a distance too large to square takes the asymptote, one too small an infinite value
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = -fit.k_f / (d_arr * d_arr) + fit.value0
     return float(out) if np.isscalar(d) or d_arr.ndim == 0 else out

@@ -103,13 +103,14 @@ def _central_gaps(
     w, h = view.image_size
     centre = np.array([w / 2.0, h / 2.0])
     limit = window_fraction * float(np.hypot(w, h))
-    radius = np.linalg.norm(pts - centre, axis=2)
-    ok = np.all(np.isfinite(pts), axis=2) & (radius < limit)
-
-    horizontal = ok[:, :-1] & ok[:, 1:]
-    du = np.abs(pts[:, 1:, 0] - pts[:, :-1, 0])[horizontal]
-    vertical = ok[:-1, :] & ok[1:, :]
-    dv = np.abs(pts[1:, :, 1] - pts[:-1, :, 1])[vertical]
+    # a point too far out to square or subtract lies outside the window, and is dropped
+    with np.errstate(over="ignore"):
+        radius = np.linalg.norm(pts - centre, axis=2)
+        ok = np.all(np.isfinite(pts), axis=2) & (radius < limit)
+        horizontal = ok[:, :-1] & ok[:, 1:]
+        du = np.abs(pts[:, 1:, 0] - pts[:, :-1, 0])[horizontal]
+        vertical = ok[:-1, :] & ok[1:, :]
+        dv = np.abs(pts[1:, :, 1] - pts[:-1, :, 1])[vertical]
     return du, dv
 
 
@@ -152,6 +153,9 @@ def scale_factors(
         distances[i] = view.distance_mm
         alpha[i] = du * view.distance_mm / pitch
         beta[i] = dv * view.distance_mm / pitch
+    finite = np.isfinite(alpha) & np.isfinite(beta)
+    if not finite.all():
+        raise FocusCalError(f"scale factors at {distances[~finite][0]} mm are not finite")
     return ScaleTable(distances, alpha, beta)
 
 
@@ -166,7 +170,10 @@ def segment_zones(table: ScaleTable, noise_band: float) -> ZoneSegmentation:
     if len(table) < 5:
         raise ValueError("need at least five rows")
     d = table.distances
-    if np.any(np.diff(d) <= 0):
+    steps = np.diff(d)
+    if np.any(steps == 0):
+        raise FocusCalError(f"two scale-table rows at {d[1:][steps == 0][0]} mm")
+    if np.any(steps < 0):
         raise ValueError("distances must be sorted strictly ascending")
     if not noise_band > 0:
         raise ValueError("noise band must be positive")

@@ -130,9 +130,10 @@ def levenberg_marquardt(
     _check_budget(max_iterations)
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    with np.errstate(over="ignore"):  # residuals too large to square
+        obj = float(r @ r) if np.all(np.isfinite(r)) else np.inf
+    if not np.isfinite(obj):
         raise FocusCalError("residual is not finite at the starting point")
-    obj = float(r @ r)
     history = [obj]
     lam = _DAMPING_INIT
     iterations = 0

@@ -189,13 +189,14 @@ def _observe(preset: CameraPreset, intrs, cam, noise_px: float, seeds) -> tuple:
     """
     if not 0.0 <= noise_px < np.inf:
         raise ValueError("noise must be non-negative and finite")
-    w, h = preset.image_size
+    w, h = map(float, preset.image_size)  # an integer past int64 would compare as an object
     params = np.array([(i.alpha, i.beta, i.u0, i.v0, i.gamma) for i in intrs]).reshape(-1, 5)
     alpha, beta, u0, v0, gamma = params.T[..., None]
     front = cam[..., 2] > 0
     unprojectable = np.any(front[..., None] & ~np.isfinite(cam), axis=(1, 2))
     depth = np.where(front, cam[..., 2], np.nan)  # NaN pixels behind the camera
-    ideal = np.stack(_pinhole(cam[..., 0], cam[..., 1], depth, alpha, beta, gamma, u0, v0), -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge intrinsics: no pixel near the image
+        ideal = np.stack(_pinhole(cam[..., 0], cam[..., 1], depth, alpha, beta, gamma, u0, v0), -1)
     # Points far outside the frame are undetectable and can sit beyond the
     # distortion model's invertible range; cut them before inverting.
     margin = 0.1 * float(np.hypot(w, h))

@@ -142,7 +142,7 @@ def test_criterion_4_hyperfocal_curve_fit():
     spacing = 25.0
     d = np.arange(50.0, 1000.0 + spacing / 2, spacing)
     values = -k_f / d**2 + value0
-    fit = fit_focal_curve(np.column_stack([d, values])).fit
+    fit = fit_focal_curve(d, values)
     assert abs(fit.k_f - k_f) / k_f < 1e-9
     assert abs(fit.value0 - value0) / value0 < 1e-9
 

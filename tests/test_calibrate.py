@@ -7,7 +7,6 @@ import pytest
 from focuscal.calibrate import (
     CalibrationView,
     IntrinsicSet,
-    ScaleSource,
     Solution,
     _nearest_rotations,
     _Problem,
@@ -438,33 +437,24 @@ class TestCalibrateProposed:
     def test_curve_source_used_beyond_table(self):
         template = TemplateSpec(5, 7, 10.0)
         views = make_views(ROBOTIQ, template, [100.0, 120.0, 130.0], FOCUS_VARYING, 0.0, 44)
-        source = ScaleSource(
-            table=ScaleTable([500.0], [1370.8], [1373.8]),
-            alpha_curve=CurveFit(k_f=0.0, value0=ROBOTIQ.intrinsics.alpha * ROBOTIQ.focus_ratio(120.0)),
-        )
-        result = calibrate_proposed(views, source, image_size=ROBOTIQ.image_size)
+        table = ScaleTable([500.0], [1370.8], [1373.8])
+        fit = CurveFit(k_f=0.0, value0=ROBOTIQ.intrinsics.alpha * ROBOTIQ.focus_ratio(120.0))
+        result = calibrate_proposed(views, table, (fit, fit), image_size=ROBOTIQ.image_size)
         assert result.converged
+        assert result.refined.intrinsics.scales == ((fit.value0, fit.value0),) * 3
 
     @pytest.mark.parametrize("source", [
-        ScaleSource(table=ScaleTable([100.0], [-1370.0], [1373.0])),
-        ScaleSource(table=ScaleTable([100.0], [1370.0], [0.0])),
-        ScaleSource(alpha_curve=CurveFit(k_f=3e9, value0=1000.0)),
-        ScaleSource(alpha_curve=CurveFit(k_f=0.0, value0=1370.0),
-                    beta_curve=CurveFit(k_f=3e9, value0=1000.0)),
+        (ScaleTable([100.0], [-1370.0], [1373.0]), None),
+        (ScaleTable([100.0], [1370.0], [0.0]), None),
+        (None, (CurveFit(k_f=3e9, value0=1000.0),) * 2),
+        (None, (CurveFit(k_f=0.0, value0=1370.0), CurveFit(k_f=3e9, value0=1000.0))),
     ])
     def test_non_positive_scale_rejected(self, source):
-        with pytest.raises(FocusCalError, match="scale factors at 100.0 mm must be positive"):
-            source.lookup(100.0)
+        # a table and a curve pair, as calibrate_proposed takes them
         template = TemplateSpec(5, 7, 10.0)
         views = make_views(ROBOTIQ, template, [100.0], FOCUS_VARYING, 0.0, 43)
-        with pytest.raises(FocusCalError, match="must be positive"):
-            calibrate_proposed(views, source, image_size=ROBOTIQ.image_size)
-
-    def test_bare_curve_is_not_a_scale_source(self):
-        template = TemplateSpec(5, 7, 10.0)
-        views = make_views(ROBOTIQ, template, [100.0, 120.0, 130.0], FOCUS_VARYING, 0.0, 44)
-        with pytest.raises(TypeError, match="unsupported scale source: CurveFit"):
-            calibrate_proposed(views, CurveFit(k_f=0.0, value0=ROBOTIQ.intrinsics.alpha))
+        with pytest.raises(FocusCalError, match=r"scale factors at 100\.0\d* mm must be positive"):
+            calibrate_proposed(views, *source, image_size=ROBOTIQ.image_size)
 
     def test_centre_init_perturbation_is_harmless(self):
         # moving the principal-point start does not change the converged answer

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from focuscal import cli
 from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_from_csv
-from focuscal.synth import TemplateSpec, bias_report
+from focuscal.synth import TemplateSpec, bias_report, load_preset
 
 # a stray numpy warning is an error, so it fails the test that meets it
 CMD = [sys.executable, "-W", "error", "-m", "focuscal"]
@@ -199,6 +199,28 @@ class TestScaleFactors:
         # the table does not depend on the band, so it is kept; the rest is not written
         assert len(scale_table_from_csv((tmp_path / "t.csv").read_text())) == 9
         assert not (tmp_path / "z.json").exists() and not (tmp_path / "c.json").exists()
+
+    def test_fit_without_positive_asymptote_exits_1(self, tmp_path, capsys):
+        # each view's offsets from the image centre scaled so that alpha = 3e6/d^2 - 50
+        stack = make_stack(tmp_path, rng="100:160:5")
+        doc = json.loads(stack.read_text())
+        robotiq = load_preset("robotiq")
+        centre = np.array(doc["meta"]["image_size_px"]) / 2.0
+        for view in doc["views"]:
+            d = view["distance_mm"]
+            factor = (3e6 / d**2 - 50.0) / (robotiq.intrinsics.alpha * robotiq.focus_ratio(d))
+            for point in view["points"]:
+                uv = centre + factor * (np.array([point["u_px"], point["v_px"]]) - centre)
+                point["u_px"], point["v_px"] = uv.tolist()
+        stack.write_text(json.dumps(doc))
+        outs = [tmp_path / "t.csv", tmp_path / "z.json", tmp_path / "c.json"]
+        code = cli.main(["scale-factors", "--dataset", str(stack), "--out-table", str(outs[0]),
+                         "--out-zones", str(outs[1]), "--fit", "--out-curve", str(outs[2]),
+                         "--noise-band", "2000", "--json-errors"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "FocusCalError", "message": "fitted asymptote must be positive"}
+        assert not any(path.exists() for path in outs)
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +572,65 @@ def document_paths(node, path=()):
         yield from document_paths(child, (*path, key))
 
 
+# The extreme values of each JSON number kind: the largest and the smallest positive
+# double, and integers past any array dimension (one numpy could allocate is never drawn).
+EXTREMES = {float: [1e308, -1e308, 5e-324], int: [10**30, -10**30]}
+
+
+def ends_cleanly(documents, kind, command, doc, tmp_path, capsys):
+    """Run ``command`` with ``doc`` in place of the document ``kind``: no exception or
+    warning escapes (warnings are errors here), a failure is one JSON object with its
+    exit code, and it writes nothing it should not."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    broken = work / "broken.json"
+    broken.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([*reading_args(command, {**documents, kind: broken}, work / "out"),
+                     "--json-errors"])
+    err = capsys.readouterr().err
+    written = sorted(p.name for p in work.iterdir() if p != broken)
+    if code == 0:
+        assert err == ""
+        return
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert code == (2 if payload["error"] == "UsageError" else 1)
+    # the two failures that keep an output: a calibration out of iterations, a
+    # table without a plateau
+    kept = ["out"] if payload["error"] in ("NonConvergence", "NoPlateauFound") else []
+    assert written == kept
+
+
+# One number of a valid document set to an extreme of its kind, as (placeholder,
+# command, path, value, exit code, a part of the message): the overflow is silenced
+# where it happens and an existing check rejects what follows, or it is harmless.
+EXTREME_VALUES = {
+    # a point too far out to square lies outside the central window
+    "stack-u-huge": ("stack", "scale-factors", ("views", 3, "points", 0, "u_px"), 1e308, 0, ""),
+    "stack-v-huge": ("stack", "scale-factors", ("views", 3, "points", 0, "v_px"), -1e308, 0,
+                     ""),
+    # the decomposition or the LM's start check rejects the view
+    "curve-value0-huge": ("curve", "proposed", ("alpha_fit", "value0"), 1e308, 1, ""),
+    "curve-kf-huge": ("curve", "proposed", ("alpha_fit", "k_f"), -1e308, 1, ""),
+    **{f"preset-{key}-{size}": ("preset", "simulate", ("intrinsics", key), value, 1,
+                                "no template point projects inside the image")
+       for key, size, value in (("alpha_px", "huge", 1e308), ("beta_px", "huge", 1e308),
+                                ("gamma", "huge", 1e308), ("alpha_px", "tiny", 5e-324))},
+    "preset-hyperfocal-tiny": ("preset", "simulate", ("hyperfocal_mm",), 5e-324, 1,
+                               "sensor plane at infinity or behind the lens"),
+    # a view far past the curve's rise takes its asymptote; one at 5e-324 mm, infinity
+    "distance-huge-on-curve": ("dataset", "proposed", ("views", 2, "distance_mm"), 1e308, 0,
+                               ""),
+    "distance-tiny-on-curve": ("dataset", "proposed", ("views", 2, "distance_mm"), 5e-324, 1,
+                               "scale factors at 5e-324 mm must be positive and finite"),
+    # the stack's views are 100:160:5 mm
+    "stack-distance-repeated": ("stack", "scale-factors", ("views", 5, "distance_mm"), 120, 1,
+                                "two scale-table rows at 120.0 mm"),
+    "stack-distance-huge": ("stack", "scale-factors", ("views", 5, "distance_mm"), 1e308, 1,
+                            "scale factors at 1e+308 mm are not finite"),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", list(MALFORMED_READS))
     def test_format_error_exits_1_without_file(self, documents, tmp_path, capsys, case):
@@ -573,9 +654,7 @@ class TestMalformedInput:
     @given(data=st.data())
     def test_changed_kind_or_deleted_key_fails_cleanly(self, documents, tmp_path, capsys,
                                                       data):
-        # 1-3 values of a valid document take another JSON kind or lose their key;
-        # no exception or warning escapes (warnings are errors here), a failure is
-        # one JSON object with its exit code, and it writes nothing it should not
+        # 1-3 values of a valid document take another JSON kind or lose their key
         kind, command = data.draw(st.sampled_from(DOCUMENT_READS))
         doc = json.loads(documents[kind].read_text())
         paths = data.draw(st.lists(st.sampled_from(list(document_paths(doc))), min_size=1,
@@ -588,24 +667,45 @@ class TestMalformedInput:
             else:
                 parent[key] = copy.deepcopy(data.draw(st.sampled_from(
                     [v for v in REPLACEMENTS if json_kind(v) != json_kind(parent[key])])))
-        work = Path(tempfile.mkdtemp(dir=tmp_path))
-        broken = work / "broken.json"
+        ends_cleanly(documents, kind, command, doc, tmp_path, capsys)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_extreme_value_of_its_kind_fails_cleanly(self, documents, tmp_path, capsys, data):
+        # 1-3 numbers of a valid document, most often not point coordinates, take an
+        # extreme value of their own JSON kind; the run ends cleanly
+        kind, command = data.draw(st.sampled_from(DOCUMENT_READS))
+        doc = json.loads(documents[kind].read_text())
+        numbers = [path for path in document_paths(doc)
+                   if type(functools.reduce(operator.getitem, path, doc)) in EXTREMES]
+        points = [path for path in numbers if "points" in path]
+        others = [path for path in numbers if "points" not in path]
+        pool = data.draw(st.sampled_from([pool for pool in (others, others, points) if pool]))
+        for *head, key in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                                             unique=True)):
+            parent = functools.reduce(operator.getitem, head, doc)
+            parent[key] = data.draw(st.sampled_from(EXTREMES[type(parent[key])]))
+        ends_cleanly(documents, kind, command, doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", list(EXTREME_VALUES))
+    def test_extreme_value_ends_as_stated(self, documents, tmp_path, capsys, case):
+        kind, command, (*head, key), value, code, message = EXTREME_VALUES[case]
+        doc = json.loads(documents[kind].read_text())
+        functools.reduce(operator.getitem, head, doc)[key] = value
+        broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
-        capsys.readouterr()
-        code = cli.main([*reading_args(command, {**documents, kind: broken}, work / "out"),
-                         "--json-errors"])
+        out = tmp_path / "out"
+        assert cli.main([*reading_args(command, {**documents, kind: broken}, out),
+                         "--json-errors"]) == code
         err = capsys.readouterr().err
-        written = sorted(p.name for p in work.iterdir() if p != broken)
         if code == 0:
-            assert err == ""
+            assert err == "" and out.exists()
             return
-        payload = json.loads(err)
-        assert set(payload) == {"error", "message"}
-        assert code == (2 if payload["error"] == "UsageError" else 1)
-        # the two failures that keep an output: a calibration out of iterations, a
-        # table without a plateau
-        kept = ["out"] if payload["error"] in ("NonConvergence", "NoPlateauFound") else []
-        assert written == kept
+        payload = json.loads(err)  # one JSON object, nothing else
+        assert payload["error"] == "FocusCalError"
+        assert message in payload["message"]
+        assert list(tmp_path.iterdir()) == [broken]
 
     @pytest.mark.parametrize("distortion", [[1, 2], 3, "k1"])
     @pytest.mark.parametrize("command", [

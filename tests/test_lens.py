@@ -106,6 +106,20 @@ class TestSharpFocalLength:
         with pytest.raises(FocusCalError, match="sensor plane at infinity or behind the lens"):
             sharp_focal_length(lens, 5.0)
 
+    def test_tiny_distance_puts_the_sensor_at_infinity(self):
+        lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
+        with pytest.raises(FocusCalError, match="sensor plane at infinity or behind the lens"):
+            sharp_focal_length(lens, 5e-324)
+
+    def test_focal_length_that_underflows_is_rejected(self):
+        lens = LensSpec(radius_mm=5e-324, angle_ratio=5e-324, axis_offset_mm=1.0)
+        with pytest.raises(FocusCalError, match="focal length underflows to zero"):
+            sharp_focal_length(lens, 100.0)
+
+    def test_tiny_span_turns_the_ray_square_to_the_axis(self):
+        lens = LensSpec(radius_mm=5e-324, angle_ratio=0.5, axis_offset_mm=0.0)
+        assert sharp_focal_length(lens, 100.0) == 5e-324 / np.tan(np.pi / 4)
+
     def test_sweep_matches_scalar(self):
         lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
         curve = focal_sweep(lens, [100.0, 50.0, 200.0])
@@ -118,14 +132,13 @@ class TestFitFocalCurve:
     def test_exact_model_recovery(self):
         k_f, value0 = 3.5e6, 1370.0
         d = np.linspace(100, 1500, 10)
-        samples = np.column_stack([d, -k_f / d**2 + value0])
-        fit = fit_focal_curve(samples).fit
+        fit = fit_focal_curve(d, -k_f / d**2 + value0)
         assert fit.k_f == pytest.approx(k_f, rel=1e-9)
         assert fit.value0 == pytest.approx(value0, rel=1e-9)
 
     def test_constant_data(self):
         d = np.linspace(100, 1000, 8)
-        fit = fit_focal_curve(np.column_stack([d, np.full(8, 41.5)])).fit
+        fit = fit_focal_curve(d, np.full(8, 41.5))
         assert fit.value0 == pytest.approx(41.5, rel=1e-12)
         assert abs(fit.k_f) < 1e-6
 
@@ -136,9 +149,7 @@ class TestFitFocalCurve:
         clean = -k_f / d**2 + value0
         hits = 0
         for _ in range(100):
-            fit = fit_focal_curve(
-                np.column_stack([d, clean + rng.normal(0, sigma, n)])
-            ).fit
+            fit = fit_focal_curve(d, clean + rng.normal(0, sigma, n))
             if abs(fit.value0 - value0) <= 3 * sigma / np.sqrt(n):
                 hits += 1
         assert hits >= 95
@@ -147,20 +158,24 @@ class TestFitFocalCurve:
         rng = np.random.default_rng(12)
         d = np.linspace(50, 900, 12)
         v = -1e6 / d**2 + 500.0 + rng.normal(0, 0.1, 12)
-        samples = np.column_stack([d, v])
-        fit_a = fit_focal_curve(samples).fit
+        fit_a = fit_focal_curve(d, v)
         perm = rng.permutation(12)
-        fit_b = fit_focal_curve(samples[perm]).fit
+        fit_b = fit_focal_curve(d[perm], v[perm])
         assert fit_a.k_f == pytest.approx(fit_b.k_f, rel=1e-12)
         assert fit_a.value0 == pytest.approx(fit_b.value0, rel=1e-12)
 
     def test_insufficient_data(self):
         with pytest.raises(FocusCalError, match="need at least two samples"):
-            fit_focal_curve(np.array([[100.0, 5.0]]))
+            fit_focal_curve([100.0], [5.0])
 
     def test_singular_system(self):
         with pytest.raises(FocusCalError, match="all sample distances are equal"):
-            fit_focal_curve(np.array([[100.0, 5.0], [100.0, 6.0], [100.0, 7.0]]))
+            fit_focal_curve([100.0, 100.0, 100.0], [5.0, 6.0, 7.0])
+
+    def test_rejects_non_positive_asymptote(self):
+        d = np.array([1.0, 2.0, 4.0])
+        with pytest.raises(FocusCalError, match="fitted asymptote must be positive"):
+            fit_focal_curve(d, -1.0 / d**2 - 3.0)
 
 
 class TestEvalFocalCurve:
@@ -176,9 +191,14 @@ class TestEvalFocalCurve:
     def test_fit_eval_round_trip(self):
         d = np.linspace(120, 900, 9)
         values = -2.5e6 / d**2 + 1400.0
-        curve = fit_focal_curve(np.column_stack([d, values]))
+        fit = fit_focal_curve(d, values)
         for dd, vv in zip(d, values):
-            assert eval_focal_curve(curve.fit, dd) == pytest.approx(vv, rel=1e-9)
+            assert eval_focal_curve(fit, dd) == pytest.approx(vv, rel=1e-9)
+
+    def test_extreme_distances(self):
+        fit = CurveFit(k_f=5e5, value0=1370.0)
+        assert eval_focal_curve(fit, 1e308) == 1370.0
+        assert eval_focal_curve(fit, 5e-324) == -np.inf
 
     def test_strictly_increasing_when_kf_positive(self):
         fit = CurveFit(k_f=1e6, value0=1000.0)
@@ -194,9 +214,3 @@ class TestFocalCurveType:
     def test_rejects_non_positive_distance(self):
         with pytest.raises(ValueError):
             FocalCurve(np.array([0.0, 5.0]), np.array([1.0, 2.0]))
-
-    def test_rejects_non_positive_asymptote(self):
-        with pytest.raises(ValueError):
-            FocalCurve(
-                np.array([1.0, 2.0]), np.array([1.0, 2.0]), CurveFit(1.0, -3.0)
-            )

@@ -189,6 +189,11 @@ def random_table(rng, n):
 
 
 class TestSegmentZones:
+    def test_repeated_distance_is_named(self):
+        table = ScaleTable([100.0, 110.0, 110.0, 120.0, 130.0], np.ones(5), np.ones(5))
+        with pytest.raises(FocusCalError, match=r"two scale-table rows at 110\.0 mm$"):
+            segment_zones(table, 1.0)
+
     def test_matches_reference_on_random_tables(self):
         rng = np.random.default_rng(140)
         for _ in range(150):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from focuscal import solver
 from focuscal.calibrate import (
     IntrinsicSet,
-    ScaleSource,
     _Problem,
     calibrate_baseline,
     calibrate_proposed,
@@ -103,6 +102,10 @@ class TestDiagnostics:
     def test_non_finite_start_rejected(self):
         with pytest.raises(FocusCalError, match="residual is not finite at the starting point"):
             lm(lambda x: np.array([np.nan]), np.zeros(1))
+
+    def test_start_too_large_to_square_rejected(self):
+        with pytest.raises(FocusCalError, match="residual is not finite at the starting point"):
+            lm(lambda x: x + 1e200, np.zeros(2))
 
     def test_unsolvable_at_maximum_damping(self):
         # a NaN in U makes every damped step NaN, so the damping climbs past its maximum
@@ -232,9 +235,8 @@ class TestTerminationProperties:
             result = calibrate_baseline(views, max_iterations=budget)
         else:
             intr = ROBOTIQ.intrinsics
-            source = ScaleSource(alpha_curve=CurveFit(k_f=0.0, value0=intr.alpha),
-                                 beta_curve=CurveFit(k_f=0.0, value0=intr.beta))
-            result = calibrate_proposed(views, source, max_iterations=budget)
+            curves = CurveFit(k_f=0.0, value0=intr.alpha), CurveFit(k_f=0.0, value0=intr.beta)
+            result = calibrate_proposed(views, curves=curves, max_iterations=budget)
         assert result.converged is (result.termination != "max_iterations")
         assert result.iterations <= budget
         assert result.converged or result.iterations == budget

@@ -44,7 +44,7 @@ PUBLIC_NAMES = [
     "BiasReport", "CalibrationResult", "CalibrationView", "CameraPreset", "CurveFit",
     "Distortion", "FOCUS_FIXED", "FOCUS_VARYING", "FocalCurve", "Homography", "IntrinsicSet",
     "Intrinsics", "LMResult", "LensSpec", "ParallelView", "PerViewStats", "Pose",
-    "ReprojectionStats", "ScaleSource", "ScaleTable", "Solution", "TemplateSpec",
+    "ReprojectionStats", "ScaleTable", "Solution", "TemplateSpec",
     "ZoneSegmentation", "bias_report", "bundled_preset_names", "calibrate_baseline",
     "calibrate_proposed", "central_increments", "distort_points", "estimate_homographies",
     "estimate_homography", "eval_focal_curve", "extrinsics_from_homography", "fit_focal_curve",

@@ -8,8 +8,10 @@ own ``src/`` on the path:
 
 - the README command-line walkthrough at seeds 1, 42 and 73, plus, on each
   seed's files, ``calibrate --max-iterations 1`` for both methods (exit 1
-  with a partial file), ``--no-distortion`` for both methods and
-  ``--scale-curve``;
+  with a partial file), ``--no-distortion`` for both methods,
+  ``--scale-curve``, and ``--scale-table`` with ``--scale-curve`` on views
+  at 120-400 mm, where the views with no table row within 10% of their
+  distance take the curve;
 - ``scale-factors --fit`` on a 22-row stack (45:155:5 mm) that has no
   plateau in the suggested noise band (exit 1, table written) and on a
   221-row stack (45:155:0.5 mm);
@@ -77,6 +79,10 @@ WALKTHROUGH = [
     "--out prop_curve.json",
     "calibrate --dataset zone1.json --method proposed --scale-table table.csv "
     "--no-distortion --out prop_nodist.json",
+    "simulate --preset robotiq --views 15 --mode varying --noise 0.25 --seed {seed} "
+    "--pitch 8 --distance-range 120:400 --out far.json",
+    "calibrate --dataset far.json --method proposed --scale-table table.csv "
+    "--scale-curve curve.json --out prop_far.json",
 ]
 # The README's older 45:155:5 stack has no plateau in the suggested band:
 # exit 1, with the scale table written.
