@@ -25,15 +25,15 @@ print("lens:", lens)
 print(f"far-field focal length limit: {focal_length_limit(lens):.4f} mm\n")
 
 distances = np.geomspace(20.0, 5000.0, 12)
-curve = focal_sweep(lens, distances)
+focals = focal_sweep(lens, distances)
 print(f"{'distance (mm)':>14s} {'focal (mm)':>11s} {'vs limit':>9s}")
 limit = focal_length_limit(lens)
-for d, f in zip(curve.distances, curve.values):
+for d, f in zip(distances, focals):
     print(f"{d:14.1f} {f:11.4f} {100 * (f / limit - 1):+8.2f}%")
 
 # The same rise-to-plateau shape is captured by the two-parameter hyperbolic
 # model value(d) = -k_f / d**2 + value0, fitted by linear least squares.
-fit = fit_focal_curve(curve.distances, curve.values)
+fit = fit_focal_curve(distances, focals)
 print(f"\nhyperbolic fit: k_f = {fit.k_f:.4g}, asymptote = {fit.value0:.4f} mm")
 print(f"model focal length at 100 mm: {sharp_focal_length(lens, 100.0):.4f} mm")
 

@@ -162,10 +162,6 @@ def cmd_scale_factors(args) -> tuple:
         )
     parallel = parallel_views_from_dataset(template, views, meta)
     table = scale_factors(parallel, window_fraction=args.window)
-    order = np.argsort(table.distances, kind="stable")
-    table = type(table)(
-        table.distances[order], table.alpha[order], table.beta[order]
-    )
     band = args.noise_band if args.noise_band is not None else suggest_noise_band(
         parallel, window_fraction=args.window
     )
@@ -299,9 +295,9 @@ def cmd_lens_curve(args) -> tuple:
         distances = np.geomspace(args.from_mm, args.to_mm, args.count)
     else:
         distances = np.linspace(args.from_mm, args.to_mm, args.count)
-    curve = focal_sweep(lens, distances)
+    focals = focal_sweep(lens, distances)
     message = f"lens-curve: {args.count} samples -> {args.out}"
-    return {args.out: focal_curve_to_csv(curve.distances, curve.values)}, message, None
+    return {args.out: focal_curve_to_csv(distances, focals)}, message, None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,10 @@ centre meets the ray refracted at the lens edge. The sensor-to-lens distance
 at that intersection is the effective focal length, which rises with object
 distance and flattens out past the hyperfocal region. An empirical hyperbolic
 curve ``value(d) = -k_f / d**2 + value0`` captures the same rise-to-plateau
-shape for measured scale factors. ``focal_sweep`` samples the model as a
-:class:`FocalCurve`; ``fit_focal_curve`` fits the curve to a scale table's
-columns as a :class:`CurveFit`, one per scale factor, and
-``calibrate_proposed`` takes the (alpha, beta) pair of fits.
+shape for measured scale factors. ``focal_sweep`` returns the model's focal
+lengths at the caller's distances, in the caller's order; ``fit_focal_curve``
+fits the curve to a scale table's columns as a :class:`CurveFit`, one per
+scale factor, and ``calibrate_proposed`` takes the (alpha, beta) pair of fits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import FocusCalError
 __all__ = [
     "LensSpec",
     "CurveFit",
-    "FocalCurve",
     "sharp_focal_length",
     "focal_length_limit",
     "focal_sweep",
@@ -63,28 +62,6 @@ class CurveFit:
     value0: float
 
 
-@dataclass(frozen=True, eq=False)
-class FocalCurve:
-    """Sampled value-versus-distance relation, sorted by distance."""
-
-    distances: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float).reshape(-1).copy()
-        v = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        if d.shape != v.shape:
-            raise ValueError("distances and values must have equal length")
-        if np.any(d <= 0):
-            raise ValueError("distances must be strictly positive")
-        if np.any(np.diff(d) < 0):
-            raise ValueError("distances must be sorted ascending")
-        d.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "values", v)
-
-
 def _sweep(lens: LensSpec, d: np.ndarray) -> np.ndarray:
     span = lens.radius_mm - lens.axis_offset_mm
     if span == 0.0:
@@ -116,14 +93,12 @@ def focal_length_limit(lens: LensSpec) -> float:
     return lens.radius_mm / np.tan(np.pi / 2.0 * (1.0 - lens.angle_ratio))
 
 
-def focal_sweep(lens: LensSpec, distances) -> FocalCurve:
-    """Evaluate the focus model over a distance grid."""
+def focal_sweep(lens: LensSpec, distances) -> np.ndarray:
+    """Sharp focal lengths at ``distances``, in their order."""
     d = np.asarray(distances, dtype=float).reshape(-1)
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # NaN included
         raise ValueError("distances must be strictly positive")
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    return FocalCurve(d, _sweep(lens, d))
+    return _sweep(lens, d)
 
 
 def fit_focal_curve(distances, values) -> CurveFit:

@@ -6,7 +6,9 @@ grid points, multiplied by distance over template pitch, recovers the scale
 factor at that distance. Plotting scale factor against distance exposes three
 regimes: a rise while the lens refocuses (zone 1), a flat plateau once focus
 is parked at the hyperfocal distance (zone 2), and a noisy tail where the
-template is too small in the image to measure (zone 3).
+template is too small in the image to measure (zone 3). A :class:`ScaleTable`
+holds its rows in distance order, however its rows were given, so the zones
+and the nearest-row lookup of ``calibrate_proposed`` read every table alike.
 """
 
 from __future__ import annotations
@@ -58,25 +60,28 @@ class ParallelView:
 
 @dataclass(frozen=True, eq=False)
 class ScaleTable:
-    """Scale factors per view distance, one row per view."""
+    """Scale factors per view distance, one row per view, in distance order.
+
+    The rows are sorted by distance when the table is built; rows at one
+    distance keep the order they were given in.
+    """
 
     distances: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float).reshape(-1).copy()
-        a = np.asarray(self.alpha, dtype=float).reshape(-1).copy()
-        b = np.asarray(self.beta, dtype=float).reshape(-1).copy()
+        d, a, b = (np.asarray(column, dtype=float).reshape(-1)
+                   for column in (self.distances, self.alpha, self.beta))
         if not (d.shape == a.shape == b.shape):
             raise ValueError("table columns must have equal length")
-        if np.any(d <= 0):
+        if not np.all(d > 0):  # NaN included
             raise ValueError("distances must be strictly positive")
-        for arr in (d, a, b):
-            arr.flags.writeable = False
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        order = np.argsort(d, kind="stable")
+        for name, column in zip(("distances", "alpha", "beta"), (d, a, b)):
+            column = column[order]  # a sorted copy
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return self.distances.size
@@ -136,8 +141,8 @@ def scale_factors(
 ) -> ScaleTable:
     """Scale factors for a stack of fronto-parallel views.
 
-    Row i is ``alpha_i = du_i * d_i / pitch`` and ``beta_i = dv_i * d_i /
-    pitch``; rows keep the input view order.
+    View i's row is ``alpha_i = du_i * d_i / pitch`` and ``beta_i = dv_i *
+    d_i / pitch``; the table holds the rows in distance order.
     """
     views = list(views)
     if not views:
@@ -160,23 +165,21 @@ def scale_factors(
 
 
 def segment_zones(table: ScaleTable, noise_band: float) -> ZoneSegmentation:
-    """Locate the flat plateau of a sorted scale table.
+    """Locate the flat plateau of a scale table.
 
     The plateau is the longest run of consecutive rows whose alpha values all
     stay within ``noise_band`` of the run mean (ties prefer the latest run).
     Rows before it form zone 1, rows after it zone 3. At least three
-    consecutive flat rows are required.
+    consecutive flat rows are required, and at least five rows.
     """
+    if not noise_band > 0:
+        raise ValueError("noise band must be positive")
     if len(table) < 5:
-        raise ValueError("need at least five rows")
+        raise FocusCalError("need at least five rows")
     d = table.distances
     steps = np.diff(d)
     if np.any(steps == 0):
         raise FocusCalError(f"two scale-table rows at {d[1:][steps == 0][0]} mm")
-    if np.any(steps < 0):
-        raise ValueError("distances must be sorted strictly ascending")
-    if not noise_band > 0:
-        raise ValueError("noise band must be positive")
     values = table.alpha
     for length in range(len(table), 2, -1):
         windows = np.lib.stride_tricks.sliding_window_view(values, length)

@@ -129,7 +129,7 @@ class CameraPreset:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CameraPreset":
-        with _reading(_PRESET):
+        with _reading(_PRESET, doc):
             intr = _get(doc, "intrinsics", dict)
             lens = _get(doc, "lens", dict)
             dist = _get(doc, "distortion", dict, {})

@@ -557,6 +557,32 @@ class TestRefinementBehaviour:
                     assert np.all(np.isinf(rows[owner == which]))
                     assert np.all(np.isfinite(rows[owner != which]))
 
+    @pytest.mark.parametrize("nearest_mm", [2.0, 3.5, 5.0])
+    def test_view_a_few_millimetres_away_is_finite(self, nearest_mm):
+        # view 1 slides along its optical axis until its nearest point is nearest_mm
+        # in front of the camera: finite; at or just behind the camera plane: infinite
+        template = TemplateSpec(4, 6, 15.0)
+        views = make_views(ROBOTIQ, template, [400.0, 550.0, 750.0], FOCUS_FIXED, 0.0, 54)
+        owner = np.repeat([0, 1, 2], [2 * len(v) for v in views])
+        pose = views[1].gt_pose
+        depth = pose.transform(views[1].world)[:, 2]
+        truth = IntrinsicSet.from_single(ROBOTIQ.intrinsics)
+        for intr in (truth, IntrinsicSet(truth.u0, truth.v0, truth.gamma,
+                                         ((1370.8, 1373.8),) * 3, False)):
+            problem = _Problem(views, intr, estimate_distortion=True)
+
+            def residual(nearest):
+                poses = [v.gt_pose for v in views]
+                poses[1] = Pose(pose.rodrigues,
+                                pose.translation - [0.0, 0.0, depth.min() - nearest])
+                return problem.residual(problem.pack(intr, ROBOTIQ.distortion, poses))
+
+            assert np.all(np.isfinite(residual(nearest_mm)))
+            for nearest in (0.0, -1e-3):
+                rows = residual(nearest)
+                assert np.all(np.isinf(rows[owner == 1]))
+                assert np.all(np.isfinite(rows[owner != 1]))
+
     @pytest.mark.parametrize("scales", [(0.0, 1373.8), (-1370.8, 1373.8), (1370.8, -1373.8)])
     def test_non_positive_baseline_scale_is_infinite(self, scales):
         template = TemplateSpec(4, 6, 15.0)

@@ -200,6 +200,16 @@ class TestScaleFactors:
         assert len(scale_table_from_csv((tmp_path / "t.csv").read_text())) == 9
         assert not (tmp_path / "z.json").exists() and not (tmp_path / "c.json").exists()
 
+    def test_four_views_exit_1_without_file(self, tmp_path, capsys):
+        stack = make_stack(tmp_path, name="stack4.json", rng="100:115:5")
+        outs = [tmp_path / "t.csv", tmp_path / "z.json"]
+        code = cli.main(["scale-factors", "--dataset", str(stack), "--out-table", str(outs[0]),
+                         "--out-zones", str(outs[1]), "--json-errors"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "FocusCalError", "message": "need at least five rows"}
+        assert not any(path.exists() for path in outs)
+
     def test_fit_without_positive_asymptote_exits_1(self, tmp_path, capsys):
         # each view's offsets from the image centre scaled so that alpha = 3e6/d^2 - 50
         stack = make_stack(tmp_path, rng="100:160:5")
@@ -282,6 +292,28 @@ class TestCalibrateAndReport:
         assert bias_lines[0] == "view_id,dx_mm,dy_mm,dz_mm,rot_err_rad"
         assert len(bias_lines) == 16
         assert (tmp / "bias_b.csv").exists()
+
+    def test_reversed_table_gives_the_same_calibration(self, artifacts, tmp_path):
+        # the 132.5 mm view is as far from the 130 mm row as from the 135 mm one: both
+        # files give it the row at the lower distance
+        tmp, dataset, table = artifacts
+        header, *rows = table.read_text().splitlines(keepends=True)
+        reversed_table = tmp_path / "reversed.csv"
+        reversed_table.write_text(header + "".join(reversed(rows)))
+        docs = []
+        for path in (table, reversed_table):
+            out = tmp_path / f"{path.stem}.json"
+            proc = run("calibrate", "--dataset", str(dataset), "--method", "proposed",
+                       "--scale-table", str(path), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads(out.read_text())
+            del doc["provenance"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        (view,) = [i for i, pose in enumerate(docs[0]["poses"]) if pose["view_id"] == "view007"]
+        parsed = scale_table_from_csv(table.read_text())
+        assert docs[0]["intrinsics"]["scales"][view]["alpha_px"] == (
+            parsed.alpha[parsed.distances == 130.0].item())
 
     def test_proposed_without_scale_source_exits_2(self, artifacts):
         tmp, dataset, _ = artifacts
@@ -488,8 +520,6 @@ REJECTED_ARGUMENT_VALUES = {
                                "tilt range"),
     "scale-factors-noise-band": ("scale-factors --dataset {stack} --out-table {out} "
                                  "--out-zones {out}.json --noise-band -1", "noise band"),
-    "scale-factors-four-views": ("scale-factors --dataset {stack4} --out-table {out} "
-                                 "--out-zones {out}.json", "five rows"),
     "scale-factors-noise-band-zero": ("scale-factors --dataset {stack} --out-table {out} "
                                       "--out-zones {out}.json --noise-band 0", "noise band"),
     "scale-factors-fit-without-curve": ("scale-factors --dataset {stack} --out-table {out} "
@@ -722,16 +752,30 @@ class TestMalformedInput:
         assert (code, payload["error"]) == (1, "FormatError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("schema", [2, 10**30, None], ids=["2", "huge", "missing"])
+    @pytest.mark.parametrize("command", [
+        "simulate --preset {bad} --out {out}",
+        "lens-curve --preset {bad} --from 20 --to 200 --count 5 --out {out}",
+    ], ids=["simulate", "lens-curve"])
+    def test_preset_without_schema_1_exits_1(self, tmp_path, capsys, command, schema):
+        doc = {key: value for key, value in ROBOTIQ_PRESET.items() if key != "schema"}
+        if schema is not None:
+            doc["schema"] = schema
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "never.out"
+        code = cli.main([*command.format(bad=bad, out=out).split(), "--json-errors"])
+        assert (code, json.loads(capsys.readouterr().err)) == (1, {
+            "error": "FormatError",
+            "message": "invalid camera preset: unsupported or missing schema version"})
+        assert list(tmp_path.iterdir()) == [bad]
+
     @pytest.mark.parametrize("case", list(REJECTED_ARGUMENT_VALUES))
     def test_rejected_argument_value_exits_2(self, artifacts, tmp_path, capsys, case):
         tmp, _, _ = artifacts
-        stack4 = tmp_path / "stack4.json"
-        if case == "scale-factors-four-views":
-            make_stack(tmp_path, name=stack4.name, rng="100:115:5")
         command, message = REJECTED_ARGUMENT_VALUES[case]
         out = tmp_path / "never.out"
-        args = [word.format(out=out, stack=tmp / "stack.json", stack4=stack4)
-                for word in command.split()]
+        args = [word.format(out=out, stack=tmp / "stack.json") for word in command.split()]
         code = cli.main([*args, "--json-errors"])
         payload = json.loads(capsys.readouterr().err)  # one JSON object, nothing else
         assert (code, payload["error"]) == (2, "UsageError")

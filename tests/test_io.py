@@ -320,6 +320,13 @@ class TestCsvTables:
         np.testing.assert_allclose(back.alpha, table.alpha, rtol=1e-11)
         assert scale_table_to_csv(back) == text
 
+    def test_scale_table_is_read_into_distance_order(self):
+        text = "distance_mm,alpha_px,beta_px\n200,1371,1374\n100,1370,1373\n"
+        table = scale_table_from_csv(text)
+        np.testing.assert_array_equal(table.distances, [100.0, 200.0])
+        assert scale_table_to_csv(table) == (
+            "distance_mm,alpha_px,beta_px\n100,1370,1373\n200,1371,1374\n")
+
     def test_scale_table_bad_header(self):
         with pytest.raises(FormatError):
             scale_table_from_csv("d,a,b\n1,2,3\n")

@@ -4,7 +4,6 @@ import pytest
 from focuscal.errors import FocusCalError
 from focuscal.lens import (
     CurveFit,
-    FocalCurve,
     LensSpec,
     eval_focal_curve,
     fit_focal_curve,
@@ -121,11 +120,19 @@ class TestSharpFocalLength:
         assert sharp_focal_length(lens, 100.0) == 5e-324 / np.tan(np.pi / 4)
 
     def test_sweep_matches_scalar(self):
+        # one focal length per distance, in the distances' own order
         lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
-        curve = focal_sweep(lens, [100.0, 50.0, 200.0])
-        np.testing.assert_array_equal(curve.distances, [50.0, 100.0, 200.0])
-        for d, f in zip(curve.distances, curve.values):
+        distances = [100.0, 50.0, 200.0]
+        focals = focal_sweep(lens, distances)
+        assert focals.shape == (3,)
+        for d, f in zip(distances, focals):
             assert f == pytest.approx(sharp_focal_length(lens, d), rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, np.nan])
+    def test_sweep_rejects_a_distance_that_is_not_positive(self, bad):
+        lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
+        with pytest.raises(ValueError, match="distances must be strictly positive"):
+            focal_sweep(lens, [100.0, bad, 200.0])
 
 
 class TestFitFocalCurve:
@@ -204,13 +211,3 @@ class TestEvalFocalCurve:
         fit = CurveFit(k_f=1e6, value0=1000.0)
         d = np.linspace(50, 2000, 100)
         assert np.all(np.diff(eval_focal_curve(fit, d)) > 0)
-
-
-class TestFocalCurveType:
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            FocalCurve(np.array([10.0, 5.0]), np.array([1.0, 2.0]))
-
-    def test_rejects_non_positive_distance(self):
-        with pytest.raises(ValueError):
-            FocalCurve(np.array([0.0, 5.0]), np.array([1.0, 2.0]))

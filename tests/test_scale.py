@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -103,6 +104,27 @@ class TestCentralIncrements:
         assert 0.0 < rel_err < 2e-3
 
 
+class TestScaleTable:
+    def test_rows_are_sorted_by_distance(self):
+        table = ScaleTable([300.0, 100.0, 200.0], [3.0, 1.0, 2.0], [30.0, 10.0, 20.0])
+        np.testing.assert_array_equal(table.distances, [100.0, 200.0, 300.0])
+        np.testing.assert_array_equal(table.alpha, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(table.beta, [10.0, 20.0, 30.0])
+        assert not table.distances.flags.writeable
+
+    @pytest.mark.parametrize("bad", [0.0, -100.0, np.nan])
+    def test_distance_that_is_not_positive_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="distances must be strictly positive"):
+            ScaleTable([100.0, bad], [1370.0, 1370.0], [1373.0, 1373.0])
+
+    def test_rows_at_one_distance_keep_their_order(self):
+        table = ScaleTable([120.0, 110.0, 100.0, 110.0, 130.0], [5.0, 4.0, 3.0, 2.0, 1.0],
+                           np.ones(5))
+        np.testing.assert_array_equal(table.alpha, [3.0, 4.0, 2.0, 5.0, 1.0])
+        with pytest.raises(FocusCalError, match=r"two scale-table rows at 110\.0 mm$"):
+            segment_zones(table, 1.0)
+
+
 class TestScaleFactors:
     def test_exact_inversion(self):
         view = grid_view(34.25, 34.25, distance=1000.0, pitch=25.0)
@@ -117,17 +139,17 @@ class TestScaleFactors:
         table = scale_factors([view])
         assert table.alpha[0] == 0.0
 
-    def test_row_order_follows_view_order(self):
+    def test_rows_are_in_distance_order_whatever_the_view_order(self):
         views = [
             grid_view(30.0, 30.0, distance=500.0),
             grid_view(20.0, 20.0, distance=900.0),
             grid_view(25.0, 25.0, distance=700.0),
         ]
-        table = scale_factors(views)
-        perm = [2, 0, 1]
-        permuted = scale_factors([views[i] for i in perm])
-        np.testing.assert_array_equal(permuted.distances, table.distances[perm])
-        np.testing.assert_array_equal(permuted.alpha, table.alpha[perm])
+        for perm in itertools.permutations(range(3)):
+            table = scale_factors([views[i] for i in perm])
+            np.testing.assert_array_equal(table.distances, [500.0, 700.0, 900.0])
+            np.testing.assert_allclose(table.alpha, [600.0, 700.0, 720.0], rtol=1e-12)
+            np.testing.assert_allclose(table.beta, table.alpha, rtol=1e-12)
 
     def test_unit_invariance_mm_vs_cm(self):
         view_mm = grid_view(30.0, 30.0, distance=1000.0, pitch=25.0)
@@ -260,8 +282,16 @@ class TestSegmentZones:
 
     def test_requires_five_rows(self):
         table = ScaleTable([1, 2, 3, 4], np.ones(4), np.ones(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(FocusCalError, match="need at least five rows"):
             segment_zones(table, 1.0)
+
+    @pytest.mark.parametrize("rows", [4, 5])
+    @pytest.mark.parametrize("band", [0.0, -1.0, np.nan])
+    def test_band_that_is_not_positive_is_an_argument_error(self, rows, band):
+        # checked before the table, so a short table does not hide it
+        table = ScaleTable(np.arange(1.0, rows + 1.0), np.ones(rows), np.ones(rows))
+        with pytest.raises(ValueError, match="noise band must be positive"):
+            segment_zones(table, band)
 
 
 class TestPlateauScale:

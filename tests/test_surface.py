@@ -42,7 +42,7 @@ def test_package_exports_the_union_of_module_all():
 # The public names, spelled out so that any change to them shows in a test.
 PUBLIC_NAMES = [
     "BiasReport", "CalibrationResult", "CalibrationView", "CameraPreset", "CurveFit",
-    "Distortion", "FOCUS_FIXED", "FOCUS_VARYING", "FocalCurve", "Homography", "IntrinsicSet",
+    "Distortion", "FOCUS_FIXED", "FOCUS_VARYING", "Homography", "IntrinsicSet",
     "Intrinsics", "LMResult", "LensSpec", "ParallelView", "PerViewStats", "Pose",
     "ReprojectionStats", "ScaleTable", "Solution", "TemplateSpec",
     "ZoneSegmentation", "bias_report", "bundled_preset_names", "calibrate_baseline",

@@ -75,6 +75,19 @@ class TestPresets:
                                               r"a list of 2 values, each an integer, not \[Inf"):
             load_preset(str(path))
 
+    @pytest.mark.parametrize("schema", [2, 10**30, None], ids=["2", "huge", "missing"])
+    def test_preset_without_schema_1_is_rejected(self, tmp_path, schema):
+        doc = json.loads((resources.files("focuscal") / "presets/robotiq.json").read_text())
+        if schema is None:
+            del doc["schema"]
+        else:
+            doc["schema"] = schema
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"^invalid camera preset: unsupported or "
+                                              r"missing schema version$"):
+            load_preset(str(path))
+
     def test_plateau_matches_published_values(self):
         assert ROBOTIQ.intrinsics.alpha == 1370.8
         assert ROBOTIQ.intrinsics.beta == 1373.8

@@ -18,6 +18,9 @@ own ``src/`` on the path:
 - an eosens12cxp stack at 18:27:1 mm with 0.3 px noise, whose steep
   distortion near the image margin reaches the distortion inverse's root
   solve;
+- ``lens-curve`` from a lens given by ``--radius`` and ``--angle-ratio``, no
+  preset, at 50 linearly spaced distances (20-500 mm), beside the
+  walkthrough's log-spaced robotiq sweep;
 - library calibrations, both methods, written as canonical calibration JSON,
   at the calib-s geometry (README quick start, seeds 0-5), the calib-m
   geometry (60 views x 192 points, seeds 1-2) and calib-s-cut, the calib-s
@@ -103,6 +106,11 @@ STEEP_STACK = [
     "simulate --preset eosens12cxp --rows 10 --cols 14 --pitch 8 --parallel-stack 18:27:1 "
     "--noise 0.3 --seed 5 --out steep.json",
 ]
+# The other lens-curve path: a lens from the arguments, linear spacing.
+LINEAR_LENS = [
+    "lens-curve --radius 5 --angle-ratio 0.8 --from 20 --to 500 --count 50 "
+    "--out focal_linear.csv",
+]
 # Run as ``python -c LIBRARY GEOMETRY SEED``; uses only calls that every
 # commit of the corpus's era has.
 LIBRARY = """
@@ -155,7 +163,7 @@ def corpus() -> dict[str, list[list[str]]]:
         for seed in (1, 42, 73)
     }
     for case, steps in (("short-stack", SHORT_STACK), ("dense-stack", DENSE_STACK),
-                        ("steep-stack", STEEP_STACK)):
+                        ("steep-stack", STEEP_STACK), ("linear-lens", LINEAR_LENS)):
         cases[case] = [["-m", "focuscal", *step.split()] for step in steps]
     for geometry, seeds in (("calib-s", range(6)), ("calib-m", (1, 2)),
                             ("calib-s-cut", (0, 1))):
