@@ -22,7 +22,7 @@ starts and statistics) runs batched over all views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,13 +60,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CalibrationView:
-    """One template observation: distance, correspondences, optional truth."""
+    """One template observation: distance, correspondences, optional truth.
+
+    Its homography is estimated once per view object, by the first
+    calibration that takes the view, and reused by every later one; a view
+    made with ``dataclasses.replace`` starts without it.
+    """
 
     view_id: str
     distance_mm: float
     world: np.ndarray
     image: np.ndarray
     gt_pose: Pose | None = None
+    _homography: Homography | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         world = np.atleast_2d(np.asarray(self.world, dtype=float)).copy()
@@ -519,7 +525,8 @@ def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
 
 def _stats_from_residuals(residuals, view_ids) -> ReprojectionStats:
     stacked = np.concatenate(residuals)
-    dist = np.linalg.norm(stacked, axis=1)
+    x, y = stacked[:, 0], stacked[:, 1]
+    dist = np.sqrt(x * x + y * y)
     counts = np.array([len(r) for r in residuals])
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     mean_abs, rms = np.empty(len(counts)), np.empty(len(counts))
@@ -558,8 +565,18 @@ def reprojection_stats(result_or_solution, views) -> ReprojectionStats:
 
 
 def _homographies(views) -> list[Homography]:
-    return estimate_homographies([v.world for v in views], [v.image for v in views],
-                                 [v.view_id for v in views])
+    """Each view's homography; the views without one take one batched DLT and keep it.
+
+    A view's points are read-only, so its estimate never goes stale. When a
+    view is rejected, no view of the batch keeps one.
+    """
+    fresh = [v for v in views if v._homography is None]
+    if fresh:
+        homs = estimate_homographies([v.world for v in fresh], [v.image for v in fresh],
+                                     [v.view_id for v in fresh])
+        for view, hom in zip(fresh, homs):
+            object.__setattr__(view, "_homography", hom)
+    return [v._homography for v in views]
 
 
 def _calibrate(

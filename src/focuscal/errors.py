@@ -71,10 +71,12 @@ def _parse_json(text: str, what: str):
 
 @contextmanager
 def _reading(what: str, doc=None):
-    """Given a document, require ``"schema": 1``. In the block, a missing key, a malformed
-    value, a number too large for its type or a value of the wrong JSON type (a list
-    where an object belongs) is a :class:`FormatError` about ``what``."""
-    if doc is not None and not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION):
+    """Given a document, require ``"schema": 1`` as an integer, so not ``true`` or ``1.0``.
+    In the block, a missing key, a malformed value, a number too large for its type or a
+    value of the wrong JSON type (a list where an object belongs) is a
+    :class:`FormatError` about ``what``."""
+    if doc is not None and not (isinstance(doc, dict) and _is(doc.get("schema"), int)
+                                and doc["schema"] == SCHEMA_VERSION):
         raise FormatError(f"{what}: unsupported or missing schema version")
     try:
         yield
@@ -82,7 +84,6 @@ def _reading(what: str, doc=None):
         raise FormatError(f"{what}: missing key {exc}") from exc
     except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{what}: {exc}") from exc
-
 
 
 _ABSENT = object()  # no default: the key is required

@@ -62,7 +62,8 @@ def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         centroid = pts.mean(axis=1)
         centered = pts - centroid[:, None, :]
-        mean_dist = np.mean(np.linalg.norm(centered, axis=2), axis=1)
+        x, y = centered[:, :, 0], centered[:, :, 1]
+        mean_dist = np.mean(np.sqrt(x * x + y * y), axis=1)
     huge = ~np.isfinite(mean_dist)
     centroid[huge] = centered[huge] = 0.0
     identical = mean_dist < 1e-12 * (1.0 + np.max(np.abs(pts), axis=(1, 2)))
@@ -177,7 +178,7 @@ def estimate_homographies(worlds, images, labels=None) -> list[Homography]:
 def estimate_homography(world, image) -> Homography:
     """Estimate the plane-to-image homography from >= 4 correspondences.
 
-    The normalized DLT of ``estimate_homographies`` for one view. Only the
-    right singular vectors are computed (a thin SVD).
+    The normalized DLT of ``estimate_homographies`` for one view. Its thin
+    SVD forms the thin left factor as well as the right singular vectors.
     """
     return estimate_homographies([world], [image])[0]

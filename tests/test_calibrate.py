@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from focuscal import calibrate
 from focuscal.calibrate import (
     CalibrationView,
     IntrinsicSet,
@@ -28,6 +29,7 @@ from focuscal.errors import FocusCalError
 from focuscal.lens import CurveFit
 from focuscal.scale import ScaleTable, scale_factors
 from focuscal.homography import estimate_homography
+from focuscal.io import calibration_to_dict, canonical_dumps
 from focuscal.solver import levenberg_marquardt
 from focuscal.synth import (
     FOCUS_FIXED,
@@ -467,6 +469,65 @@ class TestCalibrateProposed:
         b = calibrate_proposed(views, table, image_size=(shifted[0] * 2, shifted[1] * 2))
         assert a.refined.intrinsics.u0 == pytest.approx(b.refined.intrinsics.u0, abs=1e-4)
         assert a.refined.intrinsics.v0 == pytest.approx(b.refined.intrinsics.v0, abs=1e-4)
+
+
+class TestHomographyReuse:
+    """Each view object's homography is estimated once, by the first calibration."""
+
+    DISTANCES = np.linspace(80, 140, 6)
+
+    def views(self):
+        return make_views(ROBOTIQ, TemplateSpec(5, 7, 10.0), self.DISTANCES, FOCUS_VARYING,
+                          0.25, 46)
+
+    def table(self):
+        return TestCalibrateProposed().exact_table(self.DISTANCES)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The view ids of each call to ``estimate_homographies`` the pipelines make."""
+        calls, estimate = [], calibrate.estimate_homographies
+
+        def spy(worlds, images, labels=None):
+            calls.append(list(labels))
+            return estimate(worlds, images, labels)
+
+        monkeypatch.setattr(calibrate, "estimate_homographies", spy)
+        return calls
+
+    def test_both_pipelines_share_one_estimate(self, calls):
+        views = self.views()
+        calibrate_baseline(views)
+        calibrate_proposed(views, self.table(), image_size=ROBOTIQ.image_size)
+        assert calls == [[v.view_id for v in views]]
+        calibrate_proposed(views, self.table(), image_size=ROBOTIQ.image_size)
+        assert len(calls) == 1
+
+    def test_reused_estimate_gives_the_same_calibration(self):
+        def proposed_json(views):
+            result = calibrate_proposed(views, self.table(), image_size=ROBOTIQ.image_size)
+            return canonical_dumps(calibration_to_dict(result, {}))
+
+        views = self.views()
+        calibrate_baseline(views)
+        assert proposed_json(views) == proposed_json(self.views())
+
+    def test_rejected_view_is_rejected_again(self):
+        views = self.views()
+        v = views[3]
+        views[3] = CalibrationView(v.view_id, v.distance_mm,
+                                   np.column_stack([v.world[:, 0], np.zeros(len(v))]), v.image)
+        message = f"^view {v.view_id}: correspondences do not determine a homography$"
+        for _ in range(2):
+            with pytest.raises(FocusCalError, match=message):
+                calibrate_baseline(views)
+
+    def test_replaced_view_is_estimated_afresh(self, calls):
+        views = self.views()
+        calibrate_baseline(views)
+        views[2] = dataclasses.replace(views[2], image=views[2].image + 0.5)
+        calibrate_baseline(views)
+        assert calls == [[v.view_id for v in views], [views[2].view_id]]
 
 
 class TestRefinementBehaviour:

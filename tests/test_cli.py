@@ -752,7 +752,8 @@ class TestMalformedInput:
         assert (code, payload["error"]) == (1, "FormatError")
         assert not out.exists()
 
-    @pytest.mark.parametrize("schema", [2, 10**30, None], ids=["2", "huge", "missing"])
+    @pytest.mark.parametrize("schema", [2, 10**30, None, True, 1.0],
+                             ids=["2", "huge", "missing", "true", "float"])
     @pytest.mark.parametrize("command", [
         "simulate --preset {bad} --out {out}",
         "lens-curve --preset {bad} --from 20 --to 200 --count 5 --out {out}",
@@ -768,6 +769,20 @@ class TestMalformedInput:
         assert (code, json.loads(capsys.readouterr().err)) == (1, {
             "error": "FormatError",
             "message": "invalid camera preset: unsupported or missing schema version"})
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_dataset_with_schema_true_exits_1(self, artifacts, tmp_path, capsys):
+        # true == 1 in Python, but a boolean is no schema version
+        _, dataset, _ = artifacts
+        doc = json.loads(dataset.read_text())
+        doc["schema"] = True
+        bad = tmp_path / "zone1.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "never.json"
+        code = cli.main(["calibrate", "--dataset", str(bad), "--method", "baseline",
+                         "--out", str(out), "--json-errors"])
+        assert (code, json.loads(capsys.readouterr().err)) == (1, {
+            "error": "FormatError", "message": "dataset: unsupported or missing schema version"})
         assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("case", list(REJECTED_ARGUMENT_VALUES))
