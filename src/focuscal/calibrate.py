@@ -34,7 +34,6 @@ from .core import (
     _pinhole,
     _radial,
     _rodrigues,
-    _rotate,
     rodrigues_from_rotations,
 )
 from .errors import FocusCalError, raise_first
@@ -311,6 +310,14 @@ class _Problem:
     groups them; ``view`` gives each point's view. ``residual`` returns the
     residuals in view order all the same.
 
+    Each coordinate is held as one contiguous row over the points: the
+    template's x and y in ``world``, the observed u and v in ``image``, and
+    the pass's rotated and camera-frame points as (3, n) rows. Only the
+    rotation runs per group: the template is planar, so a group's (views, n)
+    block takes r1 x + r2 y + t from the first two columns of each view's
+    rotation and its translation, with no per-point gather. The projection,
+    radial correction, residuals and Jacobian then run as one flat pass.
+
     One buffer, allocated once, holds [J | r] transposed: two columns per
     point, each with the k intrinsic derivatives, the six of the point's own
     view's pose and the residual, so every parameter's derivatives are one
@@ -322,8 +329,8 @@ class _Problem:
     def __init__(self, views, start: IntrinsicSet, estimate_distortion: bool):
         counts = np.array([len(v) for v in views])
         order = np.argsort(counts, kind="stable")
-        self.world = np.vstack([views[i].world for i in order])
-        self.image = np.vstack([views[i].image for i in order])
+        self.world = np.concatenate([views[i].world[:, :2].T for i in order], axis=1)
+        self.image = np.concatenate([views[i].image.T for i in order], axis=1)
         self.view = np.repeat(order, counts[order])
         # where each point goes in view order, unless the views are already in order
         in_order = np.all(np.diff(order) > 0)
@@ -342,11 +349,11 @@ class _Problem:
         self.groups, self._blocks, begin = [], [], 0
         for n in np.unique(counts):
             members = order[counts[order] == n]
-            end = begin + 2 * n * len(members)
-            self.groups.append((members, int(n)))
-            block = self._rows[:, begin:end].reshape(-1, len(members), 2 * n)
-            self._blocks.append(block.transpose(1, 0, 2))
-            begin = end
+            points = slice(begin, begin + n * len(members))
+            self.groups.append((members, int(n), points))
+            block = self._rows[:, 2 * points.start : 2 * points.stop]
+            self._blocks.append(block.reshape(-1, len(members), 2 * n).transpose(1, 0, 2))
+            begin = points.stop
         self._last = None  # (point, pass) of the latest forward pass
 
     def pack(self, intr_set: IntrinsicSet, dist: Distortion, poses) -> np.ndarray:
@@ -355,7 +362,8 @@ class _Problem:
                       v0=intr_set.v0, k1=dist.k1, k2=dist.k2)
         x = np.zeros(self.n_params)
         x[: self.n_intr] = [values[name] for name in self.columns]
-        x[self.n_intr :] = np.ravel([np.r_[p.rodrigues, p.translation] for p in poses])
+        x[self.n_intr :] = np.hstack([[p.rodrigues for p in poses],
+                                      [p.translation for p in poses]]).ravel()
         return x
 
     def _named(self, x) -> dict:
@@ -363,15 +371,16 @@ class _Problem:
         return {"alpha": 1.0, "beta": 1.0, "k1": 0.0, "k2": 0.0,
                 **{name: x[j] for name, j in self.columns.items()}}
 
-    def unpack(self, x) -> tuple[IntrinsicSet, Distortion, tuple[Pose, ...]]:
-        x = np.asarray(x, dtype=float)
-        p = self._named(x)
+    def unpack_intrinsics(self, x) -> tuple[IntrinsicSet, Distortion]:
+        p = self._named(np.asarray(x, dtype=float))
         scales = tuple((float(p["alpha"] * a), float(p["beta"] * b)) for a, b in self.multipliers)
         intr = IntrinsicSet(float(p["u0"]), float(p["v0"]), float(p["gamma"]), scales,
                             self.shared)
-        dist = Distortion(float(p["k1"]), float(p["k2"]))
-        poses = x[self.n_intr :].reshape(self.n_views, 6)
-        return intr, dist, tuple(Pose(pose[:3], pose[3:]) for pose in poses)
+        return intr, Distortion(float(p["k1"]), float(p["k2"]))
+
+    def unpack(self, x) -> tuple[IntrinsicSet, Distortion, tuple[Pose, ...]]:
+        poses = np.asarray(x, dtype=float)[self.n_intr :].reshape(self.n_views, 6)
+        return (*self.unpack_intrinsics(x), tuple(Pose(pose[:3], pose[3:]) for pose in poses))
 
     def _pass(self, x) -> tuple:
         """The camera model's forward pass at ``x``, reused when ``x`` is bitwise the held one.
@@ -394,16 +403,25 @@ class _Problem:
         alpha, beta, u0, v0 = p["alpha"], p["beta"], p["u0"], p["v0"]
         poses = x[self.n_intr :].reshape(self.n_views, 6)
         rvecs = poses[:, :3]
-        rw = _rotate(_rodrigues(rvecs)[0][self.view], self.world)
-        cam = rw + poses[self.view, 3:]
+        rot = _rodrigues(rvecs)[0]
+        # Only r1, r2 and t act on the planar template; the term R w adds for
+        # z = 0, r3 * 0, could only change the sign of a zero in rw.
+        rw, cam = np.empty((2, 3, len(self.view)))
+        for views, n, points in self.groups:
+            shape = (3, len(views), n)
+            wx, wy = self.world[:, points].reshape(2, len(views), n)
+            r1, r2 = rot[views, :, :2].transpose(2, 1, 0)[..., None]
+            block = rw[:, points].reshape(shape)
+            np.multiply(r1, wx, out=block)
+            block += r2 * wy
+            np.add(block, poses[views, 3:].T[..., None], out=cam[:, points].reshape(shape))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u_hat, v_hat = _pinhole(*cam.T, alpha, beta, p["gamma"], u0, v0)
-            du, dv = self.image[:, 0] - u0, self.image[:, 1] - v0
+            u_hat, v_hat = _pinhole(*cam, alpha, beta, p["gamma"], u0, v0)
+            du, dv = self.image[0] - u0, self.image[1] - v0
             radial = (du, dv, *_radial(du, dv, alpha, beta, p["k1"], p["k2"]))
             g = radial[-1]
-            r = np.column_stack([self.image[:, 0] + du * g - u_hat,
-                                 self.image[:, 1] + dv * g - v_hat])
-        bad = (cam[:, 2] <= _MIN_DEPTH) | (alpha <= 0) | (beta <= 0)
+            r = np.column_stack([self.image[0] + du * g - u_hat, self.image[1] + dv * g - v_hat])
+        bad = (cam[2] <= _MIN_DEPTH) | (alpha <= 0) | (beta <= 0)
         if bad.any():
             r[np.isin(self.view, self.view[bad])] = np.inf
         self._last = (x, (r, p, rvecs, rw, cam, radial))
@@ -430,7 +448,7 @@ class _Problem:
         """
         r, p, rvecs, rw, cam, (du, dv, xb, yb, r2, g) = self._pass(x)
         jt = self._rows
-        x, y, z = cam.T
+        x, y, z = cam
         alpha, beta, gamma, k1, k2 = (p[name] for name in ("alpha", "beta", "gamma", "k1", "k2"))
         gain = k1 + 2.0 * k2 * r2  # d(g)/d(r2)
         ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
@@ -448,19 +466,16 @@ class _Problem:
         # pose rows: residual = corrected - projected, so -d(projection), and
         # d(cam)/dr = -[rw]x J_l turns -grad . d(cam)/dr into (grad x rw) J_l
         k = self.n_intr
-        w0, w1, w2 = rw.T
+        w0, w1, w2 = rw
         jl_t = _rodrigues(rvecs, derivatives=True)[1].transpose(0, 2, 1)
         grad_u = (alpha / z, gamma / z, -(alpha * x + gamma * y) / (z * z))
         grad_v = (np.zeros_like(z), beta / z, -beta * y / (z * z))
         for parity, (g0, g1, g2) in enumerate((grad_u, grad_v)):
             cross = np.array([g1 * w2 - g2 * w1, g2 * w0 - g0 * w2, g0 * w1 - g1 * w0])
-            start = 0
-            for views, n in self.groups:
-                end = start + len(views) * n
-                block = cross[:, start:end].reshape(3, len(views), n).transpose(1, 0, 2)
+            for views, n, points in self.groups:
+                block = cross[:, points].reshape(3, len(views), n).transpose(1, 0, 2)
                 rot = np.matmul(jl_t[views], block).transpose(1, 0, 2).reshape(3, -1)
-                jt[k : k + 3, 2 * start + parity : 2 * end : 2] = rot
-                start = end
+                jt[k : k + 3, 2 * points.start + parity : 2 * points.stop : 2] = rot
             jt[k + 3 : k + 6, parity::2] = -g0, -g1, -g2
         jt[-1] = r.ravel()
         return jt[:-1].T
@@ -471,7 +486,7 @@ class _Problem:
         k, m = self.n_intr, self.n_views
         u, g = np.zeros((k, k)), np.zeros(k)
         w, v, gp = np.empty((m, k, 6)), np.empty((m, 6, 6)), np.empty((m, 6))
-        for (members, _), block in zip(self.groups, self._blocks):
+        for (members, _, _), block in zip(self.groups, self._blocks):
             p = np.matmul(block, block.transpose(0, 2, 1))
             u += p[:, :k, :k].sum(axis=0)
             g += p[:, :k, -1].sum(axis=0)
@@ -523,11 +538,11 @@ def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
     return problem.split(problem.residual(x))
 
 
-def _stats_from_residuals(residuals, view_ids) -> ReprojectionStats:
-    stacked = np.concatenate(residuals)
+def _stats_from_residuals(stacked, counts, view_ids) -> ReprojectionStats:
+    """Statistics of the (n, 2) residuals of views of ``counts`` points, stacked in view order."""
     x, y = stacked[:, 0], stacked[:, 1]
     dist = np.sqrt(x * x + y * y)
-    counts = np.array([len(r) for r in residuals])
+    counts = np.asarray(counts)
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     mean_abs, rms = np.empty(len(counts)), np.empty(len(counts))
     # Views of one point count take one reduction, over the same axes as one view alone.
@@ -557,8 +572,9 @@ def reprojection_stats(result_or_solution, views) -> ReprojectionStats:
         if isinstance(result_or_solution, CalibrationResult)
         else result_or_solution
     )
-    view_ids = [v.view_id for v in views]
-    return _stats_from_residuals(solution_residuals(solution, views), view_ids)
+    residuals = solution_residuals(solution, views)
+    return _stats_from_residuals(np.concatenate(residuals), [len(r) for r in residuals],
+                                 [v.view_id for v in views])
 
 
 # pipelines
@@ -596,18 +612,22 @@ def _calibrate(
     poses0 = _poses_from_homographies([h.matrix for h in homs], matrices, view_ids)
     problem = _Problem(views, start, estimate_distortion)
     x0 = problem.pack(start, Distortion(), poses0)
+    counts = [len(v) for v in views]
 
-    def solution(x, r) -> Solution:
-        intr, dist, poses = problem.unpack(x)
-        return Solution(intr, poses, dist, _stats_from_residuals(problem.split(r), view_ids))
+    def stats(r) -> ReprojectionStats:
+        return _stats_from_residuals(np.reshape(r, (-1, 2)), counts, view_ids)
 
     r0 = problem.residual(x0)  # the LM's first residual reuses this pass
     lm = levenberg_marquardt(
         problem.residual, x0, problem.normal, max_iterations=max_iterations
     )
-    # The algebraic statistics after the LM, which first rejects a start that is not finite.
+    # The algebraic solution keeps the poses x0 was packed from, and takes its
+    # statistics after the LM, which first rejects a start that is not finite.
+    intr0, dist0 = problem.unpack_intrinsics(x0)
+    intr, dist, poses = problem.unpack(lm.params)
     return CalibrationResult(
-        method, view_ids, solution(x0, r0), solution(lm.params, lm.residuals),
+        method, view_ids, Solution(intr0, tuple(poses0), dist0, stats(r0)),
+        Solution(intr, poses, dist, stats(lm.residuals)),
         iterations=lm.iterations, termination=lm.termination,
     )
 

@@ -7,11 +7,13 @@ the camera frame via ``x_cam = R @ x_world + t`` with the optical axis along
 
 The camera model (Zhang, "A flexible new technique for camera calibration",
 PAMI 2000) is built from the pieces written once here: batched Rodrigues
-rotations and their left Jacobians (``_rodrigues``), rotated points
-(``_rotate``), the pin-hole projection (``_pinhole``), the radial correction
-(``_radial``) and its inverse (``_distort_views``). The refinement's forward
-pass over every view and its analytic Jacobian live in
-``calibrate._Problem``, which owns their layout.
+rotations and their left Jacobians (``_rodrigues``), the pin-hole projection
+(``_pinhole``), the radial correction (``_radial``) and its inverse
+(``_distort_views``). ``_rotate`` rotates points by whole matrices for
+``Pose.transform``. The refinement's forward pass over every view and its
+analytic Jacobian live in ``calibrate._Problem``, which owns their layout:
+its template is planar, so it rotates each point by a rotation's first two
+columns only.
 """
 
 from __future__ import annotations

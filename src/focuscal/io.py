@@ -194,14 +194,15 @@ def parallel_views_from_dataset(
     """Rebuild grid-structured views from a fronto-parallel stack dataset.
 
     Grid indices are recovered from the world coordinates, which are exact
-    multiples of the template pitch; absent grid positions become NaN.
+    multiples of the template pitch; absent grid positions become NaN. Every
+    grid ends at the last row and column any view of the stack reaches, never
+    past the declared template size, so the declared size is not allocated.
     """
     size = image_size_from_meta(meta)
     if size is None:
         raise FormatError("dataset meta lacks image_size_px; cannot place the window")
-    out = []
+    indices = []
     for view in views:
-        grid = np.full((template.rows, template.cols, 2), np.nan)
         cols = view.world[:, 0] / template.pitch_mm
         rows = view.world[:, 1] / template.pitch_mm
         ci = np.rint(cols)
@@ -214,7 +215,13 @@ def parallel_views_from_dataset(
             ri >= template.rows
         ):
             raise FormatError(f"view {view.view_id}: grid index out of range")
-        grid[ri.astype(int), ci.astype(int)] = view.image
+        indices.append((ri.astype(int), ci.astype(int)))
+    shape = tuple(max((index[axis].max() + 1 for index in indices), default=0)
+                  for axis in (0, 1))
+    out = []
+    for view, index in zip(views, indices):
+        grid = np.full((*shape, 2), np.nan)
+        grid[index] = view.image
         out.append(
             ParallelView(
                 points=grid,

@@ -7,13 +7,14 @@ the per-view loop they replace, with one ``np.roots`` call per point, so the
 tests can require equal bits, the same errors and the same error order. It
 takes the noise and tilt range as the per-view loop did, without checking
 that they are finite. It also holds one-matrix forms of batched primitives
-that several test modules use as references.
+that several test modules use as references, and the refinement's forward
+pass point by point.
 """
 
 import numpy as np
 
 from focuscal.calibrate import CalibrationView
-from focuscal.core import Pose, rodrigues_from_rotations
+from focuscal.core import Pose, _pinhole, _radial, _rodrigues, _rotate, rodrigues_from_rotations
 from focuscal.errors import FocusCalError
 from focuscal.homography import _canonical
 from focuscal.scale import ParallelView
@@ -146,3 +147,68 @@ def generate_parallel_stack(preset, template, distances, noise_px=0.0, seed=0):
         stack.append(ParallelView(pixels.reshape(template.rows, template.cols, 2), d,
                                   template.pitch_mm, preset.image_size))
     return stack
+
+
+def problem_rows(problem, views, x):
+    """``problem.residual(x)`` and ``problem.jacobian(x)``, point by point.
+
+    The forward pass before the group layout: each point gathers its view's
+    whole rotation and translation, is rotated by all three terms of R w, the
+    last one by its z = 0, and is kept as an (n, 3) camera point whose columns
+    the projection and the Jacobian read. ``problem`` gives the layout only:
+    its parameter columns, point order, groups and scale multipliers.
+    """
+    x = np.array(x, dtype=float)
+    counts = np.array([len(v) for v in views])
+    order = np.argsort(counts, kind="stable")
+    world = np.vstack([views[i].world for i in order])
+    image = np.vstack([views[i].image for i in order])
+    view = problem.view
+    per_point = np.broadcast_to(problem.multipliers, (problem.n_views, 2)).T[:, view]
+    p = problem._named(x)
+    p["alpha"], p["beta"] = p["alpha"] * per_point[0], p["beta"] * per_point[1]
+    alpha, beta, gamma, u0, v0 = (p[name] for name in ("alpha", "beta", "gamma", "u0", "v0"))
+    poses = x[problem.n_intr :].reshape(problem.n_views, 6)
+    rvecs = poses[:, :3]
+    rw = _rotate(_rodrigues(rvecs)[0][view], world)
+    cam = rw + poses[view, 3:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u_hat, v_hat = _pinhole(*cam.T, alpha, beta, gamma, u0, v0)
+        du, dv = image[:, 0] - u0, image[:, 1] - v0
+        xb, yb, r2, g = _radial(du, dv, alpha, beta, p["k1"], p["k2"])
+        r = np.column_stack([image[:, 0] + du * g - u_hat, image[:, 1] + dv * g - v_hat])
+    bad = (cam[:, 2] <= 1e-9) | (alpha <= 0) | (beta <= 0)
+    if bad.any():
+        r[np.isin(view, view[bad])] = np.inf
+    k = problem.n_intr
+    jt = np.empty((k + 6, 2 * len(view)))
+    x_, y, z = cam.T
+    k1, k2 = p["k1"], p["k2"]
+    gain = k1 + 2.0 * k2 * r2
+    ex, ey = 2.0 * gain * xb / alpha, 2.0 * gain * yb / beta
+    derivatives = {
+        "alpha": lambda: (-du * ex * xb - x_ / z, -dv * ex * xb),
+        "beta": lambda: (-du * ey * yb, -dv * ey * yb - y / z),
+        "gamma": lambda: (-y / z, 0.0),
+        "u0": lambda: (-g - du * ex - 1.0, -dv * ex),
+        "v0": lambda: (-du * ey, -g - dv * ey - 1.0),
+        "k1": lambda: (du * r2, dv * r2),
+        "k2": lambda: (du * r2 * r2, dv * r2 * r2),
+    }
+    for name, row in problem.columns.items():
+        jt[row, 0::2], jt[row, 1::2] = derivatives[name]()
+    w0, w1, w2 = rw.T
+    jl_t = _rodrigues(rvecs, derivatives=True)[1].transpose(0, 2, 1)
+    grad_u = (alpha / z, gamma / z, -(alpha * x_ + gamma * y) / (z * z))
+    grad_v = (np.zeros_like(z), beta / z, -beta * y / (z * z))
+    for parity, (g0, g1, g2) in enumerate((grad_u, grad_v)):
+        cross = np.array([g1 * w2 - g2 * w1, g2 * w0 - g0 * w2, g0 * w1 - g1 * w0])
+        start = 0
+        for members, n, _ in problem.groups:
+            end = start + len(members) * n
+            block = cross[:, start:end].reshape(3, len(members), n).transpose(1, 0, 2)
+            rot = np.matmul(jl_t[members], block).transpose(1, 0, 2).reshape(3, -1)
+            jt[k : k + 3, 2 * start + parity : 2 * end : 2] = rot
+            start = end
+        jt[k + 3 : k + 6, parity::2] = -g0, -g1, -g2
+    return r[np.argsort(view, kind="stable")].ravel(), jt.T

@@ -4,6 +4,7 @@ Each reference below is the one-view code the batch replaced, kept here so a
 change to the float operations of both paths at once still shows.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -29,8 +30,8 @@ from focuscal.errors import FocusCalError
 from focuscal.homography import estimate_homographies, estimate_homography
 from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_to_csv
 from focuscal.scale import ScaleTable
-from focuscal.synth import FOCUS_FIXED, TemplateSpec, generate_dataset, load_preset
-from per_view import canonical
+from focuscal.synth import FOCUS_FIXED, FOCUS_VARYING, TemplateSpec, generate_dataset, load_preset
+from per_view import canonical, problem_rows
 
 ROBOTIQ = load_preset("robotiq")
 
@@ -323,7 +324,8 @@ class TestBatchedStatsAndClosedForm:
     def test_stats_per_view_as_alone(self):
         rng = np.random.default_rng(9)
         residuals = [rng.normal(0.0, 0.4, (n, 2)) for n in (54, 4, 54, 5, 192, 4)]
-        stats = _stats_from_residuals(residuals, [f"v{i}" for i in range(6)])
+        stats = _stats_from_residuals(np.concatenate(residuals), [len(r) for r in residuals],
+                                      [f"v{i}" for i in range(6)])
         for r, view in zip(residuals, stats.per_view):
             assert same(view.mean_abs_px, float(np.linalg.norm(r, axis=1).mean()))
             assert same(view.rms_px, float(np.sqrt(np.mean(r**2))))
@@ -386,6 +388,52 @@ class TestJacobianReuse:
         problem.residual(kept)
         kept += 1.0
         assert self.blocks(problem.jacobian(x)) == fresh
+
+
+@functools.cache
+def benchmark_views(geometry, seed):
+    """The views of a calib-s, calib-s-cut or calib-m dataset at ``seed``.
+
+    calib-s-cut is calib-s with view 3 cut to four corners and view 7 to the
+    corners and the central point.
+    """
+    if geometry == "calib-m":
+        template, distances = TemplateSpec(12, 16, 3.0), np.linspace(80, 145, 60)
+    else:
+        template, distances = TemplateSpec(6, 9, 8.0), np.r_[50.0, np.linspace(130, 145, 14)]
+    views = generate_dataset(ROBOTIQ, template, distances, FOCUS_VARYING, 0.25, seed)
+    if geometry == "calib-s-cut":
+        for i, keep in ((3, [0, 8, 45, 53]), (7, [0, 8, 45, 53, 22])):
+            v = views[i]
+            views[i] = CalibrationView(v.view_id, v.distance_mm, v.world[keep], v.image[keep],
+                                       v.gt_pose)
+    return views
+
+
+class TestGroupedForwardPass:
+    """The forward pass by groups gives the per-point pass's residuals and Jacobian."""
+
+    # calib-m at seed 4 holds its views in view order (its 190-point view is
+    # first); at seed 6 the 191-point view is second, so residual() permutes.
+    @pytest.mark.parametrize("geometry, seed, groups, permuted", [
+        ("calib-s", 0, [26, 54], False), ("calib-s-cut", 0, [4, 5, 26, 54], True),
+        ("calib-m", 4, [190, 192], False), ("calib-m", 6, [191, 192], True),
+    ])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("estimate_distortion", [True, False])
+    def test_bits_as_per_point(self, geometry, seed, groups, permuted, shared,
+                               estimate_distortion):
+        views = benchmark_views(geometry, seed)
+        pairs = tuple((1380.0 + i, 1370.0 - i) for i in range(len(views)))
+        start = IntrinsicSet(640.0, 360.0, 0.1, pairs[:1] if shared else pairs, shared)
+        problem = _Problem(views, start, estimate_distortion)
+        assert [n for _, n, _ in problem.groups] == groups
+        assert (problem._unsort is not None) == permuted
+        poses = [Pose(v.gt_pose.rodrigues + 0.01, v.gt_pose.translation) for v in views]
+        x = problem.pack(start, Distortion(0.01, -0.02), poses)
+        r, jac = problem_rows(problem, views, x)
+        assert same(problem.residual(x), r)
+        assert same(problem.jacobian(x), jac)
 
 
 class TestViewNamedInCommandLineErrors:

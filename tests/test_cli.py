@@ -114,6 +114,24 @@ def make_stack(tmp_path, name="stack.json", rng="60:400:5", noise="0", rows="10"
 
 
 class TestScaleFactors:
+    def test_declared_template_size_is_not_allocated(self, tmp_path):
+        # The README's stack, and a copy declaring 10**30 template rows: a grid ends
+        # at the last row its points reach, so both give the same table.
+        stack, huge = tmp_path / "stack.json", tmp_path / "huge.json"
+        assert cli.main(["simulate", "--preset", "robotiq", "--parallel-stack", "45:175:5",
+                         "--pitch", "8", "--rows", "10", "--cols", "14", "--noise", "0",
+                         "--seed", "42", "--out", str(stack)]) == 0
+        doc = json.loads(stack.read_text())
+        doc["template"]["rows"] = 10**30
+        huge.write_text(json.dumps(doc))
+        tables = []
+        for dataset in (stack, huge):
+            table = tmp_path / f"{dataset.stem}.csv"
+            assert cli.main(["scale-factors", "--dataset", str(dataset), "--out-table",
+                             str(table), "--out-zones", str(tmp_path / "zones.json")]) == 0
+            tables.append(table.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_table_zones_and_fit(self, tmp_path):
         stack = make_stack(tmp_path)
         table_path = tmp_path / "table.csv"

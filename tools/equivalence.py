@@ -23,9 +23,11 @@ own ``src/`` on the path:
   walkthrough's log-spaced robotiq sweep;
 - library calibrations, both methods, written as canonical calibration JSON,
   at the calib-s geometry (README quick start, seeds 0-5), the calib-m
-  geometry (60 views x 192 points, seeds 1-2) and calib-s-cut, the calib-s
-  geometry with one view cut to 4 points and one to 5 (seeds 0-1), so views
-  of several point counts, and the 4-point DLT, are covered;
+  geometry (60 views x 192 points, seeds 1, 2 and 4, where seed 4's first
+  view has 190 points, so two point-count groups at this size) and
+  calib-s-cut, the calib-s geometry with one view cut to 4 points and one
+  to 5 (seeds 0-1), so views of several point counts, and the 4-point DLT,
+  are covered;
 - every ``demos/*.py`` script of this checkout, each tree running its own copy.
 
 Every output file, and each step's stdout, stderr and exit code, is kept.
@@ -165,7 +167,7 @@ def corpus() -> dict[str, list[list[str]]]:
     for case, steps in (("short-stack", SHORT_STACK), ("dense-stack", DENSE_STACK),
                         ("steep-stack", STEEP_STACK), ("linear-lens", LINEAR_LENS)):
         cases[case] = [["-m", "focuscal", *step.split()] for step in steps]
-    for geometry, seeds in (("calib-s", range(6)), ("calib-m", (1, 2)),
+    for geometry, seeds in (("calib-s", range(6)), ("calib-m", (1, 2, 4)),
                             ("calib-s-cut", (0, 1))):
         for seed in seeds:
             cases[f"{geometry}-seed{seed}"] = [["-c", LIBRARY, geometry, str(seed)]]
