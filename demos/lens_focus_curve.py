@@ -16,7 +16,6 @@ from focuscal import (
     fit_focal_curve,
     focal_length_limit,
     focal_sweep,
-    sharp_focal_length,
 )
 
 lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
@@ -35,7 +34,7 @@ for d, f in zip(distances, focals):
 # model value(d) = -k_f / d**2 + value0, fitted by linear least squares.
 fit = fit_focal_curve(distances, focals)
 print(f"\nhyperbolic fit: k_f = {fit.k_f:.4g}, asymptote = {fit.value0:.4f} mm")
-print(f"model focal length at 100 mm: {sharp_focal_length(lens, 100.0):.4f} mm")
+print(f"model focal length at 100 mm: {focal_sweep(lens, [100.0])[0]:.4f} mm")
 
 print(
     "\nThe CLI writes the same sweep as CSV for plotting:\n"

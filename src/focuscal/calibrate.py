@@ -335,7 +335,6 @@ class _Problem:
         # where each point goes in view order, unless the views are already in order
         in_order = np.all(np.diff(order) > 0)
         self._unsort = None if in_order else np.argsort(self.view, kind="stable")
-        self.starts = 2 * np.r_[0, np.cumsum(counts)[:-1]]  # first residual row of each view
         self.n_views = len(views)
         self.shared = start.shared
         self.multipliers = np.ones((1, 2)) if start.shared else np.array(start.scales, float)
@@ -430,10 +429,6 @@ class _Problem:
     def residual(self, x) -> np.ndarray:
         r = self._pass(x)[0]
         return (r if self._unsort is None else r[self._unsort]).ravel()
-
-    def split(self, r) -> list[np.ndarray]:
-        """Signed (du, dv) residuals ``residual`` returned, one (n_i, 2) array per view."""
-        return np.split(np.reshape(r, (-1, 2)), self.starts[1:] // 2)
 
     def jacobian(self, x) -> np.ndarray:
         """Fill the buffer at ``x``; returns its Jacobian, (rows, k + 6).
@@ -535,7 +530,8 @@ def solution_residuals(solution: Solution, views) -> list[np.ndarray]:
         raise ValueError("view count does not match the calibration result")
     problem = _Problem(views, solution.intrinsics, estimate_distortion=True)
     x = problem.pack(solution.intrinsics, solution.distortion, solution.poses)
-    return problem.split(problem.residual(x))
+    counts = [len(v) for v in views]
+    return np.split(np.reshape(problem.residual(x), (-1, 2)), np.cumsum(counts)[:-1])
 
 
 def _stats_from_residuals(stacked, counts, view_ids) -> ReprojectionStats:
@@ -565,13 +561,8 @@ def _stats_from_residuals(stacked, counts, view_ids) -> ReprojectionStats:
     )
 
 
-def reprojection_stats(result_or_solution, views) -> ReprojectionStats:
-    """Recompute reprojection statistics from stored parameters and inputs."""
-    solution = (
-        result_or_solution.refined
-        if isinstance(result_or_solution, CalibrationResult)
-        else result_or_solution
-    )
+def reprojection_stats(solution: Solution, views) -> ReprojectionStats:
+    """Recompute a stored solution's reprojection statistics from its views."""
     residuals = solution_residuals(solution, views)
     return _stats_from_residuals(np.concatenate(residuals), [len(r) for r in residuals],
                                  [v.view_id for v in views])

@@ -32,7 +32,9 @@ from .errors import (
     FormatError,
     NonConvergence,
     NoPlateauFound,
+    _get,
     _parse_json,
+    _reading,
 )
 from .io import (
     atomic_write_text,
@@ -156,10 +158,10 @@ def cmd_scale_factors(args) -> tuple:
     if args.out_curve and not args.fit:
         raise UsageError("--out-curve requires --fit")
     template, views, meta = dataset_from_dict(_load_json(args.dataset, "dataset"))
-    if meta.get("kind", "stack") != "stack":
-        raise UsageError(
-            f"scale-factors needs a fronto-parallel stack dataset, got kind {meta['kind']!r}"
-        )
+    with _reading("dataset meta"):
+        kind = _get(meta, "kind", str, "stack")
+    if kind != "stack":
+        raise UsageError(f"scale-factors needs a fronto-parallel stack dataset, got kind {kind!r}")
     parallel = parallel_views_from_dataset(template, views, meta)
     table = scale_factors(parallel, window_fraction=args.window)
     band = args.noise_band if args.noise_band is not None else suggest_noise_band(

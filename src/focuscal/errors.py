@@ -6,13 +6,14 @@ single exit code. Geometric, numeric and missing-data failures are raised as
 :class:`FocusCalError` itself, told apart by their messages; a subclass exists
 only for a failure that a caller handles differently. ``raise_first`` reports
 the first rejected view of a batch of views. Inside ``_reading``, readers take
-each document value with ``_get``, ``_get_list`` or ``_get_rows``, as one JSON kind.
+each document value with one of the ``_get`` readers below, as one JSON kind.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from itertools import chain, product
 from operator import itemgetter
@@ -122,6 +123,15 @@ def _get_list(doc, key: str, kind: type, n: int) -> list:
     if len(values) != n or not all(_is(v, kind) for v in values):
         raise _wrong(key, f"a list of {n} values, each {_KINDS[kind]}", values)
     return [float(v) for v in values] if kind is float else values
+
+
+def _get_size(doc, key: str) -> tuple[int, int]:
+    """``doc[key]`` as an image's (width, height) in pixels: two integers, each
+    positive and no larger than the largest float, so that both convert to floats."""
+    size = _get_list(doc, key, int, 2)
+    if not all(0 < n <= sys.float_info.max for n in size):
+        raise _wrong(key, "two integers, each positive and at most 1.8e308", size)
+    return tuple(size)
 
 
 def _get_rows(docs: list, keys: tuple) -> np.ndarray:

@@ -26,7 +26,7 @@ from .calibrate import (
     Solution,
 )
 from .core import Distortion, Pose
-from .errors import SCHEMA_VERSION, FormatError, _get, _get_list, _get_rows, _reading
+from .errors import SCHEMA_VERSION, FormatError, _get, _get_list, _get_rows, _get_size, _reading
 from .lens import CurveFit
 from .scale import ParallelView, ScaleTable, ZoneSegmentation
 from .synth import BiasReport, TemplateSpec
@@ -182,10 +182,16 @@ def image_size_from_meta(meta: dict) -> tuple[int, int] | None:
     if meta.get("image_size_px") is None:
         return None
     with _reading("dataset meta"):
-        width, height = _get_list(meta, "image_size_px", int, 2)
-    if not (width > 0 and height > 0):
-        raise FormatError(f"dataset meta: image_size_px {[width, height]} is not positive")
-    return width, height
+        return _get_size(meta, "image_size_px")
+
+
+def _slots(index: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each grid index's slot along one axis, and the number of slots: used indices
+    take slots in their order, and a gap between two used indices one empty slot."""
+    order = np.argsort(index)
+    slot = np.empty(len(index), int)
+    slot[order] = np.r_[0, np.cumsum(np.minimum(np.diff(index[order]), 2))]  # 0 for a repeat
+    return slot, slot.max() + 1
 
 
 def parallel_views_from_dataset(
@@ -194,42 +200,28 @@ def parallel_views_from_dataset(
     """Rebuild grid-structured views from a fronto-parallel stack dataset.
 
     Grid indices are recovered from the world coordinates, which are exact
-    multiples of the template pitch; absent grid positions become NaN. Every
-    grid ends at the last row and column any view of the stack reaches, never
-    past the declared template size, so the declared size is not allocated.
+    multiples of the template pitch; absent grid positions become NaN. Each
+    view's grid holds only the rows and columns its own points use, with one
+    empty row or column where used ones are not adjacent, so points are grid
+    neighbours exactly when they are template neighbours, and no grid is
+    sized by the declared template or by another view.
     """
     size = image_size_from_meta(meta)
     if size is None:
         raise FormatError("dataset meta lacks image_size_px; cannot place the window")
-    indices = []
-    for view in views:
-        cols = view.world[:, 0] / template.pitch_mm
-        rows = view.world[:, 1] / template.pitch_mm
-        ci = np.rint(cols)
-        ri = np.rint(rows)
-        if np.any(np.abs(cols - ci) > 1e-9) or np.any(np.abs(rows - ri) > 1e-9):
-            raise FormatError(
-                f"view {view.view_id}: points do not lie on the template grid"
-            )
-        if np.any(ci < 0) or np.any(ci >= template.cols) or np.any(ri < 0) or np.any(
-            ri >= template.rows
-        ):
-            raise FormatError(f"view {view.view_id}: grid index out of range")
-        indices.append((ri.astype(int), ci.astype(int)))
-    shape = tuple(max((index[axis].max() + 1 for index in indices), default=0)
-                  for axis in (0, 1))
     out = []
-    for view, index in zip(views, indices):
-        grid = np.full((*shape, 2), np.nan)
-        grid[index] = view.image
-        out.append(
-            ParallelView(
-                points=grid,
-                distance_mm=view.distance_mm,
-                pitch_mm=template.pitch_mm,
-                image_size=size,
-            )
-        )
+    for view in views:
+        index = view.world[:, :2] / template.pitch_mm  # (column, row) of each point
+        nearest = np.rint(index)
+        if np.any(np.abs(index - nearest) > 1e-9):
+            raise FormatError(f"view {view.view_id}: points do not lie on the template grid")
+        last_col, last_row = nearest.max(axis=0).tolist()  # floats that compare with any int
+        if np.any(nearest < 0) or last_col >= template.cols or last_row >= template.rows:
+            raise FormatError(f"view {view.view_id}: grid index out of range")
+        (cols, n_cols), (rows, n_rows) = map(_slots, nearest.T)
+        grid = np.full((n_rows, n_cols, 2), np.nan)
+        grid[rows, cols] = view.image
+        out.append(ParallelView(grid, view.distance_mm, template.pitch_mm, size))
     return out
 
 
@@ -274,7 +266,7 @@ def _stats_from_dict(doc: dict) -> ReprojectionStats:
 def _solution_to_dict(sol: Solution, view_ids) -> dict:
     return {
         "intrinsics": _intrinsics_to_dict(sol.intrinsics),
-        "distortion": {"k1": sol.distortion.k1, "k2": sol.distortion.k2},
+        "distortion": asdict(sol.distortion),  # renaming a field changes the format
         "poses": [
             {"view_id": view_id, **_pose_to_dict(pose)}
             for view_id, pose in zip(view_ids, sol.poses)
@@ -376,20 +368,14 @@ def scale_table_from_csv(text: str) -> ScaleTable:
 
 
 def segmentation_to_dict(seg: ZoneSegmentation) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "zone1_end_mm": seg.zone1_end_mm,
-        "zone2_end_mm": seg.zone2_end_mm,
-        "plateau_alpha_px": seg.plateau_alpha_px,
-        "plateau_beta_px": seg.plateau_beta_px,
-    }
+    return {"schema": SCHEMA_VERSION, **asdict(seg)}  # renaming a field changes the format
 
 
 def curve_fits_to_dict(alpha_fit: CurveFit, beta_fit: CurveFit) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "alpha_fit": {"k_f": alpha_fit.k_f, "value0": alpha_fit.value0},
-        "beta_fit": {"k_f": beta_fit.k_f, "value0": beta_fit.value0},
+        "alpha_fit": asdict(alpha_fit),  # renaming a CurveFit field changes the format
+        "beta_fit": asdict(beta_fit),
     }
 
 

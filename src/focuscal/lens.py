@@ -23,7 +23,6 @@ from .errors import FocusCalError
 __all__ = [
     "LensSpec",
     "CurveFit",
-    "sharp_focal_length",
     "focal_length_limit",
     "focal_sweep",
     "fit_focal_curve",
@@ -77,24 +76,14 @@ def _sweep(lens: LensSpec, d: np.ndarray) -> np.ndarray:
     return focal
 
 
-def sharp_focal_length(lens: LensSpec, d: float) -> float:
-    """Sensor-to-lens distance giving the sharpest image at object distance d.
-
-    This is the x coordinate of the intersection of the ideal projective ray
-    with the ray leaving the lens edge at the reduced angle.
-    """
-    if not d > 0:
-        raise ValueError("distance must be positive")
-    return float(_sweep(lens, np.asarray([d], dtype=float))[0])
-
-
 def focal_length_limit(lens: LensSpec) -> float:
     """Focal length as the object distance grows without bound."""
     return lens.radius_mm / np.tan(np.pi / 2.0 * (1.0 - lens.angle_ratio))
 
 
 def focal_sweep(lens: LensSpec, distances) -> np.ndarray:
-    """Sharp focal lengths at ``distances``, in their order."""
+    """Sensor-to-lens distances giving the sharpest image at ``distances``, in their
+    order: where the ideal projective ray meets the ray leaving the lens edge."""
     d = np.asarray(distances, dtype=float).reshape(-1)
     if not np.all(d > 0):  # NaN included
         raise ValueError("distances must be strictly positive")

@@ -34,8 +34,8 @@ from .core import (
     _rodrigues,
     rodrigues_from_rotations,
 )
-from .errors import FocusCalError, FormatError, _get, _get_list, _parse_json, _reading
-from .lens import LensSpec, sharp_focal_length
+from .errors import FocusCalError, FormatError, _get, _get_size, _parse_json, _reading
+from .lens import LensSpec, focal_sweep
 from .scale import ParallelView
 
 __all__ = [
@@ -110,11 +110,11 @@ class CameraPreset:
         effective focal length is evaluated at min(distance, hyperfocal).
         """
         d = min(float(distance_mm), self.hyperfocal_mm)
-        return sharp_focal_length(self.lens, d) / self._hyperfocal_focal_mm
+        return float(focal_sweep(self.lens, [d])[0]) / self._hyperfocal_focal_mm
 
     @cached_property
     def _hyperfocal_focal_mm(self) -> float:
-        return sharp_focal_length(self.lens, self.hyperfocal_mm)
+        return float(focal_sweep(self.lens, [self.hyperfocal_mm])[0])
 
     def effective_intrinsics(self, distance_mm: float, focus_mode: str) -> Intrinsics:
         if focus_mode == FOCUS_FIXED:
@@ -135,7 +135,7 @@ class CameraPreset:
             dist = _get(doc, "distortion", dict, {})
             return cls(
                 name=_get(doc, "name", str),
-                image_size=_get_list(doc, "image_size_px", int, 2),
+                image_size=_get_size(doc, "image_size_px"),
                 intrinsics=Intrinsics(
                     alpha=_get(intr, "alpha_px", float),
                     beta=_get(intr, "beta_px", float),

@@ -698,7 +698,7 @@ class TestReprojectionStats:
             calibrate_proposed(views, table, image_size=ROBOTIQ.image_size),
         ):
             stored = result.refined.stats
-            for again in (reprojection_stats(result, views),
+            for again in (reprojection_stats(result.refined, views),
                           reprojection_stats(result.refined, views)):
                 for field in ("mean_px", "median_px", "std_px", "rms_px", "mean_abs_px",
                               "per_view"):

@@ -15,7 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from focuscal import cli
-from focuscal.io import canonical_dumps, dataset_to_dict, scale_table_from_csv
+from focuscal.io import (
+    canonical_dumps,
+    dataset_from_dict,
+    dataset_to_dict,
+    parallel_views_from_dataset,
+    scale_table_from_csv,
+)
 from focuscal.synth import TemplateSpec, bias_report, load_preset
 
 # a stray numpy warning is an error, so it fails the test that meets it
@@ -115,8 +121,8 @@ def make_stack(tmp_path, name="stack.json", rng="60:400:5", noise="0", rows="10"
 
 class TestScaleFactors:
     def test_declared_template_size_is_not_allocated(self, tmp_path):
-        # The README's stack, and a copy declaring 10**30 template rows: a grid ends
-        # at the last row its points reach, so both give the same table.
+        # The README's stack, and a copy declaring 10**30 template rows: a grid holds
+        # only the rows its own points use, so both give the same table.
         stack, huge = tmp_path / "stack.json", tmp_path / "huge.json"
         assert cli.main(["simulate", "--preset", "robotiq", "--parallel-stack", "45:175:5",
                          "--pitch", "8", "--rows", "10", "--cols", "14", "--noise", "0",
@@ -131,6 +137,39 @@ class TestScaleFactors:
                              str(table), "--out-zones", str(tmp_path / "zones.json")]) == 0
             tables.append(table.read_bytes())
         assert tables[0] == tables[1]
+
+    @staticmethod
+    def far_point_stack(tmp_path, rows, wy_mm):
+        """The README's stack as a document, with view 0's first point moved to
+        ``wy_mm`` in a template declaring ``rows`` rows, and without that point."""
+        stack = tmp_path / "stack.json"
+        assert cli.main(["simulate", "--preset", "robotiq", "--parallel-stack", "45:175:5",
+                         "--pitch", "8", "--rows", "10", "--cols", "14", "--noise", "0",
+                         "--seed", "42", "--out", str(stack)]) == 0
+        far, cut = json.loads(stack.read_text()), json.loads(stack.read_text())
+        far["template"]["rows"] = rows
+        far["views"][0]["points"][0]["wy_mm"] = wy_mm
+        del cut["views"][0]["points"][0]
+        return far, cut
+
+    # a row index beyond int64, a row 10**4 away, and a declared size beyond a float
+    @pytest.mark.parametrize("rows, wy_mm", [(10**31, 8e30), (10**30, 8e4), (10**400, 8e4)],
+                             ids=["beyond-int64", "row-10000", "rows-400-digits"])
+    def test_far_point_gives_the_table_without_it(self, tmp_path, rows, wy_mm):
+        tables = []
+        for name, doc in zip(("far", "cut"), self.far_point_stack(tmp_path, rows, wy_mm)):
+            dataset, table = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            dataset.write_text(json.dumps(doc))
+            assert cli.main(["scale-factors", "--dataset", str(dataset), "--out-table",
+                             str(table), "--out-zones", str(tmp_path / "zones.json")]) == 0
+            tables.append(table.read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_grid_holds_the_rows_of_its_own_points(self, tmp_path):
+        far, _ = self.far_point_stack(tmp_path, 10**30, 8e4)
+        template, views, meta = dataset_from_dict(far)
+        for view, parallel in zip(views, parallel_views_from_dataset(template, views, meta)):
+            assert parallel.points.shape[0] <= 2 * np.unique(view.world[:, 1]).size
 
     def test_table_zones_and_fit(self, tmp_path):
         stack = make_stack(tmp_path)
@@ -493,6 +532,10 @@ MALFORMED_DATASETS = {
     "rodrigues-strings": lambda doc: doc["views"][0]["gt_pose"].update(rodrigues=["0.1", 0, 0]),
     "rows-fractional": lambda doc: doc["template"].update(rows=6.5),
     "meta-pairs": lambda doc: doc.update(meta=list(doc["meta"].items())),
+    "image-width-400-digits": lambda doc: doc["meta"].update(image_size_px=[10**400, 724]),
+    "stack-image-width-400-digits": lambda doc: doc["meta"].update(
+        image_size_px=[10**400, 724]),
+    "kind-a-number": lambda doc: doc["meta"].update(kind=5),
 }
 
 # Edits that make a valid calibration document malformed; ``report`` reads it.
@@ -519,6 +562,8 @@ MALFORMED_PRESETS = {
     "preset-fractional-width": json.dumps({**ROBOTIQ_PRESET, "image_size_px": [1279.7, 724]}),
     "preset-alpha-a-boolean": json.dumps(
         {**ROBOTIQ_PRESET, "intrinsics": {**ROBOTIQ_PRESET["intrinsics"], "alpha_px": True}}),
+    "preset-width-400-digits": json.dumps({**ROBOTIQ_PRESET, "image_size_px": [10**400, 724]}),
+    "preset-width-zero": json.dumps({**ROBOTIQ_PRESET, "image_size_px": [0, 724]}),
 }
 
 # Argument values that are rejected, each with a part of its message; each
@@ -573,6 +618,9 @@ MALFORMED_READS = {
     **dict.fromkeys(MALFORMED_DATASETS, ("dataset", "calibrate")),
     "rodrigues-strings": ("dataset", "report"),
     "meta-pairs": ("stack", "scale-factors"),
+    "image-width-400-digits": ("dataset", "proposed"),
+    "stack-image-width-400-digits": ("stack", "scale-factors"),
+    "kind-a-number": ("stack", "scale-factors"),
     **dict.fromkeys(MALFORMED_CALIBRATIONS, ("calib", "report")),
     **dict.fromkeys(MALFORMED_CURVES, ("curve", "proposed")),
     **dict.fromkeys(MALFORMED_PRESETS, ("preset", "simulate")),

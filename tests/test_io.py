@@ -246,7 +246,7 @@ class TestCalibrationDocument:
         parsed = calibration_from_dict(json.loads(text))
         assert parsed.method == "baseline"
         assert parsed.converged == result.converged
-        recomputed = reprojection_stats(parsed, views)
+        recomputed = reprojection_stats(parsed.refined, views)
         assert abs(recomputed.mean_px - parsed.refined.stats.mean_px) < 1e-9
         assert abs(recomputed.rms_px - parsed.refined.stats.rms_px) < 1e-9
         assert abs(recomputed.std_px - parsed.refined.stats.std_px) < 1e-9

@@ -9,7 +9,6 @@ from focuscal.lens import (
     fit_focal_curve,
     focal_length_limit,
     focal_sweep,
-    sharp_focal_length,
 )
 
 
@@ -30,22 +29,22 @@ class TestIncomingAngle:
     def test_unit_ratio_gives_quarter_pi(self):
         lens = LensSpec(radius_mm=9.0, angle_ratio=0.5, axis_offset_mm=0.0)
         want = self.focal_from_angle(lens, 9.0, np.pi / 4)
-        assert sharp_focal_length(lens, 9.0) == pytest.approx(want, rel=1e-14)
+        assert focal_sweep(lens, [9.0])[0] == pytest.approx(want, rel=1e-14)
 
     def test_far_asymptote(self):
         lens = LensSpec(radius_mm=9.0, angle_ratio=0.5, axis_offset_mm=0.0)
         limit = focal_length_limit(lens)
-        assert sharp_focal_length(lens, 9.0e9) == pytest.approx(limit, rel=1e-8)
+        assert focal_sweep(lens, [9.0e9])[0] == pytest.approx(limit, rel=1e-8)
 
     def test_scalar_oracle(self):
         lens = LensSpec(radius_mm=9.0, angle_ratio=0.5, axis_offset_mm=3.0)
         want = self.focal_from_angle(lens, 12.0, np.arctan(2.0))
-        assert sharp_focal_length(lens, 12.0) == pytest.approx(want, rel=1e-14)
+        assert focal_sweep(lens, [12.0])[0] == pytest.approx(want, rel=1e-14)
 
     def test_degenerate_offset(self):
         lens = LensSpec(radius_mm=3.0, angle_ratio=0.5, axis_offset_mm=3.0)
         with pytest.raises(FocusCalError, match="probe point at the lens edge"):
-            sharp_focal_length(lens, 10.0)
+            focal_sweep(lens, [10.0])
 
 
 class TestSharpFocalLength:
@@ -53,7 +52,7 @@ class TestSharpFocalLength:
         lens = LensSpec(radius_mm=7.0, angle_ratio=0.6, axis_offset_mm=0.0)
         for d in (10.0, 50.0, 400.0):
             want = 7.0 / np.tan(np.pi / 2 - 0.6 * np.arctan(d / 7.0))
-            assert sharp_focal_length(lens, d) == pytest.approx(want, rel=1e-14)
+            assert focal_sweep(lens, [d])[0] == pytest.approx(want, rel=1e-14)
 
     def test_line_intersection_oracle(self):
         rng = np.random.default_rng(9)
@@ -70,13 +69,13 @@ class TestSharpFocalLength:
                 -lens.axis_offset_mm / d, 0.0,
                 -np.tan(np.pi / 2 - outgoing), lens.radius_mm,
             )
-            assert sharp_focal_length(lens, d) == pytest.approx(x, rel=1e-10)
+            assert focal_sweep(lens, [d])[0] == pytest.approx(x, rel=1e-10)
 
     def test_flattens_toward_limit(self):
         lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
         limit = focal_length_limit(lens)
         gaps = [
-            abs(sharp_focal_length(lens, scale * lens.radius_mm) - limit)
+            abs(focal_sweep(lens, [scale * lens.radius_mm])[0] - limit)
             for scale in (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
         ]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -92,7 +91,7 @@ class TestSharpFocalLength:
                 axis_offset_mm=rng.uniform(0, 1.0),
             )
             f_seq = [
-                sharp_focal_length(lens, 2.0**n * lens.radius_mm)
+                focal_sweep(lens, [2.0**n * lens.radius_mm])[0]
                 for n in range(10, 21)
             ]
             gaps = np.abs(np.diff(f_seq))
@@ -103,30 +102,30 @@ class TestSharpFocalLength:
         # Large off-axis offset at short distance pushes the denominator negative.
         lens = LensSpec(radius_mm=51.0, angle_ratio=0.9, axis_offset_mm=50.0)
         with pytest.raises(FocusCalError, match="sensor plane at infinity or behind the lens"):
-            sharp_focal_length(lens, 5.0)
+            focal_sweep(lens, [5.0])
 
     def test_tiny_distance_puts_the_sensor_at_infinity(self):
         lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
         with pytest.raises(FocusCalError, match="sensor plane at infinity or behind the lens"):
-            sharp_focal_length(lens, 5e-324)
+            focal_sweep(lens, [5e-324])
 
     def test_focal_length_that_underflows_is_rejected(self):
         lens = LensSpec(radius_mm=5e-324, angle_ratio=5e-324, axis_offset_mm=1.0)
         with pytest.raises(FocusCalError, match="focal length underflows to zero"):
-            sharp_focal_length(lens, 100.0)
+            focal_sweep(lens, [100.0])
 
     def test_tiny_span_turns_the_ray_square_to_the_axis(self):
         lens = LensSpec(radius_mm=5e-324, angle_ratio=0.5, axis_offset_mm=0.0)
-        assert sharp_focal_length(lens, 100.0) == 5e-324 / np.tan(np.pi / 4)
+        assert focal_sweep(lens, [100.0])[0] == 5e-324 / np.tan(np.pi / 4)
 
     def test_sweep_matches_scalar(self):
-        # one focal length per distance, in the distances' own order
+        # one focal length per distance, in the distances' own order, each as swept alone
         lens = LensSpec(radius_mm=5.0, angle_ratio=0.8, axis_offset_mm=1.0)
         distances = [100.0, 50.0, 200.0]
         focals = focal_sweep(lens, distances)
         assert focals.shape == (3,)
         for d, f in zip(distances, focals):
-            assert f == pytest.approx(sharp_focal_length(lens, d), rel=1e-14)
+            assert f == pytest.approx(focal_sweep(lens, [d])[0], rel=1e-14)
 
     @pytest.mark.parametrize("bad", [0.0, -5.0, np.nan])
     def test_sweep_rejects_a_distance_that_is_not_positive(self, bad):

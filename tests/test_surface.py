@@ -51,8 +51,8 @@ PUBLIC_NAMES = [
     "focal_length_limit", "focal_sweep", "generate_dataset", "generate_parallel_stack",
     "generate_template", "intrinsics_from_homographies", "levenberg_marquardt", "load_preset",
     "parallel_stack_dataset", "project_points", "reprojection_stats",
-    "rodrigues_from_rotations", "scale_factors", "segment_zones", "sharp_focal_length",
-    "solution_residuals", "suggest_noise_band", "undistort_points",
+    "rodrigues_from_rotations", "scale_factors", "segment_zones", "solution_residuals",
+    "suggest_noise_band", "undistort_points",
 ]
 
 

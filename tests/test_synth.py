@@ -15,7 +15,7 @@ from focuscal.core import (
     undistort_points,
 )
 from focuscal.errors import FocusCalError, FormatError
-from focuscal.lens import sharp_focal_length
+from focuscal.lens import focal_sweep
 from focuscal.scale import scale_factors, segment_zones
 from focuscal.synth import (
     FOCUS_FIXED,
@@ -150,8 +150,8 @@ class TestGenerateView:
         from focuscal import synth
 
         calls = []
-        monkeypatch.setattr(synth, "sharp_focal_length",
-                            lambda lens, d: calls.append(d) or sharp_focal_length(lens, d))
+        monkeypatch.setattr(synth, "focal_sweep",
+                            lambda lens, ds: calls.extend(ds) or focal_sweep(lens, ds))
         preset = load_preset("robotiq")
         distances = [100.0, 140.0, 400.0]  # the last is past hyperfocal
         generate_dataset(preset, self.template, distances, FOCUS_VARYING, 0.0, seed=0)

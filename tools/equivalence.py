@@ -17,7 +17,9 @@ own ``src/`` on the path:
   221-row stack (45:155:0.5 mm);
 - an eosens12cxp stack at 18:27:1 mm with 0.3 px noise, whose steep
   distortion near the image margin reaches the distortion inverse's root
-  solve;
+  solve, and ``scale-factors --fit`` on it: its points use only rows 3-6
+  and columns 4-9 of the template, so the stack reader trims its grids
+  (exit 1, no plateau, table written);
 - ``lens-curve`` from a lens given by ``--radius`` and ``--angle-ratio``, no
   preset, at 50 linearly spaced distances (20-500 mm), beside the
   walkthrough's log-spaced robotiq sweep;
@@ -103,10 +105,13 @@ DENSE_STACK = [
     "scale-factors --dataset dense.json --out-table dense_table.csv "
     "--out-zones dense_zones.json --fit --out-curve dense_curve.json",
 ]
-# Points of these views sit where the distortion's fixed point diverges.
+# Points of these views sit where the distortion's fixed point diverges, and
+# fill only rows 3-6 and columns 4-9 of the template.
 STEEP_STACK = [
     "simulate --preset eosens12cxp --rows 10 --cols 14 --pitch 8 --parallel-stack 18:27:1 "
     "--noise 0.3 --seed 5 --out steep.json",
+    "scale-factors --dataset steep.json --out-table steep_table.csv --out-zones steep_zones.json "
+    "--fit --out-curve steep_curve.json",
 ]
 # The other lens-curve path: a lens from the arguments, linear spacing.
 LINEAR_LENS = [
